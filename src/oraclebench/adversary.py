@@ -84,7 +84,6 @@ class TomographySet:
     """Learned stand-ins for every oracle block the candidate may call."""
 
     estimates: dict
-    truths: dict
     errors: dict
     queries: int
     mode: str
@@ -126,7 +125,6 @@ def tomograph_called_blocks(
     """
     swap_ns, hri_keys = _called_specs(cand)
     estimates: dict = {}
-    truths: dict = {}
     errors: dict = {}
     queries = 0
     for n in sorted(swap_ns):
@@ -137,7 +135,6 @@ def tomograph_called_blocks(
         gate = swap.dense_oracle(n, budget).mat
         res = _tomograph_gate(gate, mode, eps, eta, seed.child("tomo-swap", n))
         estimates[n] = res.estimate
-        truths[n] = gate
         errors[n] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
     for n, m in sorted(hri_keys):
@@ -148,10 +145,9 @@ def tomograph_called_blocks(
         gate = hri.oracle(n, m, budget).mat
         res = _tomograph_gate(gate, mode, eps, eta, seed.child("tomo-rot", n).child("m", m))
         estimates[(n, m)] = res.estimate
-        truths[(n, m)] = gate
         errors[(n, m)] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
-    return TomographySet(estimates, truths, errors, queries, mode, eps)
+    return TomographySet(estimates, errors, queries, mode, eps)
 
 
 def _tomograph_gate(gate: np.ndarray, mode: str, eps: float, eta: float, seed: SeedPath):
@@ -165,27 +161,20 @@ def _tomograph_gate(gate: np.ndarray, mode: str, eps: float, eta: float, seed: S
 
 @dataclass(frozen=True)
 class SurrogateFamily:
-    """Oracle-free rewrites of a candidate, learned and reference variants.
+    """Oracle-free rewrites of a candidate's circuits, one per key.
 
-    circuits holds the tomography-based rewrite used by the attacks;
-    exact_small is the companion family where every kept call is the true
-    gate, isolating the deletion error from the learning error.
+    Each circuit keeps the candidate's fixed gates, with small oracle calls
+    replaced by their tomography estimates and large ones deleted.
     """
 
     lam: int
     stretch_s: int
     ancilla_c: int
-    d_cutoff: int
     circuits: dict
-    exact_small: dict
     deleted: dict
-    replacement_errors: dict
-    eps_claimed: float
-    tomography_mode: str
-    tomography_queries: int
 
     def __post_init__(self):
-        for circ in list(self.circuits.values()) + list(self.exact_small.values()):
+        for circ in self.circuits.values():
             if circ.query_count:
                 raise ValueError("surrogate circuits must be oracle-free")
 
@@ -199,40 +188,25 @@ class SurrogateFamily:
 
 
 def build_surrogates(cand, tomo: TomographySet, d_cutoff: int) -> SurrogateFamily:
-    """Rewrite every key's circuit in surrogate and exact-small modes."""
+    """Rewrite every key's circuit against the tomography estimates."""
     circuits = {}
-    exact_small = {}
     deleted = {}
     for k in cand.keys:
-        circuits[k], deleted[k] = rewrite_surrogate(
-            cand.circuits[k], d_cutoff, tomo.estimates, mode="surrogate"
-        )
-        exact_small[k], _ = rewrite_surrogate(
-            cand.circuits[k], d_cutoff, tomo.truths, mode="exact-small"
-        )
+        circuits[k], deleted[k] = rewrite_surrogate(cand.circuits[k], d_cutoff, tomo.estimates)
     return SurrogateFamily(
         lam=cand.lam,
         stretch_s=cand.stretch_s,
         ancilla_c=cand.ancilla_c,
-        d_cutoff=d_cutoff,
         circuits=circuits,
-        exact_small=exact_small,
         deleted=deleted,
-        replacement_errors=dict(tomo.errors),
-        eps_claimed=tomo.eps_claimed,
-        tomography_mode=tomo.mode,
-        tomography_queries=tomo.queries,
     )
 
 
-def surrogate_candidate(sf: SurrogateFamily, which: str = "surrogate"):
+def surrogate_candidate(sf: SurrogateFamily):
     """The rewritten family as a candidate of the matching kind."""
-    if which not in ("surrogate", "exact-small"):
-        raise ValueError(f"unknown surrogate variant {which!r}")
-    circuits = sf.circuits if which == "surrogate" else sf.exact_small
     if sf.stretch_s:
-        return PriCandidate(sf.lam, sf.stretch_s, sf.ancilla_c, circuits)
-    return PruCandidate(sf.lam, sf.ancilla_c, circuits)
+        return PriCandidate(sf.lam, sf.stretch_s, sf.ancilla_c, sf.circuits)
+    return PruCandidate(sf.lam, sf.ancilla_c, sf.circuits)
 
 
 # ------------------------------------------------------------------ Choi states
@@ -295,9 +269,9 @@ def key_choi(
 
 
 def surrogate_choi(
-    sf: SurrogateFamily, *, ell: int, which: str = "surrogate", budget: Budget = DEFAULT_BUDGET
+    sf: SurrogateFamily, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> DensityMatrix:
-    return keyed_choi(surrogate_candidate(sf, which), ell=ell, budget=budget)
+    return keyed_choi(surrogate_candidate(sf), ell=ell, budget=budget)
 
 
 # ------------------------------------------------------------------ support overlap
@@ -558,24 +532,3 @@ def attack_pri_vs_hri(
     uses t(d) in place of d; everything else matches the isometry attack.
     """
     return _run_attack("hri", cand, None, hri, cfg, challenge, budget)
-
-
-_ATTACKS = {"pru": attack_pru, "pri": attack_pri, "hri": attack_pri_vs_hri}
-
-
-def advantage_exact(
-    cand,
-    swap=None,
-    hri=None,
-    cfg: AttackConfig = AttackConfig(),
-    attack: str = "pru",
-    budget: Budget = DEFAULT_BUDGET,
-) -> float:
-    """Exact distinguishing advantage of the chosen pipeline on this candidate."""
-    if attack not in _ATTACKS:
-        raise ValueError(f"unknown attack {attack!r}")
-    if attack == "hri":
-        report = attack_pri_vs_hri(cand, hri, cfg, budget=budget)
-    else:
-        report = _ATTACKS[attack](cand, swap, cfg, budget=budget)
-    return report.advantage

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness
@@ -165,6 +166,10 @@ def cli_main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = _config_from_args(args)
+        if cfg.out_path is not None:
+            out_dir = os.path.dirname(os.path.abspath(cfg.out_path))
+            if not os.path.isdir(out_dir):
+                raise ValueError(f"report directory {out_dir} does not exist")
         report = harness.run_experiment(cfg)
     except SizingError as e:
         print(f"sizing: {e}", file=sys.stderr)

@@ -16,7 +16,6 @@ maximally entangled partner register.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .linalg import (
     random_unitary_from,
     sym_projector,
 )
-from .seeds import SeedPath, as_generator
+from .seeds import as_generator
 
 
 def sample_haar_unitary(d: int, seed) -> UnitaryMatrix:
@@ -141,45 +140,6 @@ def twirl_mc(rho, d: int, ell: int, samples: int, seed) -> DensityMatrix:
         t = np.tensordot(t, ul.conj(), axes=([2], [1]))
         acc += np.moveaxis(t, 3, 2)
     return DensityMatrix((acc / samples).reshape(mat.shape))
-
-
-def ensemble_twirl(unitaries, ell: int, rho) -> DensityMatrix:
-    """Uniform average over a finite list of unitaries instead of the full measure."""
-    mat = _as_mat(rho)
-    us = [u.mat if isinstance(u, UnitaryMatrix) else np.asarray(u) for u in unitaries]
-    a = us[0].shape[0] ** ell
-    r = mat.shape[0] // a
-    m4 = mat.reshape(a, r, a, r)
-    acc = np.zeros_like(m4)
-    for u in us:
-        ul = u
-        for _ in range(ell - 1):
-            ul = np.kron(ul, u)
-        t = np.tensordot(ul, m4, axes=([1], [0]))
-        t = np.tensordot(t, ul.conj(), axes=([2], [1]))
-        acc += np.moveaxis(t, 3, 2)
-    return DensityMatrix((acc / len(us)).reshape(mat.shape))
-
-
-@dataclass(frozen=True)
-class TwirlSpec:
-    """How to average: full measure exactly, by sampling, or over a fixed ensemble."""
-
-    ell: int
-    dim: int
-    source: str = "haar-exact"
-    samples: int = 10_000
-    seed: SeedPath = field(default_factory=lambda: SeedPath(0))
-    unitaries: tuple = ()
-
-    def apply(self, rho, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
-        if self.source == "haar-exact":
-            return twirl_exact(rho, self.dim, self.ell, budget)
-        if self.source == "haar-mc":
-            return twirl_mc(rho, self.dim, self.ell, self.samples, self.seed)
-        if self.source == "ensemble":
-            return ensemble_twirl(self.unitaries, self.ell, rho)
-        raise ValueError(f"unknown twirl source {self.source!r}")
 
 
 # ------------------------------------------------------------------ Choi references

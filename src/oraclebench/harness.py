@@ -65,11 +65,24 @@ class LemmaCheckResult:
 
 
 def _take(params: dict, **defaults):
-    """Fill defaults and coerce to the default's type; unknown keys fault."""
+    """Fill defaults and coerce to the default's type.
+
+    Unknown keys, non-integral values for integer parameters, and trial or
+    sample counts below one fault.
+    """
     extra = sorted(set(params) - set(defaults))
     if extra:
         raise ValueError(f"unknown parameters {extra}, expected from {sorted(defaults)}")
-    return {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
+    out = {}
+    for k, v in defaults.items():
+        val = params.get(k, v)
+        if isinstance(v, int) and isinstance(val, float) and not val.is_integer():
+            raise ValueError(f"parameter {k} must be an integer, got {val!r}")
+        out[k] = type(v)(val)
+    for k in ("trials", "samples"):
+        if out.get(k, 1) < 1:
+            raise ValueError(f"parameter {k} must be at least 1, got {out[k]}")
+    return out
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:

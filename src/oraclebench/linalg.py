@@ -13,14 +13,12 @@ from itertools import permutations
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget, SizingError
-from .seeds import as_generator
 
 ATOL_UNITARY = 1e-9
 ATOL_HERMITIAN = 1e-9
 ATOL_TRACE = 1e-8
 ATOL_STATE_NORM = 1e-9
 EIG_FLOOR = -1e-9
-SUPPORT_TAU = 1e-10
 
 # full PSD validation by eigh is quadratic in memory and cubic in time;
 # above this dim the constructor falls back to cheap necessary checks
@@ -71,12 +69,6 @@ class PureState:
     def qubits(self) -> int:
         return _qubits_of_dim(self.dim, "state")
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
@@ -102,12 +94,6 @@ class UnitaryMatrix:
     @property
     def qubits(self) -> int:
         return _qubits_of_dim(self.dim, "unitary")
-
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.mat.conj().T)
-
-    def apply(self, state: PureState) -> PureState:
-        return PureState(self.mat @ state.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -144,9 +130,6 @@ class DensityMatrix:
     @property
     def qubits(self) -> int:
         return _qubits_of_dim(self.dim, "density matrix")
-
-    def purity(self) -> float:
-        return float(np.real(np.vdot(self.mat, self.mat)))
 
 
 def _as_mat(x) -> np.ndarray:
@@ -193,43 +176,6 @@ class ChannelRep:
         d_anc = self.stinespring.dim // d_in
         w4 = w.reshape(d_out, d_tr, d_in, d_anc)
         return [np.ascontiguousarray(w4[:, j, :, 0]) for j in range(d_tr)]
-
-    def apply(self, rho) -> DensityMatrix:
-        r = _as_mat(rho)
-        if r.shape[0] != self.in_dim:
-            raise ValueError(f"channel input dim {self.in_dim}, state dim {r.shape[0]}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
-        for k in self.kraus():
-            kr = k @ r
-            out += kr @ k.conj().T
-        return DensityMatrix(out)
-
-
-def tensor(*ops) -> np.ndarray:
-    out = _as_mat(ops[0]) if not isinstance(ops[0], np.ndarray) else ops[0]
-    for op in ops[1:]:
-        nxt = op if isinstance(op, np.ndarray) else _as_mat(op)
-        out = np.kron(out, nxt)
-    return out
-
-
-def partial_trace(mat, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out every subsystem not listed in `keep` (kept order is ascending)."""
-    m = _as_mat(mat)
-    dims = [int(d) for d in dims]
-    total = math.prod(dims)
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    keep = sorted(set(keep))
-    if any(i < 0 or i >= len(dims) for i in keep):
-        raise ValueError("keep indices out of range")
-    t = m.reshape(dims + dims)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=i, axis2=i + half)
-    d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def permute_subsystems(mat, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -310,10 +256,6 @@ def omega_vector(d: int) -> np.ndarray:
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[(d + 1) * np.arange(d)] = 1.0 / math.sqrt(d)
     return vec
-
-
-def max_entangled(d: int) -> PureState:
-    return PureState(omega_vector(d))
 
 
 def choi_vector(a: np.ndarray) -> np.ndarray:
@@ -426,46 +368,6 @@ def diamond_distance_unitary(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     else:
         nu = -math.cos(gap / 2)
     return 2.0 * math.sqrt(max(0.0, 1.0 - nu * nu))
-
-
-def _kraus_of(chan) -> list[np.ndarray]:
-    if isinstance(chan, UnitaryMatrix):
-        return [chan.mat]
-    if isinstance(chan, ChannelRep):
-        return chan.kraus()
-    if isinstance(chan, (list, tuple)):
-        return [as_complex_array(k) for k in chan]
-    raise TypeError(f"cannot interpret {type(chan).__name__} as a channel")
-
-
-def diamond_distance_lb(chan_a, chan_b, trials: int = 2000, seed=0) -> float:
-    """Sampled lower bound: best trace distance over random pure inputs on a doubled register."""
-    ka, kb = _kraus_of(chan_a), _kraus_of(chan_b)
-    d_in = ka[0].shape[1]
-    if kb[0].shape[1] != d_in:
-        raise ValueError("channels must share an input dimension")
-    rng = as_generator(seed)
-    best = 0.0
-    for _ in range(trials):
-        raw = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
-        psi = raw / np.linalg.norm(raw)
-        out_a = sum(np.outer((k @ psi).reshape(-1), (k @ psi).reshape(-1).conj()) for k in ka)
-        out_b = sum(np.outer((k @ psi).reshape(-1), (k @ psi).reshape(-1).conj()) for k in kb)
-        # diamond distance is the full (not halved) trace norm of the best case
-        best = max(best, 2.0 * trace_distance(out_a, out_b))
-    return best
-
-
-def support_projector(rho, tau: float = SUPPORT_TAU) -> tuple[np.ndarray, int]:
-    """Projector onto eigenspaces above tau * largest eigenvalue, plus its rank."""
-    m = _as_mat(rho)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    top = float(w[-1])
-    if top <= 0.0:
-        return np.zeros_like(m), 0
-    mask = w > tau * top
-    vs = v[:, mask]
-    return vs @ vs.conj().T, int(mask.sum())
 
 
 def gentle_residual(measure_op, rho) -> tuple[DensityMatrix, float]:

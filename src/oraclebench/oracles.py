@@ -53,11 +53,6 @@ def swap_unitary(n: int, psi: PureState) -> UnitaryMatrix:
     return UnitaryMatrix(s)
 
 
-def t_theta_unitary(theta: PureState) -> UnitaryMatrix:
-    """Single reflection toward a fixed target state (the one-index family member)."""
-    return swap_unitary(theta.qubits, theta)
-
-
 @dataclass
 class SwapOracleFamily:
     """Lazily sampled family {S_n}: block m of S_n reflects toward psi_{n,m}."""
@@ -88,14 +83,6 @@ class SwapOracleFamily:
             out[sl, sl] = self.block_unitary(n, m).mat
         return UnitaryMatrix(out)
 
-    def manifest(self) -> dict:
-        return {
-            "kind": "swap",
-            "seed": self.seed.describe(),
-            "sampled_indices": sorted(map(list, self._states)),
-        }
-
-
 @dataclass
 class HriOracleFamily:
     """Lazily sampled flag-flip family: block m applies a Haar unitary on t(n)+n qubits."""
@@ -122,15 +109,6 @@ class HriOracleFamily:
         t = self.t_of(n)
         budget.check_dense_matrix(1 + t + n, "hidden-rotation oracle")
         return hri_unitary(t, n, self.haar_unitary(n, m))
-
-    def manifest(self) -> dict:
-        return {
-            "kind": "hidden-rotation",
-            "seed": self.seed.describe(),
-            "stretch": self.stretch,
-            "sampled_indices": sorted(map(list, self._unitaries)),
-        }
-
 
 def hri_unitary(t: int, n: int, u: UnitaryMatrix) -> UnitaryMatrix:
     """Self-adjoint involution on [flag, pad(t), payload(n)].
@@ -187,47 +165,6 @@ def apply_swap_call(
     t = b.reshape(shape)
     t = np.moveaxis(t, range(len(wires)), wires)
     return np.ascontiguousarray(t).reshape(-1)
-
-
-def prfsg_eval(family: SwapOracleFamily, lam: int, k: int, x: int) -> PureState:
-    """Output state of the keyed generator: one query at index (k, x).
-
-    The query register starts in |k, x>|0>|0^2lam>; the reflected block flips
-    the flag and loads the family state, and the classical registers factor
-    off exactly, so slicing them away is lossless.
-    """
-    n = 2 * lam
-    if not (0 <= k < 2**lam and 0 <= x < 2**lam):
-        raise ValueError("key or input out of range")
-    m = (k << lam) | x
-    total = 2 * n + 1
-    vec = np.zeros(2**total, dtype=np.complex128)
-    vec[m << (n + 1)] = 1.0  # flag 0, payload 0^n
-    out = apply_swap_call(family, vec, n, list(range(total)), total)
-    block = out.reshape(2**n, 2, 2**n)
-    payload = block[m, 1, :]
-    if abs(np.linalg.norm(payload) - 1.0) > 1e-9:
-        raise AssertionError("generator query did not land in the flagged sector")
-    return PureState(payload)
-
-
-def pri_eval(family: HriOracleFamily, lam: int, k: int, psi: PureState) -> PureState:
-    """Keyed state isometry: pad with t(lam) zeros, rotate by the key's member.
-
-    Realized as one oracle call on [flag, pad, payload] starting with flag
-    |0>; the output flag is exactly |1> and is dropped.
-    """
-    t = family.t_of(lam)
-    if psi.dim != 2**lam:
-        raise ValueError(f"input state dim {psi.dim}, expected 2^{lam}")
-    total = 1 + t + lam
-    vec = np.zeros(2**total, dtype=np.complex128)
-    vec[: 2**lam] = psi.amplitudes  # flag 0, pad 0^t
-    out = family.oracle(lam, k).mat @ vec
-    half = 2 ** (t + lam)
-    if np.linalg.norm(out[:half]) > 1e-9:
-        raise AssertionError("rotation query left weight on the unflagged sector")
-    return PureState(out[half:])
 
 
 # ------------------------------------------------------------------ circuits
@@ -290,10 +227,6 @@ class OracleCircuit:
     def query_count(self) -> int:
         return sum(1 for s in self.steps if not isinstance(s, FixedGate))
 
-    def called_ns(self) -> set[int]:
-        return {s.n for s in self.steps if not isinstance(s, FixedGate)}
-
-
 def evaluate_circuit(
     circ: OracleCircuit,
     state: PureState,
@@ -348,7 +281,6 @@ def rewrite_surrogate(
     circ: OracleCircuit,
     d_cutoff: int,
     replacements: dict,
-    mode: str = "surrogate",
 ) -> tuple[OracleCircuit, int]:
     """Replace small oracle calls by fixed gates and delete the large ones.
 
@@ -357,8 +289,6 @@ def rewrite_surrogate(
     calls with n > d_cutoff are dropped. Returns the rewritten circuit and
     how many calls were deleted.
     """
-    if mode not in ("surrogate", "exact-small"):
-        raise ValueError(f"unknown rewrite mode {mode!r}")
     steps = []
     deleted = 0
     for step in circ.steps:
@@ -370,7 +300,7 @@ def rewrite_surrogate(
             continue
         key = step.n if isinstance(step, OracleCall) else (step.n, step.m)
         if key not in replacements:
-            raise KeyError(f"{mode} rewrite is missing a gate for call {key}")
+            raise KeyError(f"surrogate rewrite is missing a gate for call {key}")
         gate = replacements[key]
         mat = gate.mat if isinstance(gate, UnitaryMatrix) else as_complex_array(gate)
         # both families are involutions, so a daggered call uses the same gate
@@ -453,31 +383,3 @@ def candidate_channel(
         ancilla_in_qubits=cand.stretch_s + cand.ancilla_c,
         traced_out_qubits=cand.ancilla_c,
     )
-
-
-def ancilla_purity_defect(
-    cand,
-    swap: SwapOracleFamily | None = None,
-    hri: HriOracleFamily | None = None,
-    trials: int = 20,
-    seed: SeedPath = SeedPath(0),
-) -> float:
-    """Worst-case weight the work register leaks out of |0^c> over random inputs."""
-    c = cand.ancilla_c
-    if c == 0:
-        return 0.0
-    worst = 0.0
-    width = cand.lam + cand.stretch_s + c
-    for k in cand.keys:
-        for i in range(trials):
-            psi = haar.sample_haar_state(
-                2**cand.lam, seed.child("purity", i).child("key", int(k))
-            )
-            vec = np.zeros(2**width, dtype=np.complex128)
-            vec.reshape(2**cand.lam, -1)[:, 0] = psi.amplitudes
-            out = evaluate_circuit(
-                cand.circuits[k], PureState(vec), swap=swap, hri=hri
-            ).amplitudes
-            weight = np.linalg.norm(out.reshape(-1, 2**c)[:, 0]) ** 2
-            worst = max(worst, 1.0 - float(weight))
-    return worst

@@ -23,7 +23,8 @@ def capture():
     try:
         yield entries
     finally:
-        _stack.remove(entries)
+        # by identity: list equality would match another capture's entries
+        del _stack[next(i for i, e in enumerate(_stack) if e is entries)]
 
 
 def _note(op: str, label: str, dim: int) -> None:

@@ -64,10 +64,6 @@ class TomographyResult:
     gram_defect: float
     shots_per_setting: int = 0
 
-    @property
-    def total_shots(self) -> int:
-        return self.queries if self.mode == "sampled" else 0
-
 
 def process_tomography_exact(apply_fn, dim: int, atol: float = 1e-8) -> TomographyResult:
     """Read the matrix off basis columns; faults unless it is an isometry."""

@@ -7,8 +7,6 @@ the threshold distinguisher latches onto.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .linalg import random_unitary_from
 from .oracles import (
     FixedGate,
@@ -25,6 +23,33 @@ def _random_gate(seed: SeedPath, width: int) -> FixedGate:
     return FixedGate(random_unitary_from(seed.rng(), 2**width), tuple(range(width)))
 
 
+def _keyed_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, need: int, call) -> dict:
+    """Per key: a random gate, then `calls` rounds of oracle call plus random gate.
+
+    `call(k, daggered)` builds key k's call on the leading `need` wires;
+    every other call is daggered.
+    """
+    if calls and width < need:
+        raise ValueError(f"width {width} cannot host an oracle call on {need} wires")
+    circuits = {}
+    for k in range(n_keys):
+        ks = seed.child("key", k)
+        steps = [_random_gate(ks.child("g", 0), width)]
+        for q in range(calls):
+            steps.append(call(k, q % 2 == 1))
+            steps.append(_random_gate(ks.child("g", q + 1), width))
+        circuits[k] = OracleCircuit(width, tuple(steps))
+    return circuits
+
+
+def _swap_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, call_n: int) -> dict:
+    wires = tuple(range(2 * call_n + 1))
+    return _keyed_circuits(
+        width, n_keys, seed, calls, len(wires),
+        lambda k, daggered: OracleCall(call_n, wires, daggered=daggered),
+    )
+
+
 def toy_pru_candidate(
     lam: int,
     n_keys: int,
@@ -33,17 +58,7 @@ def toy_pru_candidate(
     swap_calls: int = 0,
     call_n: int = 1,
 ) -> PruCandidate:
-    width = lam + c
-    if swap_calls and width < 2 * call_n + 1:
-        raise ValueError(f"width {width} cannot host a swap call on n={call_n}")
-    circuits = {}
-    for k in range(n_keys):
-        ks = seed.child("key", k)
-        steps = [_random_gate(ks.child("g", 0), width)]
-        for q in range(swap_calls):
-            steps.append(OracleCall(call_n, tuple(range(2 * call_n + 1)), daggered=q % 2 == 1))
-            steps.append(_random_gate(ks.child("g", q + 1), width))
-        circuits[k] = OracleCircuit(width, tuple(steps))
+    circuits = _swap_circuits(lam + c, n_keys, seed, swap_calls, call_n)
     return PruCandidate(lam=lam, ancilla_c=c, circuits=circuits)
 
 
@@ -56,17 +71,7 @@ def toy_pri_candidate(
     swap_calls: int = 1,
     call_n: int = 1,
 ) -> PriCandidate:
-    width = lam + s + c
-    if swap_calls and width < 2 * call_n + 1:
-        raise ValueError(f"width {width} cannot host a swap call on n={call_n}")
-    circuits = {}
-    for k in range(n_keys):
-        ks = seed.child("key", k)
-        steps = [_random_gate(ks.child("g", 0), width)]
-        for q in range(swap_calls):
-            steps.append(OracleCall(call_n, tuple(range(2 * call_n + 1)), daggered=q % 2 == 1))
-            steps.append(_random_gate(ks.child("g", q + 1), width))
-        circuits[k] = OracleCircuit(width, tuple(steps))
+    circuits = _swap_circuits(lam + s + c, n_keys, seed, swap_calls, call_n)
     return PriCandidate(lam=lam, stretch_s=s, ancilla_c=c, circuits=circuits)
 
 
@@ -80,34 +85,10 @@ def toy_hri_candidate(
     t_of_call: int = 1,
 ) -> PruCandidate:
     """Unitary candidate whose circuits may query the hidden-rotation family."""
-    width = lam + c
     need = 1 + t_of_call + call_n
-    if rot_calls and width < need:
-        raise ValueError(f"width {width} cannot host a rotation call on {need} wires")
-    circuits = {}
-    for k in range(n_keys):
-        ks = seed.child("key", k)
-        steps = [_random_gate(ks.child("g", 0), width)]
-        for q in range(rot_calls):
-            steps.append(
-                HriCall(call_n, m=k % 2**call_n, wires=tuple(range(need)), daggered=q % 2 == 1)
-            )
-            steps.append(_random_gate(ks.child("g", q + 1), width))
-        circuits[k] = OracleCircuit(width, tuple(steps))
+
+    def call(k, daggered):
+        return HriCall(call_n, m=k % 2**call_n, wires=tuple(range(need)), daggered=daggered)
+
+    circuits = _keyed_circuits(lam + c, n_keys, seed, rot_calls, need, call)
     return PruCandidate(lam=lam, ancilla_c=c, circuits=circuits)
-
-
-def dirty_ancilla_candidate(lam: int, seed: SeedPath) -> PruCandidate:
-    """Single-key candidate that entangles its work qubit, for validator tests."""
-    width = lam + 1
-    gate = random_unitary_from(seed.rng(), 2**width)
-    circ = OracleCircuit(width, (FixedGate(gate, tuple(range(width))),))
-    return PruCandidate(lam=lam, ancilla_c=1, circuits={0: circ})
-
-
-def clean_ancilla_candidate(lam: int, seed: SeedPath) -> PruCandidate:
-    """Single-key candidate acting trivially on its work qubit."""
-    u = random_unitary_from(seed.rng(), 2**lam)
-    gate = np.kron(u, np.eye(2))
-    circ = OracleCircuit(lam + 1, (FixedGate(gate, tuple(range(lam + 1))),))
-    return PruCandidate(lam=lam, ancilla_c=1, circuits={0: circ})

@@ -143,7 +143,7 @@ def test_exact_surrogate_reproduces_the_circuit():
 def test_missing_tomography_faults():
     swap = SwapOracleFamily(SEED.child("swap", 6))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("miss"), c=2, swap_calls=1)
-    empty = adv.TomographySet({}, {}, {}, 0, "exact", 0.0)
+    empty = adv.TomographySet({}, {}, 0, "exact", 0.0)
     with pytest.raises(KeyError):
         adv.build_surrogates(cand, empty, 3)
 
@@ -155,14 +155,8 @@ def test_surrogate_family_rejects_oracle_calls():
             lam=2,
             stretch_s=0,
             ancilla_c=1,
-            d_cutoff=3,
             circuits={0: circ},
-            exact_small={0: circ},
             deleted={0: 0},
-            replacement_errors={},
-            eps_claimed=0.0,
-            tomography_mode="exact",
-            tomography_queries=0,
         )
 
 
@@ -312,16 +306,6 @@ def test_report_serializes_to_json(pru_call_report):
     assert back["advantage"] == rep.advantage
     assert isinstance(back["crossings"], list) and back["crossings"]
     assert {"op", "label", "dim"} <= set(back["crossings"][0])
-
-
-def test_advantage_exact_dispatch(pru_report):
-    cand, rep = pru_report
-    val = adv.advantage_exact(
-        cand, None, cfg=adv.AttackConfig(seed=SEED.child("cfg", 0)), attack="pru"
-    )
-    assert abs(val - rep.advantage) <= 1e-12
-    with pytest.raises(ValueError):
-        adv.advantage_exact(cand, None, attack="sidechannel")
 
 
 # ---------------------------------------------------------------- distinguisher

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from oraclebench import harness
 from oraclebench.cli import cli_main
 
 
@@ -38,6 +39,8 @@ def test_param_flag_reaches_the_check(capsys):
 def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["lemma", "holder-product", "--param", "trials"]) == 2
     assert cli_main(["lemma", "choi-shrinkage", "--param", "bogus=3"]) == 2
+    assert cli_main(["lemma", "holder-product", "--param", "d=6.7"]) == 2
+    assert cli_main(["lemma", "gentle-measurement", "--param", "trials=0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -77,6 +80,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"volume": 11}))
     assert cli_main(["lemma", "holder-product", "--config", str(cfgfile)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_missing_report_directory_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran despite an unwritable report path")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    out = tmp_path / "missing" / "r.json"
+    assert cli_main(["lemma", "hri-trace", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

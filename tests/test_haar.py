@@ -77,7 +77,7 @@ def test_twirl_exact_properties():
     assert la.trace_distance(out, again) < 1e-10
     # invariant under any fixed V^(x ell) on the twirled register
     v = la.random_unitary_from(rng, d)
-    vl = la.tensor(np.kron(v, v), np.eye(r))
+    vl = np.kron(np.kron(v, v), np.eye(r))
     assert np.allclose(vl @ out.mat @ vl.conj().T, out.mat, atol=1e-9)
 
 
@@ -107,29 +107,6 @@ def test_twirl_mc_deterministic():
     assert np.array_equal(a.mat, b.mat)
 
 
-def test_ensemble_twirl_is_plain_average():
-    rng = np.random.default_rng(4)
-    rho = rand_density(rng, 4)
-    us = [la.random_unitary_from(rng, 2) for _ in range(3)]
-    got = haar.ensemble_twirl(us, 2, rho)
-    want = np.zeros((4, 4), dtype=complex)
-    for u in us:
-        ul = np.kron(u, u)
-        want += ul @ rho @ ul.conj().T
-    assert np.allclose(got.mat, want / 3, atol=1e-12)
-
-
-def test_twirl_spec_dispatch():
-    rng = np.random.default_rng(5)
-    rho = rand_density(rng, 4)
-    exact = haar.TwirlSpec(ell=2, dim=2).apply(rho)
-    assert la.trace_distance(exact, haar.twirl_exact(rho, 2, 2)) < 1e-12
-    mc = haar.TwirlSpec(ell=2, dim=2, source="haar-mc", samples=100, seed=SEED).apply(rho)
-    assert abs(np.trace(mc.mat) - 1) < 1e-9
-    with pytest.raises(ValueError):
-        haar.TwirlSpec(ell=1, dim=2, source="bogus").apply(rho)
-
-
 def test_twirl_budget_guard():
     tiny = Budget(max_twirl_dim=8)
     rng = np.random.default_rng(6)
@@ -145,7 +122,7 @@ def test_haar_choi_smallest_case_and_invariance():
     ref2 = haar.haar_choi(1, 2)
     assert abs(np.trace(ref2.mat) - 1) < 1e-9
     w = la.random_unitary_from(np.random.default_rng(7), 2)
-    wl = la.tensor(np.kron(w, w), np.eye(4))
+    wl = np.kron(np.kron(w, w), np.eye(4))
     assert np.allclose(wl @ ref2.mat @ wl.conj().T, ref2.mat, atol=1e-9)
 
 

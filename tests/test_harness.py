@@ -63,6 +63,16 @@ def test_unknown_check_id_and_unknown_param_fault():
         lemma_check("choi-shrinkage", {"bogus": 3})
 
 
+def test_non_integral_and_empty_count_params_fault():
+    with pytest.raises(ValueError, match="must be an integer"):
+        lemma_check("holder-product", {"d": 6.7})
+    for cid, key in (("gentle-measurement", "trials"), ("state-moment-mc", "samples")):
+        with pytest.raises(ValueError, match="at least 1"):
+            lemma_check(cid, {key: 0})
+    # an integral float is still accepted and reported as an int
+    assert lemma_check("holder-product", {"d": 4.0, "trials": 3}).params["d"] == 4
+
+
 def test_check_is_deterministic_under_its_seed():
     a = lemma_check("holder-product", {"trials": 6}, SEED.child("det"))
     b = lemma_check("holder-product", {"trials": 6}, SEED.child("det"))

@@ -96,22 +96,19 @@ def test_apply_swap_call_is_involution():
 
 
 def test_prfsg_eval_returns_family_state():
+    # prfsg_game reads fam.state(2 lam, k||x) directly: that is what one
+    # query on |k, x>|0>|0^2lam> loads into the flagged payload
     lam = 2
+    n, total = 2 * lam, 4 * lam + 1
     fam = fresh_family("prfsg")
-    out = orc.prfsg_eval(fam, lam, k=2, x=1)
-    want = fam.state(2 * lam, (2 << lam) | 1)
-    assert np.allclose(out.amplitudes, want.amplitudes, atol=1e-12)
-    again = orc.prfsg_eval(fam, lam, k=2, x=1)
-    assert np.allclose(out.amplitudes, again.amplitudes)
-    other = orc.prfsg_eval(fam, lam, k=3, x=1)
-    assert abs(np.vdot(out.amplitudes, other.amplitudes)) < 0.99
-
-
-def test_t_theta_unitary_delegates():
-    theta = haar.sample_haar_state(4, SEED.child("theta"))
-    assert np.allclose(
-        orc.t_theta_unitary(theta).mat, orc.swap_unitary(2, theta).mat
-    )
+    for k, x in ((2, 1), (3, 1)):
+        m = (k << lam) | x
+        vec = np.zeros(2**total, dtype=complex)
+        vec[m << (n + 1)] = 1.0  # flag 0, payload 0^n
+        out = orc.apply_swap_call(fam, vec, n, list(range(total)), total)
+        block = out.reshape(2**n, 2, 2**n)
+        assert np.allclose(block[m, 1], fam.state(n, m).amplitudes, atol=1e-12)
+        assert np.isclose(np.linalg.norm(block[m, 1]), 1.0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ rotation family
@@ -155,26 +152,10 @@ def test_hri_family_caching_and_manifest():
     u1 = fam.haar_unitary(1, 0)
     u2 = fam.haar_unitary(1, 0)
     assert u1 is u2
-    man = fam.manifest()
-    assert man["kind"] == "hidden-rotation"
-    assert man["stretch"] == "n"
-    assert man["sampled_indices"] == [[1, 0]]
+    assert list(fam._unitaries) == [(1, 0)]
     assert fam.t_of(3) == 3
     assert orc.HriOracleFamily(SEED, stretch="2n").t_of(3) == 6
     assert orc.HriOracleFamily(SEED, stretch="zero").t_of(3) == 0
-
-
-def test_pri_eval_matches_direct_rotation():
-    fam = orc.HriOracleFamily(SEED.child("pri"), stretch="n")
-    lam = 2
-    psi = haar.sample_haar_state(2**lam, SEED.child("pri-in"))
-    out = orc.pri_eval(fam, lam, k=1, psi=psi)
-    u = fam.haar_unitary(lam, 1).mat
-    pad = np.zeros(2 ** fam.t_of(lam), dtype=complex)
-    pad[0] = 1.0
-    want = u @ np.kron(pad, psi.amplitudes)
-    assert np.allclose(out.amplitudes, want, atol=1e-12)
-    assert out.qubits == lam + fam.t_of(lam)
 
 
 # ------------------------------------------------------------------ circuits
@@ -186,7 +167,7 @@ def test_fixed_gate_circuit_matches_dense_product():
     g2 = la.random_unitary_from(rng, 2)
     circ = orc.OracleCircuit(3, (orc.FixedGate(g1, (0, 1)), orc.FixedGate(g2, (2,))))
     u = orc.circuit_unitary(circ)
-    want = la.tensor(np.eye(4), g2) @ la.tensor(g1, np.eye(2))
+    want = np.kron(np.eye(4), g2) @ np.kron(g1, np.eye(2))
     assert np.allclose(u.mat, want, atol=1e-10)
     assert circ.query_count == 0
 
@@ -199,7 +180,6 @@ def test_circuit_with_oracle_call_matches_dense_substitution():
         3, (orc.FixedGate(g, (0, 1, 2)), orc.OracleCall(1, (0, 1, 2)))
     )
     assert circ.query_count == 1
-    assert circ.called_ns() == {1}
     u = orc.circuit_unitary(circ, swap=fam)
     want = fam.dense_oracle(1).mat @ g
     assert np.allclose(u.mat, want, atol=1e-10)
@@ -244,8 +224,6 @@ def test_rewrite_surrogate_replaces_and_deletes():
     )
     with pytest.raises(KeyError):
         orc.rewrite_surrogate(circ, d_cutoff=2, replacements=repl)
-    with pytest.raises(ValueError):
-        orc.rewrite_surrogate(circ, 1, repl, mode="bogus")
 
 
 # ------------------------------------------------------------------ candidates
@@ -277,10 +255,3 @@ def test_toy_hri_candidate_queries_rotation_family():
     assert cand.query_count == 1
     chan = orc.candidate_channel(cand, 0, hri=hfam)
     assert chan.out_dim == 8
-
-
-def test_ancilla_purity_validator():
-    clean = toys.clean_ancilla_candidate(2, SEED.child("clean"))
-    assert orc.ancilla_purity_defect(clean, trials=5, seed=SEED) < 1e-12
-    dirty = toys.dirty_ancilla_candidate(2, SEED.child("dirty"))
-    assert orc.ancilla_purity_defect(dirty, trials=5, seed=SEED) > 0.01

@@ -1,0 +1,37 @@
+"""Each study script under scripts/ runs end to end on tiny arguments."""
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, capsys, name: str, *argv: str) -> list[str]:
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    mod.main()
+    return capsys.readouterr().out.strip().splitlines()
+
+
+def test_shrinkage_curve(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "shrinkage_curve", "--max-n", "2")
+    rows = [line.split() for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [1, 2]
+    # both routes land on 2^((1-n)/2)
+    assert all(float(r[4]) < 1e-9 for r in rows)
+
+
+def test_tomography_calibration(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "tomography_calibration", "--runs", "2", "--grid", "1.0")
+    c_tom, shots, rate, median = lines[-1].split()
+    assert float(c_tom) == 1.0 and int(shots) > 0
+    assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
+
+
+def test_attack_summary(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "attack_summary", "--lambda", "1")
+    kinds = [line.split()[0] for line in lines[1:-1]]
+    assert kinds == ["pru", "pri", "hri"]
+    assert lines[-1].startswith("total ")
