@@ -2,9 +2,18 @@
 
 All three pipelines share one shape: tomograph the oracle blocks the
 candidate actually calls, rewrite every key's circuit into an oracle-free
-surrogate, form the keyed, surrogate, and fully averaged Choi states over
-ell copies, then test challenges against the high singular directions of
-the surrogate state. Acceptance probabilities on the report path are exact
+surrogate, form the keyed and surrogate Choi states over ell copies, then
+test challenges against the high singular directions of the surrogate state.
+
+The Choi states are never built densely on the attack path. Each is held as
+a factor: the Choi vectors of its ell-fold Kraus operators as the columns of
+a 2^n x r matrix V, with rho = V V^dag / keys and r = keys * 2^(c ell). One
+eigendecomposition of the surrogate's r x r Gram matrix gives its support
+and singular values; a challenge's weight on each support direction comes
+from its own factor, or, for the fully averaged reference, from the frame
+identity over the surrogate's Kraus operators. The dense states and the
+block-encoding distinguisher remain as the reference the factored numbers
+are tested against. Acceptance probabilities on the report path are exact
 traces; randomness enters only through the optional finite-shot tomography
 mode and the final challenge bit.
 
@@ -18,31 +27,36 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .blockenc import encode_density, svd_discriminate
+from .blockenc import compact_register, encode_density, svd_discriminate
 from .budget import DEFAULT_BUDGET, Budget
-from .haar import (
-    haar_choi,
-    haar_isometry_choi,
-    reference_overlap_matrix,
-    sample_haar_unitary,
+from .haar import reference_overlap_matrix, sample_haar_unitary
+# not called here; perfbench/tracing.py wraps both names on this module
+from .haar import haar_choi, haar_isometry_choi  # noqa: F401
+from .linalg import (
+    ATOL_TRACE,
+    DensityMatrix,
+    _as_mat,
+    choi_vector,
+    schatten_norm,
+    subsystem_perm_matrix,
 )
-from .linalg import DensityMatrix, _as_mat, choi_vector, schatten_norm, subsystem_perm_matrix
 from .oracles import (
     PriCandidate,
     PruCandidate,
     candidate_channel,
     rewrite_surrogate,
 )
-from .seeds import SeedPath
+from .seeds import SeedPath, as_generator
 from .tomography import (
     phase_aligned_distance,
     process_tomography_exact,
     process_tomography_sampled,
 )
-from . import subroutines
+from . import blockenc, subroutines
 
 # hybrid-bound calibration: worst observed distance/term ratio across the
 # unit runs stays under 2, doubled for slack
@@ -86,8 +100,6 @@ class TomographySet:
     estimates: dict
     errors: dict
     queries: int
-    mode: str
-    eps_claimed: float
 
     @property
     def max_error(self) -> float:
@@ -147,7 +159,7 @@ def tomograph_called_blocks(
         estimates[(n, m)] = res.estimate
         errors[(n, m)] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
-    return TomographySet(estimates, errors, queries, mode, eps)
+    return TomographySet(estimates, errors, queries)
 
 
 def _tomograph_gate(gate: np.ndarray, mode: str, eps: float, eta: float, seed: SeedPath):
@@ -229,43 +241,72 @@ def _fold_ops(kraus: list[np.ndarray], ell: int) -> list[np.ndarray]:
     return ops
 
 
+class _ChoiFactorFields(NamedTuple):
+    ops: list
+    vecs: np.ndarray
+    n_keys: int
+
+
+class ChoiFactor(_ChoiFactorFields):
+    """A keyed Choi state in Gram form, rho = vecs vecs^dag / n_keys.
+
+    ops are the ell-fold Kraus operators grouped by key, the columns of vecs
+    their Choi vectors. The form is Hermitian and PSD by construction, so
+    finite entries and unit trace are the complete state check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ops, vecs, n_keys: int):
+        tr = float(np.sum(np.abs(vecs) ** 2)) / n_keys
+        if not np.all(np.isfinite(vecs)) or abs(tr - 1.0) > ATOL_TRACE:
+            raise ValueError(f"Choi factor is not a state: trace {tr}, tolerance {ATOL_TRACE}")
+        return super().__new__(cls, ops, vecs, n_keys)
+
+    def key(self, index: int) -> "ChoiFactor":
+        """The columns of the index-th key alone: that key's own Choi state."""
+        per = len(self.ops) // self.n_keys
+        cols = slice(index * per, (index + 1) * per)
+        return ChoiFactor(self.ops[cols], self.vecs[:, cols], 1)
+
+    def density(self, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+        """The dense state, for reference computations at small sizes."""
+        budget.check_dense_matrix(self.vecs.shape[0].bit_length() - 1, "dense Choi state")
+        return DensityMatrix((self.vecs @ self.vecs.conj().T) / self.n_keys)
+
+
 def keyed_choi_vectors(
     cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[list[np.ndarray], np.ndarray, int]:
+) -> ChoiFactor:
     """ell-fold Kraus operators of every key and their Choi vectors as columns.
 
     Each key contributes 2^(c ell) operators; the keyed Choi state is the
-    uniform key average of the per-key vector outer products, so the vectors
-    returned here carry everything the dense state and the support projector
-    need.
+    uniform key average of the per-key vector outer products, so the factor
+    returned here carries everything the dense state and its support need.
     """
-    budget.check_qubits((2 * cand.lam + cand.stretch_s) * ell, "keyed state vectors")
+    qubits = (2 * cand.lam + cand.stretch_s) * ell
+    budget.check_qubits(qubits, "keyed state vectors")
+    budget.check_factor(qubits, len(cand.keys) * 2 ** (cand.ancilla_c * ell), "keyed state vectors")
     ops: list[np.ndarray] = []
     for k in cand.keys:
         ops.extend(_fold_ops(_channel_kraus(cand, k, swap, hri, budget), ell))
     vecs = np.column_stack([choi_vector(op) for op in ops])
-    return ops, vecs, len(cand.keys)
+    return ChoiFactor(ops, vecs, len(cand.keys))
 
 
 def keyed_choi(
     cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> DensityMatrix:
     """Uniform-key average of the ell-fold Choi states, work register traced."""
-    qubits = (2 * cand.lam + cand.stretch_s) * ell
-    budget.check_dense_matrix(qubits, "keyed reference state")
-    _, vecs, n_keys = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
-    return DensityMatrix((vecs @ vecs.conj().T) / n_keys)
+    return keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget).density(budget)
 
 
 def key_choi(
     cand, key, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> DensityMatrix:
-    """Choi state of a single key, for keyed challenges."""
-    qubits = (2 * cand.lam + cand.stretch_s) * ell
-    budget.check_dense_matrix(qubits, "single-key state")
-    ops = _fold_ops(_channel_kraus(cand, key, swap, hri, budget), ell)
-    vecs = np.column_stack([choi_vector(op) for op in ops])
-    return DensityMatrix(vecs @ vecs.conj().T)
+    """Choi state of a single key."""
+    factor = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
+    return factor.key(cand.keys.index(key)).density(budget)
 
 
 def surrogate_choi(
@@ -277,24 +318,32 @@ def surrogate_choi(
 # ------------------------------------------------------------------ support overlap
 
 
+def _reference_weights(ops, coeffs: np.ndarray, lam: int, s: int, ell: int) -> np.ndarray:
+    """Weight the fully averaged reference puts on each direction sum_j coeffs[j, i] v_j.
+
+    v_j is the Choi vector of ops[j]. Frame identity: <u|rho2|u> = c^dag H c
+    with H the reference overlap matrix of the v_j, so the reference itself
+    is never materialized and the cost is set by the operator count, not
+    the register size.
+    """
+    h = reference_overlap_matrix(ops, 2**lam, 2 ** (lam + s), ell)
+    return np.real(np.einsum("ji,jk,ki->i", coeffs.conj(), h, coeffs))
+
+
 def support_overlap(
     cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> float:
     """Exact weight the averaged reference puts on the keyed support.
 
     Tr[Q rho2] with Q the projector onto the span of the keyed Choi
-    vectors. Uses the frame identity Tr[Q rho2] = Tr[G^+ H] with G the
-    vector Gram matrix and H the reference overlap matrix, so the reference
-    itself is never materialized and the cost is set by the key count, not
-    the register size.
+    vectors, summed over an orthonormal basis of that span drawn from the
+    vector Gram matrix G = U diag(w) U^dag: u_i = V U_i / sqrt(w_i).
     """
     ops, vecs, _ = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
-    g = vecs.conj().T @ vecs
-    h = reference_overlap_matrix(
-        ops, 2**cand.lam, 2 ** (cand.lam + cand.stretch_s), ell
-    )
-    gp = np.linalg.pinv(g, rcond=1e-10, hermitian=True)
-    return float(np.real(np.trace(gp @ h)))
+    w, u = np.linalg.eigh(vecs.conj().T @ vecs)
+    keep = w > 1e-10 * np.max(np.abs(w))
+    coeffs = u[:, keep] / np.sqrt(w[keep])
+    return float(np.sum(_reference_weights(ops, coeffs, cand.lam, cand.stretch_s, ell)))
 
 
 def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
@@ -399,6 +448,57 @@ def _deletion_term(kind: str, ell: int, t_queries: int, c: int, s: int, denom_ex
     return coef * ell * t_queries / 2.0 ** (denom_exp / 2.0)
 
 
+def _surrogate_support(sur: ChoiFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of the surrogate state and its support, from one Gram eigh.
+
+    Applies the rank cut and renormalisation of the compact purification the
+    dense distinguisher block-encodes: the top 2^m eigenvalues are scaled to
+    unit sum. Returns (values, coeffs), direction i being sur.vecs @ coeffs[:, i],
+    for the directions above the numerical rank only.
+    """
+    w, u = subroutines.eigh(sur.vecs.conj().T @ sur.vecs / sur.n_keys, label="surrogate-gram")
+    w = np.clip(w[::-1], 0.0, None)
+    u = u[:, ::-1]
+    rank, m_q = compact_register(w)
+    coeffs = u[:, :rank] / np.sqrt(sur.n_keys * w[:rank])
+    return w[:rank] / np.sum(w[: 2**m_q]), coeffs
+
+
+def _factor_weights(sur: ChoiFactor, coeffs: np.ndarray, x: ChoiFactor) -> np.ndarray:
+    """Weight the state of factor x puts on each surrogate support direction."""
+    amp = coeffs.conj().T @ (sur.vecs.conj().T @ x.vecs)
+    return np.sum(np.abs(amp) ** 2, axis=1) / x.n_keys
+
+
+def _acceptance(values, weights, theta: float, poly) -> float:
+    """Threshold-test acceptance of a challenge from its support weights.
+
+    Ideal: the weight on directions of singular value >= theta. Polynomial:
+    sum_i p(s_i)^2 d_i over the support, plus p(0)^2 times the challenge's
+    weight off the support, where every singular value is zero; challenges
+    are states, so that weight is 1 - sum_i d_i.
+    """
+    if poly is None:
+        prob = np.sum(weights[values >= theta])
+    else:
+        prob = np.sum(poly(values) ** 2 * weights) + poly(0.0) ** 2 * (1.0 - np.sum(weights))
+    return float(np.clip(prob, 0.0, 1.0))
+
+
+def _hybrid_distance(keyed: ChoiFactor, sur: ChoiFactor) -> float:
+    """Trace norm of rho_keyed - rho_sur on the joint span of the two factors.
+
+    With Q an orthonormal basis of the span of [V_keyed | V_sur] (from a QR),
+    the difference is Q (A A^dag - B B^dag) Q^dag / keys with A = Q^dag V_keyed
+    and B = Q^dag V_sur, whose trace norm is that of the small signed Gram
+    matrix in the middle. A and B come from separate identical products, so
+    equal factors give exactly zero, as the dense difference does.
+    """
+    q, _ = np.linalg.qr(np.hstack([keyed.vecs, sur.vecs]))
+    a, b = q.conj().T @ keyed.vecs, q.conj().T @ sur.vecs
+    return schatten_norm((a @ a.conj().T) / keyed.n_keys - (b @ b.conj().T) / sur.n_keys, 1)
+
+
 def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
     t0 = time.perf_counter()
     with subroutines.capture() as crossings:
@@ -407,7 +507,12 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         t_queries = cand.query_count
         n_qubits = (2 * lam + s) * ell
         budget.check_qubits(n_qubits, "attack states")
-        budget.check_dense_matrix(n_qubits, "attack states")
+        bk = cfg.backend
+        poly_backend = _BACKEND_KEYS[bk] == "poly"
+        if poly_backend:
+            # the threshold polynomial's degree is about 2^(n+2) and its interpolation
+            # matrix the square of that: hold it to the dense ceiling (ROADMAP item 4)
+            budget.check_dense_matrix(n_qubits, "poly backend")
 
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)
         eps_claimed = 0.0 if t_queries == 0 else 1.0 / (ell * t_queries * cfg.p)
@@ -424,24 +529,27 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         )
         sf = build_surrogates(cand, tomo, d_cut)
 
-        rho_keyed = keyed_choi(cand, swap, hri, ell=ell, budget=budget)
-        rho_sur = surrogate_choi(sf, ell=ell, budget=budget)
-        if s:
-            rho_ref = haar_isometry_choi(lam, s, ell, budget)
-        else:
-            rho_ref = haar_choi(lam, ell, budget)
+        keyed = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
+        sur = keyed_choi_vectors(surrogate_candidate(sf), ell=ell, budget=budget)
+        values, coeffs = _surrogate_support(sur)
 
-        hybrid = schatten_norm(rho_keyed.mat - rho_sur.mat, 1)
+        hybrid = _hybrid_distance(keyed, sur)
         eps_term = ell * t_queries * eps_claimed
         denom_exp = hri.t_of(d_cut) if kind == "hri" and hri is not None else d_cut
         deletion = _deletion_term(kind, ell, t_queries, c, s, denom_exp)
         # the additive floor absorbs rounding on query-free candidates
         bound = C_HYBRID * (eps_term + deletion) + 1e-9
 
-        bk = cfg.backend
-        _, p_self = distinguisher(rho_sur, rho_sur, n_qubits, lam, bk, cfg.seed.child("bit-self"))
-        _, p_keyed = distinguisher(rho_sur, rho_keyed, n_qubits, lam, bk, cfg.seed.child("bit-keyed"))
-        _, p_haar = distinguisher(rho_sur, rho_ref, n_qubits, lam, bk, cfg.seed.child("bit-haar"))
+        # the distinguisher's window (2^-3n, 2^-2n) and eta = 2^-lam
+        a, b = 2.0 ** (-3 * n_qubits), 2.0 ** (-2 * n_qubits)
+        poly = blockenc.threshold_poly(a, b, 2.0 ** (-lam) / 2.0) if poly_backend else None
+
+        def accept(weights):
+            return _acceptance(values, weights, (a + b) / 2.0, poly)
+
+        p_self = accept(_factor_weights(sur, coeffs, sur))
+        p_keyed = accept(_factor_weights(sur, coeffs, keyed))
+        p_haar = accept(_reference_weights(sur.ops, coeffs, lam, s, ell))
         advantage = abs(p_keyed - p_haar)
         floor = p_self - hybrid / 2.0 - p_haar
 
@@ -449,19 +557,16 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         if challenge is not None:
             ch_kind = challenge[0]
             if ch_kind == "keyed":
-                rho_ch = key_choi(cand, challenge[1], swap, hri, ell=ell, budget=budget)
+                x = keyed.key(cand.keys.index(challenge[1]))
             elif ch_kind == "haar":
                 d_out = 2 ** (lam + s)
                 v = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat
-                iso = v @ np.eye(d_out, 2**lam)
-                op = _fold_ops([iso], ell)[0]
-                vec = choi_vector(op)
-                rho_ch = DensityMatrix(np.outer(vec, vec.conj()))
+                op = _fold_ops([v @ np.eye(d_out, 2**lam)], ell)[0]
+                x = ChoiFactor([op], choi_vector(op)[:, None], 1)
             else:
                 raise ValueError(f"unknown challenge kind {ch_kind!r}")
-            ch_bit, ch_prob = distinguisher(
-                rho_sur, rho_ch, n_qubits, lam, bk, cfg.seed.child("bit-challenge")
-            )
+            ch_prob = accept(_factor_weights(sur, coeffs, x))
+            ch_bit = bool(as_generator(cfg.seed.child("bit-challenge")).random() < ch_prob)
 
     return AttackReport(
         kind=kind,

@@ -19,12 +19,7 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.special import erf, erfinv
 
 from .budget import DEFAULT_BUDGET, Budget
-from .linalg import (
-    DensityMatrix,
-    UnitaryMatrix,
-    _as_mat,
-    subsystem_perm_matrix,
-)
+from .linalg import UnitaryMatrix, _as_mat, subsystem_perm_matrix
 from .seeds import as_generator
 from . import subroutines
 
@@ -99,7 +94,17 @@ def purify(rho) -> UnitaryMatrix:
     return UnitaryMatrix(complete_to_unitary(vec))
 
 
-def purification_vector(rho, compact: bool = True, tau: float = 1e-12):
+def compact_register(w: np.ndarray) -> tuple[int, int]:
+    """(numerical rank, purifying qubits) for descending nonnegative eigenvalues w.
+
+    The rank counts eigenvalues above 1e-12 times the largest; the compact
+    purifying register holds at least that many slots, and at least one qubit.
+    """
+    rank = max(1, int(np.sum(w > 1e-12 * w[0])))
+    return rank, max(1, (rank - 1).bit_length())
+
+
+def purification_vector(rho, compact: bool = True):
     """Purification of rho on [B, A], eigenvalues descending.
 
     With compact=True the B register is only as large as the numerical rank
@@ -113,11 +118,7 @@ def purification_vector(rho, compact: bool = True, tau: float = 1e-12):
     w, v = subroutines.eigh((mat + mat.conj().T) / 2, label="purify")
     w = np.clip(w[::-1], 0.0, None)
     v = v[:, ::-1]
-    if compact:
-        rank = max(1, int(np.sum(w > tau * w[0])))
-        m_q = max(1, (rank - 1).bit_length())
-    else:
-        m_q = n_q
+    m_q = compact_register(w)[1] if compact else n_q
     b = 2**m_q
     w = w[:b]
     w = w / np.sum(w)

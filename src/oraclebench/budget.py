@@ -44,5 +44,13 @@ class Budget:
                 f"budget allows {self.max_dense_matrix_qubits} qubits"
             )
 
+    def check_factor(self, qubits: int, cols: int, what: str) -> None:
+        """A 2^qubits x cols factor may hold as many entries as the largest dense matrix."""
+        if cols * 2**qubits > 4**self.max_dense_matrix_qubits:
+            raise SizingError(
+                f"{what} materializes a 2^{qubits} x {cols} factor, budget allows "
+                f"{4**self.max_dense_matrix_qubits} entries"
+            )
+
 
 DEFAULT_BUDGET = Budget()

@@ -573,18 +573,23 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
     lam = cfg.lam if cfg.lam is not None else 2
     s = cfg.s if cfg.s is not None else 1
     c = cfg.c if cfg.c is not None else 0
-    keys = int(cfg.extra.get("keys", min(2**lam, 4)))
+    width = lam + c + (s if kind == "pri" else 0)
+    p = _take(
+        {k: v for k, v in cfg.extra.items() if k in ("keys", "calls")},
+        keys=min(2**lam, 4),
+        calls=1 if width >= 3 else 0,
+    )
+    keys, calls = p["keys"], p["calls"]
+    if keys < 1 or calls < 0:
+        raise ValueError(f"attacks need keys >= 1 and calls >= 0, got keys={keys}, calls={calls}")
     seed = root.child("cand")
     if kind == "pru":
-        calls = int(cfg.extra.get("calls", 1 if lam + c >= 3 else 0))
         cand = toy_pru_candidate(lam, keys, seed, c=c, swap_calls=calls)
         fam = SwapOracleFamily(root.child("family")) if calls else None
     elif kind == "pri":
-        calls = int(cfg.extra.get("calls", 1 if lam + s + c >= 3 else 0))
         cand = toy_pri_candidate(lam, s, keys, seed, c=c, swap_calls=calls)
         fam = SwapOracleFamily(root.child("family")) if calls else None
     else:
-        calls = int(cfg.extra.get("calls", 1 if lam + c >= 3 else 0))
         cand = toy_hri_candidate(lam, keys, seed, c=c, rot_calls=calls)
         fam = HriOracleFamily(root.child("family")) if calls else None
     return cand, fam

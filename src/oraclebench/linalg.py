@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget, SizingError
+from .budget import DEFAULT_BUDGET, SizingError
 
 ATOL_UNITARY = 1e-9
 ATOL_HERMITIAN = 1e-9

@@ -15,12 +15,11 @@ call. Circuits list steps top to bottom, wire 0 most significant.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget, SizingError
+from .budget import DEFAULT_BUDGET, Budget
 from .linalg import (
     ChannelRep,
     PureState,

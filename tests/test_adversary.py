@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
+from oraclebench import blockenc
 from oraclebench.budget import Budget, SizingError
-from oraclebench.haar import haar_choi
-from oraclebench.linalg import schatten_norm
+from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
+from oraclebench.linalg import choi_vector, schatten_norm
 from oraclebench.oracles import (
     HriOracleFamily,
     OracleCall,
@@ -143,7 +144,7 @@ def test_exact_surrogate_reproduces_the_circuit():
 def test_missing_tomography_faults():
     swap = SwapOracleFamily(SEED.child("swap", 6))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("miss"), c=2, swap_calls=1)
-    empty = adv.TomographySet({}, {}, 0, "exact", 0.0)
+    empty = adv.TomographySet({}, {}, 0)
     with pytest.raises(KeyError):
         adv.build_surrogates(cand, empty, 3)
 
@@ -217,9 +218,9 @@ def test_attack_pru_with_real_calls(pru_call_report):
     assert rep.tomography_queries == 8  # exact mode reads the 8 columns once
     assert rep.max_replacement_error <= 1e-9
     assert rep.advantage >= rep.composition_floor - 1e-12
-    labels = {entry["label"] for entry in rep.crossings}
-    assert "purify" in labels
-    assert "sv-projector" in labels
+    # spectral work stays on the r x r Gram side: r = keys * 2^(c ell) = 16 here
+    assert rep.crossings
+    assert all(entry["dim"] <= 4 * 2 ** (1 * rep.ell) for entry in rep.crossings)
 
 
 def test_attack_pri_isometry_toy(pri_report):
@@ -348,3 +349,78 @@ def test_distinguisher_bit_is_seeded():
     rho = adv.keyed_choi(cand, ell=1)
     bits = {adv.distinguisher(rho, rho, 2, 1, seed=SEED.child("b", 5))[0] for _ in range(3)}
     assert len(bits) == 1
+
+
+# ---------------------------------------------------------------- factored path vs dense reference
+
+
+def _dense_case(kind: str, c: int):
+    """A candidate of each kind at 8 qubits, with and without a work register and a call."""
+    seed = SEED.child("dense-" + kind, c)
+    if kind == "pru":
+        fam = SwapOracleFamily(seed.child("fam")) if c else None
+        cand = toy_pru_candidate(lam=2, n_keys=4, seed=seed, c=c, swap_calls=c)
+        return cand, fam, None, None
+    if kind == "pri":
+        fam = SwapOracleFamily(seed.child("fam"))
+        cand = toy_pri_candidate(lam=1, s=2, n_keys=2, seed=seed, c=c, swap_calls=1)
+        return cand, fam, None, 2
+    fam = HriOracleFamily(seed.child("fam")) if c else None
+    cand = toy_hri_candidate(lam=2, n_keys=4, seed=seed, c=c, rot_calls=c)
+    return cand, None, fam, None
+
+
+@pytest.mark.parametrize("backend", ["ideal", "poly"])
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("kind", ["pru", "pri", "hri"])
+def test_factored_attack_matches_dense_reference(kind, c, backend):
+    cand, swap, hri, ell = _dense_case(kind, c)
+    seed = SEED.child("dense-cfg-" + kind, c)
+    cfg = adv.AttackConfig(ell_override=ell, backend=backend, seed=seed)
+    run = {"pru": adv.attack_pru, "pri": adv.attack_pri, "hri": adv.attack_pri_vs_hri}[kind]
+    fam = hri if kind == "hri" else swap
+    reps = [run(cand, fam, cfg, challenge=ch) for ch in (("keyed", 1), ("haar",))]
+    rep = reps[0]
+    lam, s, ell = rep.lam, rep.stretch_s, rep.ell
+    n = (2 * lam + s) * ell
+    assert n <= 10
+
+    tomo = adv.tomograph_called_blocks(cand, swap, hri, d_cutoff=rep.d_cutoff)
+    sf = adv.build_surrogates(cand, tomo, rep.d_cutoff)
+    rho_keyed = adv.keyed_choi(cand, swap, hri, ell=ell)
+    rho_sur = adv.surrogate_choi(sf, ell=ell)
+    rho_ref = haar_isometry_choi(lam, s, ell) if s else haar_choi(lam, ell)
+
+    def dense(state):
+        return adv.distinguisher(rho_sur, state, n, lam, backend)[1]
+
+    p_keyed, p_haar = dense(rho_keyed), dense(rho_ref)
+    d_out = 2 ** (lam + s)
+    iso = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat @ np.eye(d_out, 2**lam)
+    op = iso
+    for _ in range(ell - 1):
+        op = np.kron(op, iso)
+    vec = choi_vector(op)
+    # The dense reference sees the surrogate's zero singular values as rounding
+    # noise (~1e-16), where the threshold polynomial is steep; the factored path
+    # evaluates p at exact zeros. Each acceptance may differ by at most the
+    # largest |p(noise)^2 - p(0)^2|, since the challenge's weights sum to 1.
+    slack = 0.0
+    if backend == "poly":
+        poly = blockenc.threshold_poly(2.0 ** (-3 * n), 2.0 ** (-2 * n), 2.0 ** (-lam) / 2)
+        sv = np.linalg.svd(blockenc.encode_density(rho_sur).extract(), compute_uv=False)
+        noise = sv[sv < 1e-12]
+        slack = float(np.max(np.abs(poly(noise) ** 2 - poly(0.0) ** 2)))
+    want = {
+        "accept_self": (dense(rho_sur), slack),
+        "accept_keyed": (p_keyed, slack),
+        "accept_haar": (p_haar, slack),
+        "advantage": (abs(p_keyed - p_haar), 2 * slack),
+        "hybrid_distance": (schatten_norm(rho_keyed.mat - rho_sur.mat, 1), 0.0),
+    }
+    for r in reps:
+        for name, (value, extra) in want.items():
+            assert abs(getattr(r, name) - value) <= 1e-12 + extra, name
+    key_state = adv.key_choi(cand, 1, swap, hri, ell=ell)
+    assert abs(reps[0].challenge_prob - dense(key_state)) <= 1e-12 + slack
+    assert abs(reps[1].challenge_prob - dense(np.outer(vec, vec.conj()))) <= 1e-12 + slack

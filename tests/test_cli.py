@@ -41,6 +41,8 @@ def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["lemma", "choi-shrinkage", "--param", "bogus=3"]) == 2
     assert cli_main(["lemma", "holder-product", "--param", "d=6.7"]) == 2
     assert cli_main(["lemma", "gentle-measurement", "--param", "trials=0"]) == 2
+    assert cli_main(["attack", "pru", "--param", "keys=2.7"]) == 2
+    assert cli_main(["attack", "pru", "--param", "keys=0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -49,6 +51,7 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert cli_main(["lemma", "swap-call-closeness", "--lambda", "1", "--c", "1"]) == 2
     assert cli_main(["lemma", "choi-shrinkage", "--param", "n=9"]) == 2
     assert cli_main(["attack", "pru", "--ell", "9"]) == 2
+    assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
     assert "sizing:" in capsys.readouterr().err
 
 

@@ -3,6 +3,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -30,8 +32,11 @@ def test_tomography_calibration(monkeypatch, capsys):
     assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
 
 
-def test_attack_summary(monkeypatch, capsys):
-    lines = _run(monkeypatch, capsys, "attack_summary", "--lambda", "1")
-    kinds = [line.split()[0] for line in lines[1:-1]]
-    assert kinds == ["pru", "pri", "hri"]
+@pytest.mark.parametrize("lam", ["1", "3"])
+def test_attack_summary(monkeypatch, capsys, lam):
+    lines = _run(monkeypatch, capsys, "attack_summary", "--lambda", lam)
+    rows = [line.split() for line in lines[1:-1]]
+    assert [r[0] for r in rows] == ["pru", "pri", "hri"]
+    # every attack stays within its hybrid bound
+    assert all(float(r[5]) <= float(r[6]) for r in rows)
     assert lines[-1].startswith("total ")
