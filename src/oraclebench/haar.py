@@ -7,7 +7,10 @@ Tr_A[(R_sigma^dag (x) I) rho]. A pseudo-inverse solve recovers the unique
 operator in the span with matching data, which is exactly the twirl. The
 same plumbing with fixed coefficients 2^(-n ell) gives the permutation-sum
 approximation used as a comparison point, and Monte Carlo estimators of the
-same averages serve as an independent route in tests.
+same averages serve as an independent route in tests. The distance between
+a twirled Choi reference and the matching state moment needs no matrix at
+all: both are scalar on the Schur-Weyl blocks, so it is a finite sum over
+the partitions of ell (choi_moment_distance).
 
 Registers: the twirled system is the leading factor (dim d^ell), any
 bystander trails. Choi-style states pair the twirled copies with one
@@ -16,6 +19,7 @@ maximally entangled partner register.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,6 +179,57 @@ def haar_isometry_choi(
     vec = padded.reshape(-1)
     rho = np.outer(vec, vec.conj())
     return DensityMatrix(_twirl_raw(rho, 2 ** (lam + s), ell, budget))
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most `largest`, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _young_dims(mu: tuple, d_out: int, d_in: int) -> tuple[int, int, int]:
+    """f_mu (S_ell irrep) and s_mu(d_out), s_mu(d_in) (U(d) irreps) for one diagram.
+
+    Hook-length and hook-content formulas; s_mu(d) is 0 once mu has more
+    than d rows, since the cell in row d carries content -d.
+    """
+    cols = [sum(1 for r in mu if r > j) for j in range(mu[0])]
+    cells = [(i, j) for i, row in enumerate(mu) for j in range(row)]
+    hooks = math.prod(mu[i] - j + cols[j] - i - 1 for i, j in cells)
+    f = math.factorial(len(cells)) // hooks
+    s_out, s_in = (math.prod(d + j - i for i, j in cells) // hooks for d in (d_out, d_in))
+    return f, s_out, s_in
+
+
+def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
+    """Exact trace distance between the twirled Choi reference and the moment.
+
+    The reference is ``haar_choi`` (d_out = d_in = 2^lam) or
+    ``haar_isometry_choi`` (d_out = 2^(lam+s), d_in = 2^lam); the moment is
+    the symmetric state moment at local dim d_out*d_in, reordered into the
+    same copy | partner blocks. Both states are scalar on each block of the
+    Schur-Weyl decomposition and share the same state inside it, so the
+    distance is the total variation between two measures on partitions of
+    ell, the Schur-Weyl weights f_mu s_mu(d_in) / d_in^ell and the Cauchy
+    weights s_mu(d_out) s_mu(d_in) / C(d_out d_in + ell - 1, ell):
+
+        TD = 1/2 sum_{mu |- ell} |f_mu s_mu(d_in) / d_in^ell
+                                  - s_mu(d_out) s_mu(d_in) / C(d_out d_in + ell - 1, ell)|
+
+    Nothing of dimension d^ell is built; the cost is one term per partition.
+    """
+    if d_in < 1 or d_out < d_in or ell < 1:
+        raise ValueError(f"need 1 <= d_in <= d_out and ell >= 1, got {d_out=}, {d_in=}, {ell=}")
+    n_sym = math.comb(d_out * d_in + ell - 1, ell)
+    total = Fraction(0)
+    for mu in _partitions(ell, ell):
+        f, s_out, s_in = _young_dims(mu, d_out, d_in)
+        total += abs(Fraction(f * s_in, d_in**ell) - Fraction(s_out * s_in, n_sym))
+    return total / 2
 
 
 def reference_overlap_matrix(ops, d_in: int, d_out: int, ell: int) -> np.ndarray:

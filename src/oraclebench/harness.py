@@ -79,10 +79,14 @@ def _take(params: dict, **defaults):
         if isinstance(v, int) and isinstance(val, float) and not val.is_integer():
             raise ValueError(f"parameter {k} must be an integer, got {val!r}")
         out[k] = type(v)(val)
-    for k in ("trials", "samples"):
-        if out.get(k, 1) < 1:
-            raise ValueError(f"parameter {k} must be at least 1, got {out[k]}")
+    _at_least(out, 1, *(k for k in ("trials", "samples") if k in out))
     return out
+
+
+def _at_least(p: dict, low: int, *keys: str) -> None:
+    for k in keys:
+        if p[k] < low:
+            raise ValueError(f"parameter {k} must be at least {low}, got {p[k]}")
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
@@ -182,6 +186,11 @@ def _state_moment_mc(params: dict, seed: SeedPath):
 
 
 def _pair_to_block(mat: np.ndarray, d_copy: int, d_partner: int, ell: int) -> np.ndarray:
+    """Reorder [C_1 P_1 .. C_ell P_ell] into [C_1 .. C_ell | P_1 .. P_ell].
+
+    Dense route for the Choi-rate distances, kept as the reference that
+    haar.choi_moment_distance is tested against.
+    """
     dims = [d_copy, d_partner] * ell
     perm = list(range(0, 2 * ell, 2)) + list(range(1, 2 * ell, 2))
     return la.permute_subsystems(mat, dims, perm)
@@ -189,24 +198,24 @@ def _pair_to_block(mat: np.ndarray, d_copy: int, d_partner: int, ell: int) -> np
 
 def _twirl_choi_rate(params: dict, seed: SeedPath):
     p = _take(params, lam=2, ell=2)
+    _at_least(p, 1, "lam", "ell")
     lam, ell = p["lam"], p["ell"]
-    ref = haar.haar_choi(lam, ell)
-    mom = _pair_to_block(haar.state_moment_exact(2 ** (2 * lam), ell).mat, 2**lam, 2**lam, ell)
-    return p, la.trace_distance(ref.mat, mom), ell**2 / 2**lam, 4.0
+    dist = haar.choi_moment_distance(2**lam, 2**lam, ell)
+    return p, float(dist), ell**2 / 2**lam, 4.0
 
 
 def _isometry_choi_rate(params: dict, seed: SeedPath):
     p = _take(params, lam=1, s=1, ell=2)
+    _at_least(p, 1, "lam", "ell")
+    _at_least(p, 0, "s")
     lam, s, ell = p["lam"], p["s"], p["ell"]
-    ref = haar.haar_isometry_choi(lam, s, ell)
-    mom = _pair_to_block(
-        haar.state_moment_exact(2 ** (2 * lam + s), ell).mat, 2 ** (lam + s), 2**lam, ell
-    )
-    return p, la.trace_distance(ref.mat, mom), ell**2 / 2 ** (lam + s), 4.0
+    dist = haar.choi_moment_distance(2 ** (lam + s), 2**lam, ell)
+    return p, float(dist), ell**2 / 2 ** (lam + s), 4.0
 
 
 def _permutation_twirl_rate(params: dict, seed: SeedPath):
     p = _take(params, n=2, ell=2)
+    _at_least(p, 1, "n", "ell")
     n, ell = p["n"], p["ell"]
     rho = _rand_density(seed.rng(), 2 ** (n * ell) * 2)
     exact = haar.twirl_exact(rho, 2**n, ell)
@@ -574,11 +583,8 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
     s = cfg.s if cfg.s is not None else 1
     c = cfg.c if cfg.c is not None else 0
     width = lam + c + (s if kind == "pri" else 0)
-    p = _take(
-        {k: v for k, v in cfg.extra.items() if k in ("keys", "calls")},
-        keys=min(2**lam, 4),
-        calls=1 if width >= 3 else 0,
-    )
+    # `a` is read by _run_attack; listing it here makes every other key a fault
+    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, a=1.0)
     keys, calls = p["keys"], p["calls"]
     if keys < 1 or calls < 0:
         raise ValueError(f"attacks need keys >= 1 and calls >= 0, got keys={keys}, calls={calls}")

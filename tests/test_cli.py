@@ -43,8 +43,16 @@ def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["lemma", "gentle-measurement", "--param", "trials=0"]) == 2
     assert cli_main(["attack", "pru", "--param", "keys=2.7"]) == 2
     assert cli_main(["attack", "pru", "--param", "keys=0"]) == 2
+    assert cli_main(["attack", "pru", "--param", "bogus=3"]) == 2
+    assert cli_main(["lemma", "twirl-choi-rate", "--ell", "0"]) == 2
+    assert cli_main(["lemma", "twirl-choi-rate", "--ell", "-1"]) == 2
+    assert cli_main(["lemma", "twirl-choi-rate", "--lambda", "0"]) == 2
+    assert cli_main(["lemma", "isometry-choi-rate", "--s", "-1"]) == 2
+    assert cli_main(["lemma", "isometry-choi-rate", "--lambda", "0"]) == 2
+    assert cli_main(["lemma", "permutation-twirl-rate", "--param", "n=0"]) == 2
+    assert cli_main(["lemma", "permutation-twirl-rate", "--ell", "0"]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.count("error:") == 14
 
 
 def test_premise_and_sizing_faults_exit_2(capsys):
@@ -53,6 +61,16 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert cli_main(["attack", "pru", "--ell", "9"]) == 2
     assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
     assert "sizing:" in capsys.readouterr().err
+
+
+def test_choi_rate_runs_past_the_dense_size_limit(tmp_path, capsys):
+    # 16 qubits: the closed form needs no dense reference state
+    path = tmp_path / "rate.json"
+    rc = cli_main(["lemma", "twirl-choi-rate", "--lambda", "4", "--out", str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    row = json.loads(path.read_text())["results"][0]
+    assert row["pass"] and row["ratio"] <= 4
 
 
 def test_attack_subcommand_reports_hybrid_line(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ def test_haar_isometry_choi_close_to_padded_moment():
     mom = pair_to_block_order(mom, 2 ** (lam + s), 2**lam, ell)
     dist = la.trace_distance(ref.mat, mom)
     assert dist <= 4 * ell**2 / 2 ** (lam + s)
+
+
+@pytest.mark.parametrize(
+    "lam,s,ell", [(1, 0, 2), (2, 0, 2), (1, 1, 2), (1, 0, 3), (1, 1, 3), (1, 0, 4)]
+)
+def test_choi_moment_distance_matches_dense_route(lam, s, ell):
+    # ell > d at (1, 0, 3) and (1, 0, 4): diagrams with more rows than d drop out
+    d_out, d_in = 2 ** (lam + s), 2**lam
+    ref = haar.haar_isometry_choi(lam, s, ell) if s else haar.haar_choi(lam, ell)
+    mom = pair_to_block_order(haar.state_moment_exact(d_out * d_in, ell).mat, d_out, d_in, ell)
+    dense = la.trace_distance(ref.mat, mom)
+    assert abs(float(haar.choi_moment_distance(d_out, d_in, ell)) - dense) <= 1e-12
+
+
+def test_choi_moment_distance_exact_values():
+    assert haar.choi_moment_distance(4, 4, 2) == Fraction(15, 136)
+    assert haar.choi_moment_distance(4, 2, 2) == Fraction(1, 12)
+    assert haar.choi_moment_distance(2, 2, 3) == Fraction(3, 10)
+    assert haar.choi_moment_distance(1, 1, 5) == 0
+    for bad in ((2, 4, 2), (4, 0, 2), (4, 4, 0)):
+        with pytest.raises(ValueError):
+            haar.choi_moment_distance(*bad)
 
 
 def test_permutation_approx_improves_with_register_size():

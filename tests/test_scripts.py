@@ -40,3 +40,15 @@ def test_attack_summary(monkeypatch, capsys, lam):
     # every attack stays within its hybrid bound
     assert all(float(r[5]) <= float(r[6]) for r in rows)
     assert lines[-1].startswith("total ")
+
+
+def test_twirl_rate_curve(monkeypatch, capsys):
+    lines = _run(monkeypatch, capsys, "twirl_rate_curve", "--max-lambda", "3")
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        ("unitary", 4), ("isometry", 4), ("unitary", 8), ("isometry", 8)
+    ]
+    # exact anchors 15/136 and 1/12; every ratio sits below its 1/8 limit
+    assert float(rows[0][2]) == pytest.approx(15 / 136, rel=1e-8)
+    assert float(rows[1][2]) == pytest.approx(1 / 12, rel=1e-8)
+    assert all(0 < float(r[3]) < 1 / 8 for r in rows)
