@@ -676,7 +676,7 @@ def _run_single(cfg: ExperimentConfig) -> list:
         return [_run_attack(cfg.kind.removeprefix("attack-"), cfg, root)]
     if cfg.kind == "prfsg-game":
         params = {"lam": cfg.lam if cfg.lam is not None else 2,
-                  "trials": cfg.trials if cfg.trials is not None else 200}
+                  "trials": cfg.trials if cfg.trials is not None else 200, **cfg.extra}
         return [
             lemma_check("prfsg-mean-advantage", params, root.child("prfsg-mean-advantage")),
             lemma_check("prfsg-tail", params, root.child("prfsg-tail")),

@@ -7,6 +7,10 @@ estimates every output density matrix from simulated projective shot counts,
 assembles the rank-one column-correlation matrix whose top eigenvector is
 the vectorized unitary, and projects the reshaped eigenvector back onto the
 unitary group. Both routes fix the global phase canonically.
+
+The sampled route draws, per output state, the diagonal setting and then all
+pair settings in one multinomial (pairs a < b row-major, real before
+imaginary); that order is part of the one-seed reproducibility contract.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import DEFAULT_BUDGET
 from .linalg import as_complex_array
 from .seeds import as_generator
 from . import subroutines
@@ -95,43 +100,39 @@ def _sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     One computational-basis setting covers the diagonal; each off-diagonal
     entry takes two pair settings (real and imaginary observables), sampled
     from the exact three-outcome distribution of the +1/-1/0 eigenspaces.
+
+    Draw order (one-seed contract): the diagonal setting, then one batched
+    multinomial over the pairs a < b row-major, real setting before imaginary.
     """
     d = psi.size
     est = np.zeros((d, d), dtype=np.complex128)
     diag = rng.multinomial(shots, _clean_probs(np.abs(psi) ** 2)) / shots
     np.fill_diagonal(est, diag)
-    for a in range(d):
-        for b in range(a + 1, d):
-            x = _three_outcome_mean(
-                abs(psi[a] + psi[b]) ** 2 / 2, abs(psi[a] - psi[b]) ** 2 / 2, shots, rng
-            )
-            y = _three_outcome_mean(
-                abs(psi[a] - 1j * psi[b]) ** 2 / 2,
-                abs(psi[a] + 1j * psi[b]) ** 2 / 2,
-                shots,
-                rng,
-            )
-            # x estimates 2 Re rho_ab, y estimates -2 Im rho_ab
-            est[a, b] = (x - 1j * y) / 2
-            est[b, a] = np.conj(est[a, b])
+    a, b = np.triu_indices(d, 1)
+    pa, pb = psi[a], psi[b]
+    z = np.stack([pa + pb, pa - pb, pa - 1j * pb, pa + 1j * pb], axis=-1).reshape(-1, 2, 2)
+    # |z|^2 / 2 as the scalar abs(z) ** 2 rounds it: hypot, then libm pow
+    # (numpy's vectorized abs and square differ from those in the last bit)
+    p = (np.hypot(z.real, z.imag).astype(object) ** 2).astype(np.float64) / 2
+    probs = np.concatenate([p, np.maximum(0.0, 1 - p[..., :1] - p[..., 1:])], axis=-1)
+    n = rng.multinomial(shots, _clean_probs(probs))
+    # x estimates 2 Re rho_ab, y estimates -2 Im rho_ab
+    x, y = ((n[..., 0] - n[..., 1]) / shots).T
+    est[a, b] = (x - 1j * y) / 2
+    est[b, a] = np.conj(est[a, b])
     return est
 
 
 def _clean_probs(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, 0.0, None)
-    return p / np.sum(p)
-
-
-def _three_outcome_mean(p_plus: float, p_minus: float, shots: int, rng) -> float:
-    probs = _clean_probs(np.array([p_plus, p_minus, max(0.0, 1 - p_plus - p_minus)]))
-    n = rng.multinomial(shots, probs)
-    return (n[0] - n[1]) / shots
+    return p / np.sum(p, axis=-1, keepdims=True)
 
 
 def process_tomography_sampled(
     apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM
 ) -> TomographyResult:
     """Estimate a unitary to spectral error eps (up to phase) from shot counts."""
+    DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(dim * dim)), "sampled tomography correlation")
     rng = as_generator(seed)
     shots = shot_count(dim, eps, eta, c_tom)
     outs = []

@@ -51,8 +51,9 @@ def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["lemma", "isometry-choi-rate", "--lambda", "0"]) == 2
     assert cli_main(["lemma", "permutation-twirl-rate", "--param", "n=0"]) == 2
     assert cli_main(["lemma", "permutation-twirl-rate", "--ell", "0"]) == 2
+    assert cli_main(["prfsg-game", "--param", "bogus=3", "--trials", "5"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 14
+    assert err.count("error:") == 15
 
 
 def test_premise_and_sizing_faults_exit_2(capsys):

@@ -30,6 +30,13 @@ def test_tomography_calibration(monkeypatch, capsys):
     c_tom, shots, rate, median = lines[-1].split()
     assert float(c_tom) == 1.0 and int(shots) > 0
     assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
+    # past dim 2 each output state batches several pair settings
+    lines = _run(monkeypatch, capsys, "tomography_calibration",
+                 "--dim", "8", "--runs", "2", "--grid", "1.0")
+    assert lines[0].startswith("dim=8 ")
+    c_tom, shots, rate, median = lines[-1].split()
+    assert float(c_tom) == 1.0 and int(shots) > 0
+    assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
 
 
 @pytest.mark.parametrize("lam", ["1", "3"])

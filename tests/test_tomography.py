@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oraclebench import subroutines, tomography as tg
+from oraclebench.budget import SizingError
 from oraclebench.haar import sample_haar_unitary
 from oraclebench.linalg import UnitaryMatrix
 from oraclebench.seeds import SeedPath
@@ -105,3 +106,70 @@ def test_tomography_routes_spectral_work_through_subroutines():
     ops = {(e["op"], e["label"]) for e in log}
     assert ("eigh", "tomo-correlation") in ops
     assert ("svd", "polar") in ops
+
+
+def _scalar_sampled_density(psi, shots, rng):
+    """The per-setting loop the batched sampler replaced, one multinomial call per setting."""
+    def clean(p):
+        p = np.clip(p, 0.0, None)
+        return p / np.sum(p)
+
+    def mean(p_plus, p_minus):
+        n = rng.multinomial(shots, clean(np.array([p_plus, p_minus, max(0.0, 1 - p_plus - p_minus)])))
+        return (n[0] - n[1]) / shots
+
+    d = psi.size
+    est = np.zeros((d, d), dtype=np.complex128)
+    np.fill_diagonal(est, rng.multinomial(shots, clean(np.abs(psi) ** 2)) / shots)
+    for a in range(d):
+        for b in range(a + 1, d):
+            x = mean(abs(psi[a] + psi[b]) ** 2 / 2, abs(psi[a] - psi[b]) ** 2 / 2)
+            y = mean(abs(psi[a] - 1j * psi[b]) ** 2 / 2, abs(psi[a] + 1j * psi[b]) ** 2 / 2)
+            est[a, b] = (x - 1j * y) / 2
+            est[b, a] = np.conj(est[a, b])
+    return est
+
+
+class _RecordingRng:
+    """Passes multinomial calls through and keeps every probability row, bit for bit."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, []
+
+    def multinomial(self, n, pvals):
+        self.rows += [row.tobytes() for row in pvals.reshape(-1, pvals.shape[-1])]
+        return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_batched_sampler_matches_scalar_reference(dim):
+    for i in range(4):
+        psi = sample_haar_unitary(dim, SEED.child(f"bat-{dim}", i)).mat[:, 0]
+        rng_ref = _RecordingRng(SEED.child(f"bat-sh-{dim}", i).rng())
+        rng_new = _RecordingRng(SEED.child(f"bat-sh-{dim}", i).rng())
+        ref = _scalar_sampled_density(psi, 50 + i, rng_ref)
+        new = tg._sampled_density(psi, 50 + i, rng_new)
+        assert np.array_equal(new, ref)
+        assert rng_new.rows == rng_ref.rows
+        # same state after both: the same draws, in the same order
+        assert rng_new.rng.bit_generator.state == rng_ref.rng.bit_generator.state
+
+
+def test_batched_reconstruction_matches_scalar_reference(monkeypatch):
+    u = sample_haar_unitary(4, SEED.child("bat-rec"))
+
+    def run():
+        return tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.15, 0.2, SEED.child("bat-rec-s"))
+
+    new = run()
+    monkeypatch.setattr(tg, "_sampled_density", _scalar_sampled_density)
+    ref = run()
+    assert np.array_equal(new.estimate, ref.estimate)
+    assert new.gram_defect == ref.gram_defect and new.queries == ref.queries
+
+
+def test_sampled_tomography_refuses_oversized_correlation():
+    calls = []
+    with pytest.raises(SizingError, match="sampled tomography correlation"):
+        tg.process_tomography_sampled(calls.append, 128, 0.1, 0.1, SEED.child("big"))
+    assert calls == []
