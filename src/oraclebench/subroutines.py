@@ -8,11 +8,20 @@ exactly which classical helpers were invoked and on what sizes.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 _stack: list[list] = []
+
+# one_blas_thread nests and overlaps across threads; the last to leave restores
+_serial_lock = threading.Lock()
+_serial_users = 0
+_serial_saved = 0
 
 
 @contextmanager
@@ -40,3 +49,48 @@ def svd(mat: np.ndarray, label: str = ""):
 def eigh(mat: np.ndarray, label: str = ""):
     _note("eigh", label, mat.shape[0])
     return np.linalg.eigh(mat)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS a numpy wheel bundles, else None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the with-block's numpy LAPACK calls on a single OpenBLAS thread.
+
+    A woken OpenBLAS worker keeps spinning on another core long after its
+    call returns, so a small threaded call taxes the Python code after it.
+    The count is process-wide: calls made meanwhile by other threads also
+    run serially. A no-op where no bundled OpenBLAS is found.
+    """
+    global _serial_users, _serial_saved
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _serial_lock:
+        if _serial_users == 0:
+            _serial_saved = get()
+            put(1)
+        _serial_users += 1
+    try:
+        yield
+    finally:
+        with _serial_lock:
+            _serial_users -= 1
+            if _serial_users == 0:
+                put(_serial_saved)

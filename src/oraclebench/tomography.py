@@ -15,6 +15,7 @@ imaginary); that order is part of the one-seed reproducibility contract.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ from .budget import DEFAULT_BUDGET
 from .linalg import as_complex_array
 from .seeds import as_generator
 from . import subroutines
+
+# up to this many rows a second OpenBLAS thread makes the correlation eigh
+# no faster, and the woken worker would spin beside the shot sampling that
+# follows; on a 2-vCPU x86 VM (OpenBLAS 0.3.31) 256 rows take 0.031 s on
+# one thread and 0.034-0.042 s on two, 1024 rows 2.2 s against 1.2 s
+SERIAL_EIGH_DIM = 256
 
 # calibrated so (dim=2, eps=0.1, eta=0.1) reconstructs within eps in well
 # over 9 of 10 runs; see scripts/tomography_calibration.py
@@ -162,7 +169,9 @@ def process_tomography_sampled(
             corr[k * dim:(k + 1) * dim, j * dim:(j + 1) * dim] = block.conj().T
 
     corr = (corr + corr.conj().T) / 2
-    w, v = subroutines.eigh(corr, label="tomo-correlation")
+    serial = dim * dim <= SERIAL_EIGH_DIM
+    with subroutines.one_blas_thread() if serial else nullcontext():
+        w, v = subroutines.eigh(corr, label="tomo-correlation")
     top = v[:, -1] * math.sqrt(dim)
     m = top.reshape(dim, dim).T
     est = canonical_phase(nearest_unitary(m))

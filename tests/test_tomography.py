@@ -173,3 +173,27 @@ def test_sampled_tomography_refuses_oversized_correlation():
     with pytest.raises(SizingError, match="sampled tomography correlation"):
         tg.process_tomography_sampled(calls.append, 128, 0.1, 0.1, SEED.child("big"))
     assert calls == []
+
+
+def test_small_correlation_eigh_runs_on_one_blas_thread(monkeypatch):
+    api = subroutines._openblas_threads()
+    if api is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = api
+    seen = []
+    eigh = subroutines.eigh
+
+    def spy(mat, label=""):
+        seen.append((mat.shape[0], get()))
+        return eigh(mat, label)
+
+    monkeypatch.setattr(subroutines, "eigh", spy)
+    before = get()
+    put(2)
+    try:
+        u = sample_haar_unitary(4, SEED.child("serial"))
+        tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.1, 0.1, SEED.child("serial-shots"))
+        assert seen == [(16, 1)]
+        assert get() == 2
+    finally:
+        put(before)
