@@ -1,9 +1,12 @@
 """Distinguishing attacks against keyed unitary and isometry candidates.
 
 All three pipelines share one shape: tomograph the oracle blocks the
-candidate actually calls, rewrite every key's circuit into an oracle-free
-surrogate, form the keyed and surrogate Choi states over ell copies, then
-test challenges against the high singular directions of the surrogate state.
+candidate actually calls (one loop over the calls' block keys), rewrite
+every key's circuit into an oracle-free surrogate, form the keyed and
+surrogate Choi states over ell copies, then test challenges against the
+high singular directions of the surrogate state. Keyed unitaries and keyed
+isometries are both `oracles.Candidate` (stretch s = 0 and s > 0), and a
+surrogate family holds its rewrite as one more Candidate.
 
 The Choi states are never built densely on the attack path. Each is held as
 a factor: the Choi vectors of its ell-fold Kraus operators as the columns of
@@ -20,13 +23,13 @@ mode and the final challenge bit.
 Register conventions follow the averaged references: copies lead, the
 entangled partner trails, and inside each copy the fresh pad qubits sit in
 front of the payload. Candidate channels emit the opposite order, so their
-Kraus operators are permuted once on extraction.
+Kraus operators are reordered by one reshape and transpose on extraction.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,14 +45,8 @@ from .linalg import (
     _as_mat,
     choi_vector,
     schatten_norm,
-    subsystem_perm_matrix,
 )
-from .oracles import (
-    PriCandidate,
-    PruCandidate,
-    candidate_channel,
-    rewrite_surrogate,
-)
+from .oracles import Candidate, candidate_channel, rewrite_surrogate
 from .seeds import SeedPath, as_generator
 from .tomography import (
     phase_aligned_distance,
@@ -62,7 +59,7 @@ from . import blockenc, subroutines
 # unit runs stays under 2, doubled for slack
 C_HYBRID = 4.0
 
-_BACKEND_KEYS = {"ideal": "ideal", "poly": "poly", "polynomial": "poly"}
+_BACKENDS = ("ideal", "poly")
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("target polynomial value p must be at least 2")
-        if self.backend not in _BACKEND_KEYS:
+        if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.tomography_mode not in ("exact", "sampled"):
             raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")
@@ -106,16 +103,10 @@ class TomographySet:
         return max(self.errors.values(), default=0.0)
 
 
-def _called_specs(cand) -> tuple[set, set]:
-    swap_ns: set = set()
-    hri_keys: set = set()
-    for circ in cand.circuits.values():
-        for step in circ.steps:
-            if hasattr(step, "m"):
-                hri_keys.add((step.n, step.m))
-            elif hasattr(step, "n"):
-                swap_ns.add(step.n)
-    return swap_ns, hri_keys
+def _called_keys(cand) -> list:
+    """Distinct block keys the candidate calls: swap keys n, then rotation keys (n, m)."""
+    keys = {step.key for circ in cand.circuits.values() for step in circ.calls}
+    return sorted(keys, key=lambda k: (isinstance(k, tuple), k))
 
 
 def tomograph_called_blocks(
@@ -132,32 +123,32 @@ def tomograph_called_blocks(
 ) -> TomographySet:
     """Run process tomography on each distinct block called at size <= d_cutoff.
 
-    Swap-family calls are keyed by n, rotation-family calls by (n, m). Calls
-    above the cutoff are left for deletion and cost nothing here.
+    Blocks go by their call key: n for the swap family, (n, m) for the
+    rotation family. Calls above the cutoff are left for deletion and cost
+    nothing here.
     """
-    swap_ns, hri_keys = _called_specs(cand)
     estimates: dict = {}
     errors: dict = {}
     queries = 0
-    for n in sorted(swap_ns):
-        if n > d_cutoff:
-            continue
-        if swap is None:
-            raise ValueError("candidate queries the swap family but none was given")
-        gate = swap.dense_oracle(n, budget).mat
-        res = _tomograph_gate(gate, mode, eps, eta, seed.child("tomo-swap", n))
-        estimates[n] = res.estimate
-        errors[n] = phase_aligned_distance(res.estimate, gate, 2)
-        queries += res.queries
-    for n, m in sorted(hri_keys):
-        if n > d_cutoff:
-            continue
-        if hri is None:
-            raise ValueError("candidate queries the rotation family but none was given")
-        gate = hri.oracle(n, m, budget).mat
-        res = _tomograph_gate(gate, mode, eps, eta, seed.child("tomo-rot", n).child("m", m))
-        estimates[(n, m)] = res.estimate
-        errors[(n, m)] = phase_aligned_distance(res.estimate, gate, 2)
+    for key in _called_keys(cand):
+        if isinstance(key, tuple):
+            n, m = key
+            if n > d_cutoff:
+                continue
+            if hri is None:
+                raise ValueError("candidate queries the rotation family but none was given")
+            gate = hri.oracle(n, m, budget).mat
+            tomo_seed = seed.child("tomo-rot", n).child("m", m)
+        else:
+            if key > d_cutoff:
+                continue
+            if swap is None:
+                raise ValueError("candidate queries the swap family but none was given")
+            gate = swap.dense_oracle(key, budget).mat
+            tomo_seed = seed.child("tomo-swap", key)
+        res = _tomograph_gate(gate, mode, eps, eta, tomo_seed)
+        estimates[key] = res.estimate
+        errors[key] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
     return TomographySet(estimates, errors, queries)
 
@@ -173,65 +164,42 @@ def _tomograph_gate(gate: np.ndarray, mode: str, eps: float, eta: float, seed: S
 
 @dataclass(frozen=True)
 class SurrogateFamily:
-    """Oracle-free rewrites of a candidate's circuits, one per key.
+    """Oracle-free rewrite of a candidate, one circuit per key.
 
     Each circuit keeps the candidate's fixed gates, with small oracle calls
-    replaced by their tomography estimates and large ones deleted.
+    replaced by their tomography estimates and large ones deleted;
+    `deleted` counts the deleted calls per key.
     """
 
-    lam: int
-    stretch_s: int
-    ancilla_c: int
-    circuits: dict
+    candidate: Candidate
     deleted: dict
 
     def __post_init__(self):
-        for circ in self.circuits.values():
-            if circ.query_count:
-                raise ValueError("surrogate circuits must be oracle-free")
-
-    @property
-    def keys(self) -> tuple:
-        return tuple(sorted(self.circuits))
+        if any(circ.query_count for circ in self.candidate.circuits.values()):
+            raise ValueError("surrogate circuits must be oracle-free")
 
     @property
     def deleted_total(self) -> int:
         return sum(self.deleted.values())
 
 
-def build_surrogates(cand, tomo: TomographySet, d_cutoff: int) -> SurrogateFamily:
+def build_surrogates(cand: Candidate, tomo: TomographySet, d_cutoff: int) -> SurrogateFamily:
     """Rewrite every key's circuit against the tomography estimates."""
     circuits = {}
     deleted = {}
     for k in cand.keys:
         circuits[k], deleted[k] = rewrite_surrogate(cand.circuits[k], d_cutoff, tomo.estimates)
-    return SurrogateFamily(
-        lam=cand.lam,
-        stretch_s=cand.stretch_s,
-        ancilla_c=cand.ancilla_c,
-        circuits=circuits,
-        deleted=deleted,
-    )
-
-
-def surrogate_candidate(sf: SurrogateFamily):
-    """The rewritten family as a candidate of the matching kind."""
-    if sf.stretch_s:
-        return PriCandidate(sf.lam, sf.stretch_s, sf.ancilla_c, sf.circuits)
-    return PruCandidate(sf.lam, sf.ancilla_c, sf.circuits)
+    return SurrogateFamily(replace(cand, circuits=circuits), deleted)
 
 
 # ------------------------------------------------------------------ Choi states
 
 
-def _channel_kraus(cand, key, swap, hri, budget: Budget) -> list[np.ndarray]:
+def _channel_kraus(cand: Candidate, key, swap, hri, budget: Budget) -> list[np.ndarray]:
     ks = candidate_channel(cand, key, swap=swap, hri=hri, budget=budget).kraus()
-    s = cand.stretch_s
-    if s:
-        # candidate output order is [payload, pad]; references want the pad first
-        p = subsystem_perm_matrix([2**cand.lam, 2**s], [1, 0])
-        ks = [p @ k for k in ks]
-    return ks
+    # candidate output order is [payload, pad]; references want the pad first
+    d_in, d_pad = 2**cand.lam, 2**cand.stretch_s
+    return [k.reshape(d_in, d_pad, -1).transpose(1, 0, 2).reshape(d_pad * d_in, -1) for k in ks]
 
 
 def _fold_ops(kraus: list[np.ndarray], ell: int) -> list[np.ndarray]:
@@ -312,7 +280,7 @@ def key_choi(
 def surrogate_choi(
     sf: SurrogateFamily, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> DensityMatrix:
-    return keyed_choi(surrogate_candidate(sf), ell=ell, budget=budget)
+    return keyed_choi(sf.candidate, ell=ell, budget=budget)
 
 
 # ------------------------------------------------------------------ support overlap
@@ -383,7 +351,7 @@ def distinguisher(
     if eta is None:
         eta = 2.0 ** (-lam)
     be = encode_density(rho)
-    res = svd_discriminate(be, state, a, b, eta, backend=_BACKEND_KEYS[backend], seed=seed)
+    res = svd_discriminate(be, state, a, b, eta, backend=backend, seed=seed)
     return res.accept, res.accept_prob
 
 
@@ -508,7 +476,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         n_qubits = (2 * lam + s) * ell
         budget.check_qubits(n_qubits, "attack states")
         bk = cfg.backend
-        poly_backend = _BACKEND_KEYS[bk] == "poly"
+        poly_backend = bk == "poly"
         if poly_backend:
             # the threshold polynomial's degree is about 2^(n+2) and its interpolation
             # matrix the square of that: hold it to the dense ceiling (ROADMAP item 4)
@@ -530,7 +498,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         sf = build_surrogates(cand, tomo, d_cut)
 
         keyed = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
-        sur = keyed_choi_vectors(surrogate_candidate(sf), ell=ell, budget=budget)
+        sur = keyed_choi_vectors(sf.candidate, ell=ell, budget=budget)
         values, coeffs = _surrogate_support(sur)
 
         hybrid = _hybrid_distance(keyed, sur)
@@ -603,7 +571,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
 
 
 def attack_pru(
-    cand: PruCandidate,
+    cand: Candidate,
     swap=None,
     cfg: AttackConfig = AttackConfig(),
     challenge=None,
@@ -614,7 +582,7 @@ def attack_pru(
 
 
 def attack_pri(
-    cand: PriCandidate,
+    cand: Candidate,
     swap=None,
     cfg: AttackConfig = AttackConfig(),
     challenge=None,

@@ -18,8 +18,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.special import erf, erfinv
 
-from .budget import DEFAULT_BUDGET, Budget
-from .linalg import UnitaryMatrix, _as_mat, subsystem_perm_matrix
+from .linalg import UnitaryMatrix, _as_mat
 from .seeds import as_generator
 from . import subroutines
 
@@ -58,21 +57,6 @@ class BlockEncoding:
             return self.alpha * self.unitary_mat[:n, :n]
         psi = self.purification.reshape(-1, n)
         return self.alpha * (psi.T @ psi.conj())
-
-    def dense(self, budget: Budget = DEFAULT_BUDGET) -> UnitaryMatrix:
-        if self.unitary_mat is not None:
-            return UnitaryMatrix(self.unitary_mat)
-        n_q = self.block_dim.bit_length() - 1
-        m_q = self.ancilla_qubits - n_q
-        total = self.ancilla_qubits + n_q
-        budget.check_dense_matrix(total, "block-encoding unitary")
-        w = complete_to_unitary(self.purification)
-        eye_a = np.eye(self.block_dim)
-        swap = subsystem_perm_matrix(
-            [2**m_q, self.block_dim, self.block_dim], [0, 2, 1]
-        )
-        v = np.kron(w.conj().T, eye_a) @ swap @ np.kron(w, eye_a)
-        return UnitaryMatrix(v)
 
 
 def complete_to_unitary(first_column: np.ndarray) -> np.ndarray:
@@ -181,6 +165,9 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
 
 # ------------------------------------------------------------- threshold polynomial
 
+# points per certification grid, linear and log-spaced alike
+GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class ThresholdPoly:
@@ -210,11 +197,11 @@ def _poly_candidate(a: float, b: float, eta_target: float, degree: int) -> np.nd
     return _cheb.chebinterpolate(step, degree)
 
 
-def _grid_check(coeffs: np.ndarray, a: float, b: float, points: int):
+def _grid_check(coeffs: np.ndarray, a: float, b: float):
     # log-spaced points keep the check honest when a and b sit deep below 1
     xs = np.unique(
         np.concatenate(
-            [np.linspace(0.0, 1.0, points), np.geomspace(1e-12, 1.0, points), [a, b]]
+            [np.linspace(0.0, 1.0, GRID_POINTS), np.geomspace(1e-12, 1.0, GRID_POINTS), [a, b]]
         )
     )
     vals = _cheb.chebval(2.0 * xs - 1.0, coeffs)
@@ -230,7 +217,7 @@ def _grid_check(coeffs: np.ndarray, a: float, b: float, points: int):
     return coeffs, low_max, high_min
 
 
-def threshold_poly(a: float, b: float, eta: float, points: int = 10_000) -> ThresholdPoly:
+def threshold_poly(a: float, b: float, eta: float) -> ThresholdPoly:
     """Adaptive-degree Chebyshev step, validated on a dense grid.
 
     The degree starts at 64 and doubles until the grid certifies the eta
@@ -244,7 +231,7 @@ def threshold_poly(a: float, b: float, eta: float, points: int = 10_000) -> Thre
     degree = min(64, cap)
     while True:
         coeffs = _poly_candidate(a, b, 0.7 * eta, degree)
-        coeffs, low_max, high_min = _grid_check(coeffs, a, b, points)
+        coeffs, low_max, high_min = _grid_check(coeffs, a, b)
         if low_max <= eta and high_min >= 1.0 - eta:
             return ThresholdPoly(a, b, eta, coeffs, degree, low_max, high_min)
         if degree >= cap:

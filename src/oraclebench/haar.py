@@ -6,8 +6,8 @@ d^(cycles of sigma^-1 pi), and the data vector holds the partial traces
 Tr_A[(R_sigma^dag (x) I) rho]. A pseudo-inverse solve recovers the unique
 operator in the span with matching data, which is exactly the twirl. The
 same plumbing with fixed coefficients 2^(-n ell) gives the permutation-sum
-approximation used as a comparison point, and Monte Carlo estimators of the
-same averages serve as an independent route in tests. The distance between
+approximation used as a comparison point, and a Monte Carlo estimate of
+the state moment is an independent route to it. The distance between
 a twirled Choi reference and the matching state moment needs no matrix at
 all: both are scalar on the Schur-Weyl blocks, so it is a finite sum over
 the partitions of ell (choi_moment_distance).
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
+from .budget import DEFAULT_BUDGET, Budget, SizingError
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -41,6 +41,10 @@ from .linalg import (
     sym_projector,
 )
 from .seeds import as_generator
+
+# choi_moment_distance costs one exact term per partition of ell;
+# p(40) = 37,338 partitions take about 2.2 s on a 2-vCPU x86 VM
+MAX_MOMENT_ELL = 40
 
 
 def sample_haar_unitary(d: int, seed) -> UnitaryMatrix:
@@ -127,25 +131,6 @@ def twirl_exact(rho, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> Densi
     return DensityMatrix(_twirl_raw(_as_mat(rho), d, ell, budget))
 
 
-def twirl_mc(rho, d: int, ell: int, samples: int, seed) -> DensityMatrix:
-    """Finite-sample estimate of the same average, one unitary per sample."""
-    mat = _as_mat(rho)
-    a = d**ell
-    r = mat.shape[0] // a
-    rng = as_generator(seed)
-    m4 = mat.reshape(a, r, a, r)
-    acc = np.zeros_like(m4)
-    for _ in range(samples):
-        u = random_unitary_from(rng, d)
-        ul = u
-        for _ in range(ell - 1):
-            ul = np.kron(ul, u)
-        t = np.tensordot(ul, m4, axes=([1], [0]))
-        t = np.tensordot(t, ul.conj(), axes=([2], [1]))
-        acc += np.moveaxis(t, 3, 2)
-    return DensityMatrix((acc / samples).reshape(mat.shape))
-
-
 # ------------------------------------------------------------------ Choi references
 
 
@@ -220,10 +205,13 @@ def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
         TD = 1/2 sum_{mu |- ell} |f_mu s_mu(d_in) / d_in^ell
                                   - s_mu(d_out) s_mu(d_in) / C(d_out d_in + ell - 1, ell)|
 
-    Nothing of dimension d^ell is built; the cost is one term per partition.
+    Nothing of dimension d^ell is built; the cost is one term per partition,
+    so ell above MAX_MOMENT_ELL raises SizingError.
     """
     if d_in < 1 or d_out < d_in or ell < 1:
         raise ValueError(f"need 1 <= d_in <= d_out and ell >= 1, got {d_out=}, {d_in=}, {ell=}")
+    if ell > MAX_MOMENT_ELL:
+        raise SizingError(f"ell={ell} exceeds the partition-sum limit {MAX_MOMENT_ELL}")
     n_sym = math.comb(d_out * d_in + ell - 1, ell)
     total = Fraction(0)
     for mu in _partitions(ell, ell):

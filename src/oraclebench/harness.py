@@ -471,7 +471,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
-        if self.backend not in (None, "ideal", "poly", "polynomial"):
+        if self.backend not in (None, "ideal", "poly"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.tomography_mode not in (None, "exact", "sampled"):
             raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")

@@ -190,41 +190,22 @@ def permute_subsystems(mat, dims: list[int], perm: list[int]) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(axes).reshape(new_dims, new_dims))
 
 
-def subsystem_perm_matrix(dims: list[int], perm: list[int]) -> np.ndarray:
-    """Permutation matrix P with P |x_0 x_1 ...> = |x_perm[0] x_perm[1] ...>."""
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise ValueError("perm must be a permutation of the subsystem indices")
-    total = math.prod(dims)
-    idx = np.arange(total)
-    digits = []
-    rem = idx
-    for d in reversed(dims):
-        digits.append(rem % d)
-        rem = rem // d
-    digits = digits[::-1]
-    new_dims = [dims[p] for p in perm]
-    new_idx = np.zeros(total, dtype=np.int64)
-    for j, p in enumerate(perm):
-        new_idx = new_idx * new_dims[j] + digits[p]
-    mat = np.zeros((total, total), dtype=np.complex128)
-    mat[new_idx, idx] = 1.0
-    return mat
-
-
 def apply_on_wires(vec: np.ndarray, gate: np.ndarray, wires, n_qubits: int) -> np.ndarray:
-    """Apply a 2^k x 2^k gate to the listed qubit wires of an n-qubit state vector."""
+    """Apply a 2^k x 2^k gate to the listed qubit wires of an n-qubit state vector.
+
+    A (2^n, b) input is a batch: the gate acts on each column.
+    """
     wires = list(wires)
     k = len(wires)
     if gate.shape != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not match {k} wires")
     if len(set(wires)) != k or any(w < 0 or w >= n_qubits for w in wires):
         raise ValueError(f"bad wire list {wires} for {n_qubits} qubits")
-    t = vec.reshape((2,) * n_qubits)
-    t = np.moveaxis(t, wires, range(k))
+    split = (2,) * n_qubits + vec.shape[1:]
+    t = np.moveaxis(vec.reshape(split), wires, range(k))
     t = gate @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape((2,) * n_qubits), range(k), wires)
-    return np.ascontiguousarray(t).reshape(-1)
+    t = np.moveaxis(t.reshape(split), range(k), wires)
+    return np.ascontiguousarray(t).reshape(vec.shape)
 
 
 def schatten_norm(mat, p) -> float:

@@ -12,6 +12,12 @@ Wire conventions. A swap call occupies 2n+1 wires ordered
 the reflected block. A hidden-rotation call occupies 1 + t(n) + n wires
 ordered [flag, pad, payload], with the index m carried classically on the
 call. Circuits list steps top to bottom, wire 0 most significant.
+
+Each call carries the key of the block it queries: n for a swap call (the
+whole member S_n), (n, m) for a rotation call; tomography and the surrogate
+rewrite both go by that key. Keyed candidates are one type, `Candidate`,
+whose stretch s = 0 makes a keyed unitary. `circuit_unitary` runs a
+circuit's steps once, on all basis columns as one batch.
 """
 from __future__ import annotations
 
@@ -138,10 +144,11 @@ def apply_swap_call(
     n_qubits: int,
     daggered: bool = False,
 ) -> np.ndarray:
-    """Apply one family member to a state vector without materializing it.
+    """Apply one family member to a state vector, or to each column of a
+    (2^n_qubits, b) batch, without materializing it.
 
     Each index block is a rank-2 correction of the identity, so the update
-    touches two slices per block; blocks the state has no weight on are
+    touches two slices per block; blocks the input has no weight on are
     skipped exactly, which also keeps lazy sampling lazy. The member is an
     involution, so daggered does not change the action.
     """
@@ -149,10 +156,11 @@ def apply_swap_call(
     wires = list(wires)
     if len(wires) != 2 * n + 1:
         raise ValueError(f"swap call on n={n} needs {2 * n + 1} wires, got {len(wires)}")
-    t = vec.reshape((2,) * n_qubits)
+    t = vec.reshape((2,) * n_qubits + vec.shape[1:])
     t = np.moveaxis(t, wires, range(len(wires)))
     shape = t.shape
-    b = np.ascontiguousarray(t).reshape(2**n, 2 ** (n + 1), -1)
+    # a copy even when t is already contiguous: the update below is in place
+    b = np.array(t).reshape(2**n, 2 ** (n + 1), -1)
     for m in range(2**n):
         if not np.any(b[m]):
             continue
@@ -163,7 +171,7 @@ def apply_swap_call(
         b[m, 2**n :, :] += np.outer(psi, c0 - c1)
     t = b.reshape(shape)
     t = np.moveaxis(t, range(len(wires)), wires)
-    return np.ascontiguousarray(t).reshape(-1)
+    return np.ascontiguousarray(t).reshape(vec.shape)
 
 
 # ------------------------------------------------------------------ circuits
@@ -194,6 +202,11 @@ class OracleCall:
         if len(self.wires) != 2 * self.n + 1:
             raise ValueError(f"swap call on n={self.n} needs {2 * self.n + 1} wires")
 
+    @property
+    def key(self) -> int:
+        """The called block: the whole family member S_n."""
+        return self.n
+
 
 @dataclass(frozen=True)
 class HriCall:
@@ -206,6 +219,11 @@ class HriCall:
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if not 0 <= self.m < 2**self.n:
             raise ValueError(f"call index m={self.m} out of range for n={self.n}")
+
+    @property
+    def key(self) -> tuple:
+        """The called block: index m of the size-n rotation oracle."""
+        return (self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -223,28 +241,32 @@ class OracleCircuit:
                 raise ValueError(f"bad wires {ws} for {self.total_qubits} qubits")
 
     @property
-    def query_count(self) -> int:
-        return sum(1 for s in self.steps if not isinstance(s, FixedGate))
+    def calls(self) -> tuple:
+        """The oracle-call steps, in circuit order."""
+        return tuple(s for s in self.steps if not isinstance(s, FixedGate))
 
-def evaluate_circuit(
+    @property
+    def query_count(self) -> int:
+        return len(self.calls)
+
+
+def circuit_unitary(
     circ: OracleCircuit,
-    state: PureState,
     swap: SwapOracleFamily | None = None,
     hri: HriOracleFamily | None = None,
     budget: Budget = DEFAULT_BUDGET,
-) -> PureState:
-    if state.dim != 2**circ.total_qubits:
-        raise ValueError("input state does not match the circuit width")
-    vec = np.array(state.amplitudes)
+) -> UnitaryMatrix:
+    """The circuit's matrix: each step applied once, to the identity's columns as one batch."""
+    budget.check_dense_matrix(circ.total_qubits, "circuit unitary")
+    n_q = circ.total_qubits
+    mat = np.eye(2**n_q, dtype=np.complex128)
     for step in circ.steps:
         if isinstance(step, FixedGate):
-            vec = apply_on_wires(vec, step.matrix, step.wires, circ.total_qubits)
+            mat = apply_on_wires(mat, step.matrix, step.wires, n_q)
         elif isinstance(step, OracleCall):
             if swap is None:
                 raise ValueError("circuit queries the swap family but none was given")
-            vec = apply_swap_call(
-                swap, vec, step.n, step.wires, circ.total_qubits, step.daggered
-            )
+            mat = apply_swap_call(swap, mat, step.n, step.wires, n_q, step.daggered)
         else:
             if hri is None:
                 raise ValueError("circuit queries the rotation family but none was given")
@@ -254,26 +276,8 @@ def evaluate_circuit(
                     f"rotation call on n={step.n} needs {1 + t + step.n} wires"
                 )
             gate = hri.oracle(step.n, step.m, budget).mat
-            vec = apply_on_wires(vec, gate, step.wires, circ.total_qubits)
-    return PureState(vec)
-
-
-def circuit_unitary(
-    circ: OracleCircuit,
-    swap: SwapOracleFamily | None = None,
-    hri: HriOracleFamily | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> UnitaryMatrix:
-    budget.check_dense_matrix(circ.total_qubits, "circuit unitary")
-    dim = 2**circ.total_qubits
-    cols = np.empty((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        cols[:, j] = evaluate_circuit(
-            circ, PureState(e), swap=swap, hri=hri, budget=budget
-        ).amplitudes
-    return UnitaryMatrix(cols)
+            mat = apply_on_wires(mat, gate, step.wires, n_q)
+    return UnitaryMatrix(mat)
 
 
 def rewrite_surrogate(
@@ -284,9 +288,9 @@ def rewrite_surrogate(
     """Replace small oracle calls by fixed gates and delete the large ones.
 
     Calls with n <= d_cutoff become FixedGate steps looked up in
-    `replacements` (key n for swap calls, key (n, m) for rotation calls);
-    calls with n > d_cutoff are dropped. Returns the rewritten circuit and
-    how many calls were deleted.
+    `replacements` by the call's block key (n for swap calls, (n, m) for
+    rotation calls); calls with n > d_cutoff are dropped. Returns the
+    rewritten circuit and how many calls were deleted.
     """
     steps = []
     deleted = 0
@@ -297,10 +301,9 @@ def rewrite_surrogate(
         if step.n > d_cutoff:
             deleted += 1
             continue
-        key = step.n if isinstance(step, OracleCall) else (step.n, step.m)
-        if key not in replacements:
-            raise KeyError(f"surrogate rewrite is missing a gate for call {key}")
-        gate = replacements[key]
+        if step.key not in replacements:
+            raise KeyError(f"surrogate rewrite is missing a gate for call {step.key}")
+        gate = replacements[step.key]
         mat = gate.mat if isinstance(gate, UnitaryMatrix) else as_complex_array(gate)
         # both families are involutions, so a daggered call uses the same gate
         steps.append(FixedGate(mat, step.wires))
@@ -311,47 +314,18 @@ def rewrite_surrogate(
 
 
 @dataclass(frozen=True)
-class PruCandidate:
-    """Keyed unitary family on lam input qubits plus c work qubits.
-
-    Wires: [input (lam), work (c)]; work starts and must end in |0^c>.
-    """
-
-    lam: int
-    ancilla_c: int
-    circuits: dict
-
-    def __post_init__(self):
-        width = self.lam + self.ancilla_c
-        for k, circ in self.circuits.items():
-            if circ.total_qubits != width:
-                raise ValueError(f"circuit for key {k} has the wrong width")
-
-    @property
-    def keys(self) -> tuple:
-        return tuple(sorted(self.circuits))
-
-    @property
-    def stretch_s(self) -> int:
-        return 0
-
-    @property
-    def query_count(self) -> int:
-        return max(c.query_count for c in self.circuits.values())
-
-
-@dataclass(frozen=True)
-class PriCandidate:
+class Candidate:
     """Keyed isometry family: lam input qubits to lam + s output qubits.
 
     Wires: [input (lam), pad (s), work (c)]; pad and work start in zeros,
     work must return to |0^c>, the output is the leading lam + s wires.
+    A keyed unitary (PRU) is the stretch s = 0 case.
     """
 
     lam: int
-    stretch_s: int
-    ancilla_c: int
     circuits: dict
+    stretch_s: int = 0
+    ancilla_c: int = 0
 
     def __post_init__(self):
         width = self.lam + self.stretch_s + self.ancilla_c

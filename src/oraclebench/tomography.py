@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .budget import DEFAULT_BUDGET
-from .linalg import as_complex_array
+from .linalg import _freeze, as_complex_array
 from .seeds import as_generator
 from . import subroutines
 
@@ -101,6 +102,13 @@ def _pair_inputs(dim: int, j: int, k: int):
     return ep, ei
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair a < b, row-major; built once per dim."""
+    a, b = np.triu_indices(d, 1)
+    return _freeze(a), _freeze(b)
+
+
 def _sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     """Shot-simulated state tomography of the pure output psi.
 
@@ -115,7 +123,7 @@ def _sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     est = np.zeros((d, d), dtype=np.complex128)
     diag = rng.multinomial(shots, _clean_probs(np.abs(psi) ** 2)) / shots
     np.fill_diagonal(est, diag)
-    a, b = np.triu_indices(d, 1)
+    a, b = _pair_indices(d)
     pa, pb = psi[a], psi[b]
     z = np.stack([pa + pb, pa - pb, pa - 1j * pb, pa + 1j * pb], axis=-1).reshape(-1, 2, 2)
     # |z|^2 / 2 as the scalar abs(z) ** 2 rounds it: hypot, then libm pow

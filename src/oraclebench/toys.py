@@ -8,14 +8,7 @@ the threshold distinguisher latches onto.
 from __future__ import annotations
 
 from .linalg import random_unitary_from
-from .oracles import (
-    FixedGate,
-    HriCall,
-    OracleCall,
-    OracleCircuit,
-    PriCandidate,
-    PruCandidate,
-)
+from .oracles import Candidate, FixedGate, HriCall, OracleCall, OracleCircuit
 from .seeds import SeedPath
 
 
@@ -57,9 +50,9 @@ def toy_pru_candidate(
     c: int = 0,
     swap_calls: int = 0,
     call_n: int = 1,
-) -> PruCandidate:
+) -> Candidate:
     circuits = _swap_circuits(lam + c, n_keys, seed, swap_calls, call_n)
-    return PruCandidate(lam=lam, ancilla_c=c, circuits=circuits)
+    return Candidate(lam=lam, ancilla_c=c, circuits=circuits)
 
 
 def toy_pri_candidate(
@@ -70,9 +63,9 @@ def toy_pri_candidate(
     c: int = 0,
     swap_calls: int = 1,
     call_n: int = 1,
-) -> PriCandidate:
+) -> Candidate:
     circuits = _swap_circuits(lam + s + c, n_keys, seed, swap_calls, call_n)
-    return PriCandidate(lam=lam, stretch_s=s, ancilla_c=c, circuits=circuits)
+    return Candidate(lam=lam, stretch_s=s, ancilla_c=c, circuits=circuits)
 
 
 def toy_hri_candidate(
@@ -83,7 +76,7 @@ def toy_hri_candidate(
     rot_calls: int = 0,
     call_n: int = 1,
     t_of_call: int = 1,
-) -> PruCandidate:
+) -> Candidate:
     """Unitary candidate whose circuits may query the hidden-rotation family."""
     need = 1 + t_of_call + call_n
 
@@ -91,4 +84,4 @@ def toy_hri_candidate(
         return HriCall(call_n, m=k % 2**call_n, wires=tuple(range(need)), daggered=daggered)
 
     circuits = _keyed_circuits(lam + c, n_keys, seed, rot_calls, need, call)
-    return PruCandidate(lam=lam, ancilla_c=c, circuits=circuits)
+    return Candidate(lam=lam, ancilla_c=c, circuits=circuits)

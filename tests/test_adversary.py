@@ -12,6 +12,7 @@ from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vector, schatten_norm
 from oraclebench.oracles import (
+    Candidate,
     HriOracleFamily,
     OracleCall,
     OracleCircuit,
@@ -58,7 +59,8 @@ def test_config_validation():
         adv.AttackConfig(tomography_mode="guess")
     with pytest.raises(ValueError):
         adv.AttackConfig(exponent_a=0.5)
-    assert adv.AttackConfig(backend="polynomial").backend == "polynomial"
+    with pytest.raises(ValueError):
+        adv.AttackConfig(backend="polynomial")
 
 
 def test_default_copies_is_log_key_count():
@@ -113,6 +115,15 @@ def test_keyed_choi_merge_order_invariance():
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def test_isometry_kraus_put_the_pad_first():
+    # the empty circuit maps |x> to |x>|0^s>; the references order each
+    # copy [pad, payload], so its Kraus operator must read |0^s>|x>
+    lam, s = 2, 1
+    cand = Candidate(lam=lam, stretch_s=s, circuits={0: OracleCircuit(lam + s, ())})
+    ops, _, _ = adv.keyed_choi_vectors(cand, ell=1)
+    assert np.array_equal(ops[0], np.eye(2 ** (lam + s), 2**lam))
+
+
 def test_choi_vectors_resolve_the_channel_trace():
     # trace preservation shows up as unit total weight per key
     swap = SwapOracleFamily(SEED.child("swap", 4))
@@ -137,7 +148,7 @@ def test_exact_surrogate_reproduces_the_circuit():
     assert sf.deleted_total == 0
     for k in cand.keys:
         true = circuit_unitary(cand.circuits[k], swap=swap).mat
-        rebuilt = circuit_unitary(sf.circuits[k]).mat
+        rebuilt = circuit_unitary(sf.candidate.circuits[k]).mat
         assert np.max(np.abs(true - rebuilt)) <= 1e-10
 
 
@@ -153,10 +164,7 @@ def test_surrogate_family_rejects_oracle_calls():
     circ = OracleCircuit(3, (OracleCall(1, (0, 1, 2)),))
     with pytest.raises(ValueError):
         adv.SurrogateFamily(
-            lam=2,
-            stretch_s=0,
-            ancilla_c=1,
-            circuits={0: circ},
+            candidate=Candidate(lam=2, ancilla_c=1, circuits={0: circ}),
             deleted={0: 0},
         )
 
@@ -318,7 +326,7 @@ def test_backend_agreement_at_tight_eta():
     rho2 = haar_choi(2, 2)
     for challenge in (rho1, rho2):
         _, p_ideal = adv.distinguisher(rho1, challenge, 8, 2, "ideal")
-        _, p_poly = adv.distinguisher(rho1, challenge, 8, 2, "polynomial", eta=1e-4)
+        _, p_poly = adv.distinguisher(rho1, challenge, 8, 2, "poly", eta=1e-4)
         assert abs(p_ideal - p_poly) <= 1e-6
 
 

@@ -62,6 +62,8 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert cli_main(["attack", "pru", "--ell", "9"]) == 2
     assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
     assert "sizing:" in capsys.readouterr().err
+    assert cli_main(["lemma", "twirl-choi-rate", "--ell", "41"]) == 2
+    assert "sizing:" in capsys.readouterr().err
 
 
 def test_choi_rate_runs_past_the_dense_size_limit(tmp_path, capsys):

@@ -126,6 +126,7 @@ def test_config_validation_and_normalization():
         {"kind": "bogus"},
         {"fmt": "yaml"},
         {"backend": "quantum"},
+        {"backend": "polynomial"},
         {"tomography_mode": "psychic"},
         {"sweep": ("d", [])},
     ):

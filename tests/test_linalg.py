@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oraclebench.budget import SizingError
 from oraclebench import linalg as la
 
+import dense_reference as ref
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -94,7 +96,7 @@ def test_permute_subsystems_and_matrix_agree():
     dims = [2, 3, 2]
     m = rand_density(rng, 12)
     perm = [2, 0, 1]
-    p = la.subsystem_perm_matrix(dims, perm)
+    p = ref.subsystem_perm_matrix(dims, perm)
     assert np.allclose(p.conj().T @ p, np.eye(12), atol=1e-12)
     assert np.allclose(
         la.permute_subsystems(m, dims, perm), p @ m @ p.conj().T, atol=1e-12
@@ -120,9 +122,17 @@ def test_apply_on_wires_against_dense():
 
     g = la.random_unitary_from(rng, 4)
     out2 = la.apply_on_wires(vec, g, [2, 0], 3)
-    p = la.subsystem_perm_matrix([2, 2, 2], [2, 0, 1])
+    p = ref.subsystem_perm_matrix([2, 2, 2], [2, 0, 1])
     dense2 = p.conj().T @ np.kron(g, I2) @ p
     assert np.allclose(out2, dense2 @ vec, atol=1e-12)
+
+    # a (2^n, k) batch: the gate acts on each column
+    batch = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    out3 = la.apply_on_wires(batch, g, [2, 0], 3)
+    assert out3.shape == (8, 5)
+    cols = np.column_stack([la.apply_on_wires(batch[:, j], g, [2, 0], 3) for j in range(5)])
+    assert np.allclose(out3, cols, atol=1e-12)
+    assert np.allclose(out3, dense2 @ batch, atol=1e-12)
 
 
 # ---------------------------------------------------------------- norms

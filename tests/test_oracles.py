@@ -9,6 +9,8 @@ from oraclebench import haar, linalg as la, oracles as orc, toys
 from oraclebench.budget import Budget, SizingError
 from oraclebench.seeds import SeedPath
 
+import dense_reference as ref
+
 SEED = SeedPath(77)
 
 
@@ -90,7 +92,11 @@ def test_apply_swap_call_is_involution():
     fam = fresh_family("invol")
     rng = np.random.default_rng(10)
     vec = la.random_state_from(rng, 2**3)
+    kept = vec.copy()
     once = orc.apply_swap_call(fam, vec, 1, [0, 1, 2], 3)
+    # the input is left alone, also on the leading wires where no axis moves
+    assert np.array_equal(vec, kept) and not np.shares_memory(once, vec)
+    assert not np.allclose(once, vec, atol=1e-6)
     twice = orc.apply_swap_call(fam, once, 1, [0, 1, 2], 3, daggered=True)
     assert np.allclose(twice, vec, atol=1e-12)
 
@@ -195,6 +201,26 @@ def test_circuit_with_rotation_call():
     bad = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1)),))
     with pytest.raises(ValueError):
         orc.circuit_unitary(bad, hri=hfam)
+
+
+def test_circuit_unitary_matches_per_column_reference():
+    # the batched pass against the old column-by-column evaluation
+    swap = fresh_family("batch")
+    hfam = orc.HriOracleFamily(SEED.child("hbatch"), stretch="n")
+    for c in (0, 1):
+        for i, cand in enumerate(
+            (
+                toys.toy_pru_candidate(2, 2, SEED.child("bfix", c), c=c),
+                toys.toy_pru_candidate(3, 2, SEED.child("bswp", c), c=c, swap_calls=2),
+                toys.toy_pri_candidate(2, 1, 2, SEED.child("bpri", c), c=c, swap_calls=1),
+                toys.toy_hri_candidate(3, 2, SEED.child("brot", c), c=c, rot_calls=2),
+            )
+        ):
+            for k in cand.keys:
+                circ = cand.circuits[k]
+                got = orc.circuit_unitary(circ, swap=swap, hri=hfam).mat
+                want = ref.per_column_circuit_unitary(circ, swap=swap, hri=hfam).mat
+                assert np.max(np.abs(got - want)) <= 1e-12, (c, i, k)
 
 
 def test_rewrite_surrogate_replaces_and_deletes():
