@@ -460,11 +460,14 @@ def _hybrid_distance(keyed: ChoiFactor, sur: ChoiFactor) -> float:
     the difference is Q (A A^dag - B B^dag) Q^dag / keys with A = Q^dag V_keyed
     and B = Q^dag V_sur, whose trace norm is that of the small signed Gram
     matrix in the middle. A and B come from separate identical products, so
-    equal factors give exactly zero, as the dense difference does.
+    equal factors give exactly zero, as the dense difference does. On small
+    factors the QR and the products after it each wake OpenBLAS workers that
+    then spin through the rest of the attack, so those run on one thread.
     """
-    q, _ = np.linalg.qr(np.hstack([keyed.vecs, sur.vecs]))
-    a, b = q.conj().T @ keyed.vecs, q.conj().T @ sur.vecs
-    return schatten_norm((a @ a.conj().T) / keyed.n_keys - (b @ b.conj().T) / sur.n_keys, 1)
+    with subroutines.serial_if_small(keyed.vecs.shape[0]):
+        q, _ = np.linalg.qr(np.hstack([keyed.vecs, sur.vecs]))
+        a, b = q.conj().T @ keyed.vecs, q.conj().T @ sur.vecs
+        return schatten_norm((a @ a.conj().T) / keyed.n_keys - (b @ b.conj().T) / sur.n_keys, 1)
 
 
 def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
@@ -478,8 +481,9 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         bk = cfg.backend
         poly_backend = bk == "poly"
         if poly_backend:
-            # the threshold polynomial's degree is about 2^(n+2) and its interpolation
-            # matrix the square of that: hold it to the dense ceiling (ROADMAP item 4)
+            # the threshold polynomial's degree is about 2^(n+2), and certifying it
+            # evaluates that many terms at each of ~20k grid points: hold it to
+            # the dense ceiling
             budget.check_dense_matrix(n_qubits, "poly backend")
 
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)

@@ -11,6 +11,7 @@ polynomial applied to the singular values (polynomial backend).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,6 +169,9 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
 # points per certification grid, linear and log-spaced alike
 GRID_POINTS = 10_000
 
+# a candidate degree is first screened on every SUBSET_STRIDE-th grid point
+SUBSET_STRIDE = 16
+
 
 @dataclass(frozen=True)
 class ThresholdPoly:
@@ -186,54 +190,91 @@ class ThresholdPoly:
         return _cheb.chebval(t, self.coeffs)
 
 
+def _chebyshev_coeffs(samples: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through samples taken at `chebpts1` points.
+
+    The points ascend, x_k = -cos(pi (k + 1/2) / N), so the samples reversed
+    sit at cos(pi (k + 1/2) / N), and their DCT-II, taken as an FFT of the
+    even extension, gives N times the coefficients (2N times c_0).
+    """
+    n = samples.size
+    desc = samples[::-1]
+    spec = np.fft.rfft(np.concatenate([desc, samples]))[:n]
+    coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n
+    coeffs[0] /= 2.0
+    return coeffs
+
+
 def _poly_candidate(a: float, b: float, eta_target: float, degree: int) -> np.ndarray:
     mu = (a + b) / 2.0
     kappa = 2.0 * erfinv(1.0 - 2.0 * eta_target) / (b - a)
-
-    def step(t):
-        x = (t + 1.0) / 2.0
-        return 0.5 * (1.0 + erf(kappa * (x - mu)))
-
-    return _cheb.chebinterpolate(step, degree)
+    x = (_cheb.chebpts1(degree + 1) + 1.0) / 2.0
+    return _chebyshev_coeffs(0.5 * (1.0 + erf(kappa * (x - mu))))
 
 
-def _grid_check(coeffs: np.ndarray, a: float, b: float):
+@functools.lru_cache(maxsize=16)
+def _grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certification grid on [0, 1] with a and b on it, and its screening subset."""
     # log-spaced points keep the check honest when a and b sit deep below 1
     xs = np.unique(
         np.concatenate(
             [np.linspace(0.0, 1.0, GRID_POINTS), np.geomspace(1e-12, 1.0, GRID_POINTS), [a, b]]
         )
     )
+    sub = xs[np.union1d(np.arange(0, xs.size, SUBSET_STRIDE), np.searchsorted(xs, [a, b]))]
+    xs.flags.writeable = sub.flags.writeable = False
+    return xs, sub
+
+
+def _grid_check(coeffs: np.ndarray, xs: np.ndarray, a: float, b: float):
     vals = _cheb.chebval(2.0 * xs - 1.0, coeffs)
-    lo, hi = float(np.min(vals)), float(np.max(vals))
     # renormalize into [0, 1] with a small buffer for off-grid excursions
-    pad = 1.05 * max(0.0, -lo, hi - 1.0) + 1e-15
-    if pad > 0.0:
-        coeffs = coeffs / (1.0 + 2.0 * pad)
-        coeffs[0] += pad / (1.0 + 2.0 * pad)
-        vals = _cheb.chebval(2.0 * xs - 1.0, coeffs)
-    low_max = float(np.max(vals[xs <= a]))
-    high_min = float(np.min(vals[xs >= b]))
+    pad = 1.05 * max(0.0, -float(np.min(vals)), float(np.max(vals)) - 1.0) + 1e-15
+    scale = 1.0 + 2.0 * pad
+    coeffs = coeffs / scale
+    coeffs[0] += pad / scale
+    # the renormalization is affine and increasing, so it maps extremes to extremes
+    low_max = (float(np.max(vals[xs <= a])) + pad) / scale
+    high_min = (float(np.min(vals[xs >= b])) + pad) / scale
     return coeffs, low_max, high_min
 
 
+def _fails_subset(coeffs: np.ndarray, xs: np.ndarray, a: float, b: float, eta: float) -> bool:
+    """Whether the raw candidate already misses a margin on the points xs.
+
+    The renormalization of `_grid_check` only moves values toward 1/2, so a
+    miss here is a miss on the full grid; the 1e-9 slack absorbs rounding.
+    """
+    vals = _cheb.chebval(2.0 * xs - 1.0, coeffs)
+    low, high = vals[xs <= a], vals[xs >= b]
+    return bool(np.any(low > eta + 1e-9) or np.any(high < 1.0 - eta - 1e-9))
+
+
+@functools.lru_cache(maxsize=128)
 def threshold_poly(a: float, b: float, eta: float) -> ThresholdPoly:
     """Adaptive-degree Chebyshev step, validated on a dense grid.
 
     The degree starts at 64 and doubles until the grid certifies the eta
-    margins, capped by ceil(8/(b-a) * ln(4/eta)).
+    margins, capped by ceil(8/(b-a) * ln(4/eta)). Each candidate interpolates
+    an erf step at first-kind Chebyshev points, its coefficients taken by a
+    DCT. A candidate is screened on every 16th grid point plus a and b, and
+    only one that passes is evaluated on the whole grid. Results are cached
+    by (a, b, eta), so the returned coefficients are read-only.
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1")
     if not (0.0 < eta < 0.5):
         raise ValueError("need eta in (0, 1/2)")
+    xs, sub = _grid(a, b)
     cap = math.ceil(8.0 / (b - a) * math.log(4.0 / eta))
     degree = min(64, cap)
     while True:
         coeffs = _poly_candidate(a, b, 0.7 * eta, degree)
-        coeffs, low_max, high_min = _grid_check(coeffs, a, b)
-        if low_max <= eta and high_min >= 1.0 - eta:
-            return ThresholdPoly(a, b, eta, coeffs, degree, low_max, high_min)
+        if not _fails_subset(coeffs, sub, a, b, eta):
+            coeffs, low_max, high_min = _grid_check(coeffs, xs, a, b)
+            if low_max <= eta and high_min >= 1.0 - eta:
+                coeffs.flags.writeable = False
+                return ThresholdPoly(a, b, eta, coeffs, degree, low_max, high_min)
         if degree >= cap:
             raise ValueError(
                 f"threshold polynomial failed to certify by the degree cap {cap}"

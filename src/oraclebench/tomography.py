@@ -15,7 +15,6 @@ imaginary); that order is part of the one-seed reproducibility contract.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,12 +24,6 @@ from .budget import DEFAULT_BUDGET
 from .linalg import _freeze, as_complex_array
 from .seeds import as_generator
 from . import subroutines
-
-# up to this many rows a second OpenBLAS thread makes the correlation eigh
-# no faster, and the woken worker would spin beside the shot sampling that
-# follows; on a 2-vCPU x86 VM (OpenBLAS 0.3.31) 256 rows take 0.031 s on
-# one thread and 0.034-0.042 s on two, 1024 rows 2.2 s against 1.2 s
-SERIAL_EIGH_DIM = 256
 
 # calibrated so (dim=2, eps=0.1, eta=0.1) reconstructs within eps in well
 # over 9 of 10 runs; see scripts/tomography_calibration.py
@@ -177,8 +170,7 @@ def process_tomography_sampled(
             corr[k * dim:(k + 1) * dim, j * dim:(j + 1) * dim] = block.conj().T
 
     corr = (corr + corr.conj().T) / 2
-    serial = dim * dim <= SERIAL_EIGH_DIM
-    with subroutines.one_blas_thread() if serial else nullcontext():
+    with subroutines.serial_if_small(dim * dim):
         w, v = subroutines.eigh(corr, label="tomo-correlation")
     top = v[:, -1] * math.sqrt(dim)
     m = top.reshape(dim, dim).T

@@ -2,16 +2,19 @@
 
 Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
-unitary, explicit subsystem permutation matrices, and a circuit's unitary
-evaluated one basis column at a time.
+unitary, explicit subsystem permutation matrices, a circuit's unitary
+evaluated one basis column at a time, and the threshold polynomial built by
+`chebinterpolate` and certified on the full grid at every degree.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
+from scipy.special import erf, erfinv
 
-from oraclebench.blockenc import BlockEncoding, complete_to_unitary
+from oraclebench.blockenc import GRID_POINTS, BlockEncoding, ThresholdPoly, complete_to_unitary
 from oraclebench.budget import DEFAULT_BUDGET, Budget
 from oraclebench.linalg import (
     DensityMatrix,
@@ -102,3 +105,44 @@ def per_column_circuit_unitary(
                 vec = apply_on_wires(vec, gate, step.wires, circ.total_qubits)
         cols[:, j] = PureState(vec).amplitudes
     return UnitaryMatrix(cols)
+
+
+def chebinterpolate_step(a: float, b: float, eta_target: float, degree: int) -> np.ndarray:
+    """The erf step's Chebyshev interpolant through `chebinterpolate`'s Vandermonde product."""
+    mu = (a + b) / 2.0
+    kappa = 2.0 * erfinv(1.0 - 2.0 * eta_target) / (b - a)
+
+    def step(t):
+        x = (t + 1.0) / 2.0
+        return 0.5 * (1.0 + erf(kappa * (x - mu)))
+
+    return cheb.chebinterpolate(step, degree)
+
+
+def threshold_poly_ladder(a: float, b: float, eta: float) -> ThresholdPoly:
+    """The degree ladder of `blockenc.threshold_poly`, every rung checked on the full grid.
+
+    Each rung rebuilds the grid, evaluates the candidate, renormalizes its
+    coefficients and evaluates the renormalized series again.
+    """
+    cap = math.ceil(8.0 / (b - a) * math.log(4.0 / eta))
+    degree = min(64, cap)
+    while True:
+        coeffs = chebinterpolate_step(a, b, 0.7 * eta, degree)
+        xs = np.unique(
+            np.concatenate(
+                [np.linspace(0.0, 1.0, GRID_POINTS), np.geomspace(1e-12, 1.0, GRID_POINTS), [a, b]]
+            )
+        )
+        vals = cheb.chebval(2.0 * xs - 1.0, coeffs)
+        pad = 1.05 * max(0.0, -float(np.min(vals)), float(np.max(vals)) - 1.0) + 1e-15
+        coeffs = coeffs / (1.0 + 2.0 * pad)
+        coeffs[0] += pad / (1.0 + 2.0 * pad)
+        vals = cheb.chebval(2.0 * xs - 1.0, coeffs)
+        low_max = float(np.max(vals[xs <= a]))
+        high_min = float(np.min(vals[xs >= b]))
+        if low_max <= eta and high_min >= 1.0 - eta:
+            return ThresholdPoly(a, b, eta, coeffs, degree, low_max, high_min)
+        if degree >= cap:
+            raise ValueError(f"threshold polynomial failed to certify by the degree cap {cap}")
+        degree = min(2 * degree, cap)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
-from oraclebench import blockenc
-from oraclebench.budget import Budget, SizingError
+from oraclebench import blockenc, subroutines
+from oraclebench.budget import SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vector, schatten_norm
 from oraclebench.oracles import (
@@ -432,3 +432,34 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     key_state = adv.key_choi(cand, 1, swap, hri, ell=ell)
     assert abs(reps[0].challenge_prob - dense(key_state)) <= 1e-12 + slack
     assert abs(reps[1].challenge_prob - dense(np.outer(vec, vec.conj()))) <= 1e-12 + slack
+
+
+@pytest.mark.parametrize("rows,threads", [(64, 1), (512, 2)])
+def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, rows, threads):
+    api = subroutines._openblas_threads()
+    if api is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = api
+    seen = []
+
+    def spy(mat, p):
+        seen.append(get())
+        return schatten_norm(mat, p)
+
+    monkeypatch.setattr(adv, "schatten_norm", spy)
+    rng = np.random.default_rng(7)
+
+    def factor():
+        vecs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+        return adv.ChoiFactor([None, None], vecs * np.sqrt(2.0) / np.linalg.norm(vecs), 2)
+
+    before = get()
+    put(2)
+    try:
+        keyed, sur = factor(), factor()
+        assert adv._hybrid_distance(keyed, keyed) == 0.0
+        assert 0.0 < adv._hybrid_distance(keyed, sur) <= 2.0
+        assert seen == [threads, threads]
+        assert get() == 2
+    finally:
+        put(before)

@@ -124,6 +124,35 @@ def test_threshold_poly_rejects_bad_parameters():
         be.threshold_poly(0.3, 0.7, 0.0)
 
 
+@pytest.mark.parametrize("degree", [64, 1024, 4096])
+def test_dct_coefficients_match_chebinterpolate(degree):
+    a, b, eta = 2.0**-24, 2.0**-16, 0.0625
+    got = be._poly_candidate(a, b, eta, degree)
+    want = ref.chebinterpolate_step(a, b, eta, degree)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+_LADDER_CASES = [
+    (2.0 ** (-3 * n), 2.0 ** (-2 * n), 2.0**-lam / 2.0) for n in (2, 4, 6, 8, 10) for lam in (1, 2, 3)
+] + [(0.2, 0.6, 0.025), (0.3, 0.7, 0.05), (0.48, 0.52, 0.01)]
+
+
+@pytest.mark.parametrize("a,b,eta", _LADDER_CASES)
+def test_threshold_poly_matches_full_grid_ladder(a, b, eta):
+    p = be.threshold_poly(a, b, eta)
+    want = ref.threshold_poly_ladder(a, b, eta)
+    assert p.degree == want.degree
+    assert abs(p.low_max - want.low_max) <= 1e-9
+    assert abs(p.high_min - want.high_min) <= 1e-9
+
+
+def test_threshold_poly_is_cached_and_read_only():
+    p = be.threshold_poly(0.25, 0.65, 0.04)
+    assert be.threshold_poly(0.25, 0.65, 0.04) is p
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 0.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_threshold_poly_bounded_everywhere(x):

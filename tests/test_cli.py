@@ -3,8 +3,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from oraclebench import harness
 from oraclebench.cli import cli_main
 
@@ -149,6 +147,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "choi-shrinkage" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # the threshold polynomial's DCT goes through numpy.fft; scipy.fft would add to start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import oraclebench.cli, sys; print('scipy.fft' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_suite_fast_all_green(capsys):

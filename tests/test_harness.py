@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from oraclebench import harness
@@ -11,8 +10,6 @@ from oraclebench.budget import SizingError
 from oraclebench.harness import (
     CHECKS,
     ExperimentConfig,
-    LemmaCheckResult,
-    Report,
     emit_report,
     lemma_check,
     report_from_dict,
