@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from . import subroutines
 from .linalg import schatten_norm
 from .haar import sample_haar_unitary
 from .oracles import SwapOracleFamily
@@ -115,7 +115,7 @@ def _perturbed_pair(d: int, scale: float, seed: SeedPath):
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (h + h.conj().T) / 2
     h *= scale / np.linalg.norm(h, 2)
-    return u, u @ expm(1j * h)
+    return u, u @ subroutines.expm(1j * h)
 
 
 def two_query_lipschitz_check(

@@ -57,15 +57,18 @@ def sample_haar_state(d: int, seed) -> PureState:
     return PureState(random_state_from(as_generator(seed), d))
 
 
-def state_moment_exact(d: int, ell: int) -> DensityMatrix:
+def state_moment_exact(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
     """ell-th moment of a Haar state: symmetric projector over its dimension."""
     dim_sym = math.comb(d + ell - 1, ell)
-    return DensityMatrix(sym_projector(d, ell) / dim_sym)
+    return DensityMatrix(sym_projector(d, ell, budget) / dim_sym)
 
 
-def state_moment_mc(d: int, ell: int, samples: int, seed) -> DensityMatrix:
-    rng = as_generator(seed)
+def state_moment_mc(
+    d: int, ell: int, samples: int, seed, budget: Budget = DEFAULT_BUDGET
+) -> DensityMatrix:
     n = d**ell
+    budget.check_dense_matrix(math.ceil(math.log2(n)), "state moment estimate")
+    rng = as_generator(seed)
     acc = np.zeros((n, n), dtype=np.complex128)
     done = 0
     while done < samples:

@@ -3,12 +3,14 @@
 Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
 unitary, explicit subsystem permutation matrices, a circuit's unitary
-evaluated one basis column at a time, and the threshold polynomial built by
-`chebinterpolate` and certified on the full grid at every degree.
+evaluated one basis column at a time, the threshold polynomial built by
+`chebinterpolate` and certified on the full grid at every degree, and the
+checks run on a thread pool instead of one after another.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -16,6 +18,7 @@ from scipy.special import erf, erfinv
 
 from oraclebench.blockenc import GRID_POINTS, BlockEncoding, ThresholdPoly, complete_to_unitary
 from oraclebench.budget import DEFAULT_BUDGET, Budget
+from oraclebench.harness import lemma_check
 from oraclebench.linalg import (
     DensityMatrix,
     PureState,
@@ -25,7 +28,7 @@ from oraclebench.linalg import (
     random_unitary_from,
 )
 from oraclebench.oracles import FixedGate, OracleCall, OracleCircuit, apply_swap_call
-from oraclebench.seeds import as_generator
+from oraclebench.seeds import SeedPath, as_generator
 
 
 def twirl_mc(rho, d: int, ell: int, samples: int, seed) -> DensityMatrix:
@@ -146,3 +149,15 @@ def threshold_poly_ladder(a: float, b: float, eta: float) -> ThresholdPoly:
         if degree >= cap:
             raise ValueError(f"threshold polynomial failed to certify by the degree cap {cap}")
         degree = min(2 * degree, cap)
+
+
+def pooled_checks(ids, params: dict, root: SeedPath) -> list:
+    """Named checks on a 4-worker thread pool, results in the order of `ids`.
+
+    `params` maps a check id to its parameters; an id it lacks runs on its
+    defaults. Each check draws from its own `root.child(id)`, so the rows
+    must equal those of the serial harness run.
+    """
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(lemma_check, cid, params.get(cid, {}), root.child(cid)) for cid in ids]
+        return [f.result() for f in futures]

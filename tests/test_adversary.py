@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
-from oraclebench import blockenc, subroutines
+from oraclebench import blockenc
 from oraclebench.budget import SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vector, schatten_norm
@@ -435,15 +435,11 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
 
 
 @pytest.mark.parametrize("rows,threads", [(64, 1), (512, 2)])
-def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, rows, threads):
-    api = subroutines._openblas_threads()
-    if api is None:
-        pytest.skip("numpy does not bundle OpenBLAS here")
-    get, put = api
+def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, blas_counts, rows, threads):
     seen = []
 
     def spy(mat, p):
-        seen.append(get())
+        seen.append(blas_counts())
         return schatten_norm(mat, p)
 
     monkeypatch.setattr(adv, "schatten_norm", spy)
@@ -453,13 +449,8 @@ def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, rows
         vecs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
         return adv.ChoiFactor([None, None], vecs * np.sqrt(2.0) / np.linalg.norm(vecs), 2)
 
-    before = get()
-    put(2)
-    try:
-        keyed, sur = factor(), factor()
-        assert adv._hybrid_distance(keyed, keyed) == 0.0
-        assert 0.0 < adv._hybrid_distance(keyed, sur) <= 2.0
-        assert seen == [threads, threads]
-        assert get() == 2
-    finally:
-        put(before)
+    keyed, sur = factor(), factor()
+    assert adv._hybrid_distance(keyed, keyed) == 0.0
+    assert 0.0 < adv._hybrid_distance(keyed, sur) <= 2.0
+    assert seen == [dict.fromkeys(blas_counts(), threads)] * 2
+    assert blas_counts() == dict.fromkeys(blas_counts(), 2)

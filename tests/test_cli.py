@@ -64,6 +64,12 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert "sizing:" in capsys.readouterr().err
 
 
+def test_oversized_moment_estimate_is_refused_before_allocating(capsys):
+    # d=128, ell=2 would be a 2^14 x 2^14 accumulator, 4 GB
+    assert cli_main(["lemma", "state-moment-mc", "--param", "d=128"]) == 2
+    assert "sizing:" in capsys.readouterr().err
+
+
 def test_choi_rate_runs_past_the_dense_size_limit(tmp_path, capsys):
     # 16 qubits: the closed form needs no dense reference state
     path = tmp_path / "rate.json"

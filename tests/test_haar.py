@@ -62,6 +62,19 @@ def test_state_moment_mc_matches_exact():
     assert la.trace_distance(got, haar.state_moment_exact(2, 2)) < 0.05
 
 
+def test_state_moments_refuse_past_a_passed_budget():
+    # d^ell = 9 rows needs ceil(log2 9) = 4 qubits of dense matrix
+    tight, roomy = Budget(max_dense_matrix_qubits=3), Budget(max_dense_matrix_qubits=4)
+    with pytest.raises(SizingError, match="state moment estimate"):
+        haar.state_moment_mc(3, 2, 10, SEED.child("mc"), tight)
+    with pytest.raises(SizingError, match="symmetric projector"):
+        haar.state_moment_exact(3, 2, tight)
+    assert haar.state_moment_mc(3, 2, 10, SEED.child("mc"), roomy).dim == 9
+    assert haar.state_moment_exact(3, 2, roomy).dim == 9
+    # the default budget still builds the 4096-row moment the c04 fixture uses
+    assert haar.state_moment_exact(64, 2).dim == 4096
+
+
 def test_twirl_single_copy_is_depolarizing():
     rng = np.random.default_rng(0)
     rho = rand_density(rng, 3)

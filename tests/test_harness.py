@@ -2,10 +2,13 @@
 import dataclasses
 import json
 import math
+import threading
 
 import pytest
+import scipy.linalg
 
-from oraclebench import harness
+from dense_reference import pooled_checks
+from oraclebench import harness, subroutines
 from oraclebench.budget import SizingError
 from oraclebench.harness import (
     CHECKS,
@@ -171,6 +174,39 @@ def test_attack_run_emits_one_passing_report():
     assert harness.result_passed(res)
     # two keys in a four dimensional choi space: haar baseline is one half
     assert res.advantage == pytest.approx(0.5, abs=1e-9)
+
+
+def test_checks_run_on_the_calling_thread(monkeypatch):
+    threads, active = set(), []
+    check = harness.lemma_check
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        active.append(threading.active_count())
+        return check(*args)
+
+    monkeypatch.setattr(harness, "lemma_check", spy)
+    before = threading.active_count()
+    run_experiment(ExperimentConfig(kind="suite-fast"))
+    run_experiment(ExperimentConfig(kind="lemma", lemma_ids=("holder-product", "omega-transpose")))
+    assert threads == {threading.get_ident()}
+    assert len(active) == len(CHECKS) + 2
+    assert max(active) == before
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_serial_suite_checks_equal_the_pooled_reference(monkeypatch, seed):
+    rows = strip_timing(run_experiment(ExperimentConfig(kind="suite-fast", seed=seed))).results
+    # the pool ran scipy's expm unguarded: the one-thread guard is
+    # process-wide, so under the pool it would change a concurrent check's
+    # BLAS rounding (choi-shrinkage's exact 0.0 becomes 5.6e-17)
+    monkeypatch.setattr(subroutines, "expm", scipy.linalg.expm)
+    ref = pooled_checks(CHECKS, harness._SUITE_OVERRIDES["fast"], SeedPath(seed))
+    got = [r.as_dict() for r in rows[: len(CHECKS)]]
+    want = [dataclasses.replace(r, runtime_ms=0).as_dict() for r in ref]
+    assert [r["lemma_id"] for r in got] == list(CHECKS)
+    for g, w in zip(got, want):
+        assert g == w, g["lemma_id"]
 
 
 def test_suite_profiles_reference_known_checks_only():

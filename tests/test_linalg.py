@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclebench.budget import SizingError
+from oraclebench.budget import Budget, SizingError
 from oraclebench import linalg as la
 
 import dense_reference as ref
@@ -251,6 +251,12 @@ def test_perm_cycles():
 def test_permutation_operator_size_guard():
     with pytest.raises(SizingError):
         la.permutation_operator(tuple(range(2)), 2**7, 2)
+    tight = Budget(max_dense_matrix_qubits=3)
+    with pytest.raises(SizingError, match="permutation operator"):
+        la.permutation_operator((1, 0), 3, 2, tight)
+    with pytest.raises(SizingError, match="symmetric projector"):
+        la.sym_projector(3, 2, tight)
+    assert la.permutation_operator((1, 0, 2), 2, 3, tight).shape == (8, 8)
 
 
 def test_sym_projector_values():

@@ -1,9 +1,11 @@
 """The crossing recorder and the serial-BLAS guard: both nest and unwind independently."""
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oraclebench import subroutines
 
@@ -26,40 +28,29 @@ def test_nested_captures_unwind_by_identity():
     assert _labels(inner) == ["inside"] and len(outer) == 2
 
 
-def test_one_blas_thread_nests_and_restores():
-    api = subroutines._openblas_threads()
-    if api is None:
-        pytest.skip("numpy does not bundle OpenBLAS here")
-    get, put = api
-    before = get()
-    put(2)
-    try:
+def test_one_blas_thread_nests_and_restores(blas_counts):
+    ones, twos = dict.fromkeys(blas_counts(), 1), dict.fromkeys(blas_counts(), 2)
+    with subroutines.one_blas_thread():
+        assert blas_counts() == ones
         with subroutines.one_blas_thread():
-            assert get() == 1
-            with subroutines.one_blas_thread():
-                assert get() == 1
-            # the inner exit must not restore while the outer block still runs
-            assert get() == 1
-            subroutines.eigh(np.eye(3), label="serial")
-        assert get() == 2
-    finally:
-        put(before)
+            assert blas_counts() == ones
+        # the inner exit must not restore while the outer block still runs
+        assert blas_counts() == ones
+        subroutines.eigh(np.eye(3), label="serial")
+    assert blas_counts() == twos
 
 
-def test_one_blas_thread_holds_under_overlapping_threads():
-    api = subroutines._openblas_threads()
-    if api is None:
-        pytest.skip("numpy does not bundle OpenBLAS here")
-    get, put = api
-    before, interval = get(), sys.getswitchinterval()
-    put(2)
+def test_one_blas_thread_holds_under_overlapping_threads(blas_counts):
+    ones, twos = dict.fromkeys(blas_counts(), 1), dict.fromkeys(blas_counts(), 2)
+    interval = sys.getswitchinterval()
     outside = []
 
     def churn():
         for _ in range(200):
             with subroutines.one_blas_thread():
-                if get() != 1:
-                    outside.append(get())
+                counts = blas_counts()
+                if counts != ones:
+                    outside.append(counts)
 
     workers = [threading.Thread(target=churn) for _ in range(6)]
     sys.setswitchinterval(1e-5)
@@ -71,7 +62,42 @@ def test_one_blas_thread_holds_under_overlapping_threads():
         assert not any(w.is_alive() for w in workers)
         # a lost update in the user count would restore too early or never
         assert outside == []
-        assert get() == 2
+        assert blas_counts() == twos
     finally:
         sys.setswitchinterval(interval)
-        put(before)
+
+
+def test_every_bundled_openblas_build_is_found(blas_counts):
+    bundled = {
+        pkg.__name__
+        for pkg in (np, scipy)
+        if any((Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs").glob("*openblas*"))
+    }
+    assert set(blas_counts()) == bundled
+    if bundled == {"numpy", "scipy"}:
+        # separate builds: numpy's count does not reach scipy.linalg's calls
+        _, put = subroutines._openblas_threads()["numpy"]
+        put(1)
+        assert blas_counts() == {"numpy": 1, "scipy": 2}
+
+
+@pytest.mark.parametrize("rows,threads", [(8, 1), (512, 2)])
+def test_expm_runs_small_matrices_on_one_blas_thread(monkeypatch, blas_counts, rows, threads):
+    if "scipy" not in blas_counts():
+        pytest.skip("scipy does not bundle OpenBLAS here")
+    seen = []
+    expm = scipy.linalg.expm
+
+    def spy(mat):
+        seen.append(blas_counts()["scipy"])
+        return expm(mat)
+
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
+    h = 1j * (h + h.conj().T) / (4 * rows)
+    want = expm(h)
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    got = subroutines.expm(h)
+    assert seen == [threads]
+    assert blas_counts() == dict.fromkeys(blas_counts(), 2)
+    assert np.array_equal(got, want)

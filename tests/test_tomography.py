@@ -175,25 +175,16 @@ def test_sampled_tomography_refuses_oversized_correlation():
     assert calls == []
 
 
-def test_small_correlation_eigh_runs_on_one_blas_thread(monkeypatch):
-    api = subroutines._openblas_threads()
-    if api is None:
-        pytest.skip("numpy does not bundle OpenBLAS here")
-    get, put = api
+def test_small_correlation_eigh_runs_on_one_blas_thread(monkeypatch, blas_counts):
     seen = []
     eigh = subroutines.eigh
 
     def spy(mat, label=""):
-        seen.append((mat.shape[0], get()))
+        seen.append((mat.shape[0], blas_counts()))
         return eigh(mat, label)
 
     monkeypatch.setattr(subroutines, "eigh", spy)
-    before = get()
-    put(2)
-    try:
-        u = sample_haar_unitary(4, SEED.child("serial"))
-        tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.1, 0.1, SEED.child("serial-shots"))
-        assert seen == [(16, 1)]
-        assert get() == 2
-    finally:
-        put(before)
+    u = sample_haar_unitary(4, SEED.child("serial"))
+    tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.1, 0.1, SEED.child("serial-shots"))
+    assert seen == [(16, dict.fromkeys(blas_counts(), 1))]
+    assert blas_counts() == dict.fromkeys(blas_counts(), 2)
