@@ -13,10 +13,11 @@ a factor: the Choi vectors of its ell-fold Kraus operators as the columns of
 a 2^n x r matrix V, with rho = V V^dag / keys and r = keys * 2^(c ell). One
 eigendecomposition of the surrogate's r x r Gram matrix gives its support
 and singular values; a challenge's weight on each support direction comes
-from its own factor, or, for the fully averaged reference, from the frame
-identity over the surrogate's Kraus operators. The dense states and the
-block-encoding distinguisher remain as the reference the factored numbers
-are tested against. Acceptance probabilities on the report path are exact
+from its own factor, or, for the fully averaged reference, from the
+reference overlap matrix of the support directions, a permutation gather
+of the vectors themselves. The dense states and the block-encoding
+distinguisher remain as the reference the factored numbers are tested
+against. Acceptance probabilities on the report path are exact
 traces; randomness enters only through the optional finite-shot tomography
 mode and the final challenge bit.
 
@@ -30,15 +31,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
-
 import numpy as np
 
 from .blockenc import compact_register, encode_density, svd_discriminate
 from .budget import DEFAULT_BUDGET, Budget
 from .haar import reference_overlap_matrix, sample_haar_unitary
-# not called here; perfbench/tracing.py wraps both names on this module
-from .haar import haar_choi, haar_isometry_choi  # noqa: F401
 from .linalg import (
     ATOL_TRACE,
     DensityMatrix,
@@ -209,33 +206,28 @@ def _fold_ops(kraus: list[np.ndarray], ell: int) -> list[np.ndarray]:
     return ops
 
 
-class _ChoiFactorFields(NamedTuple):
-    ops: list
+@dataclass(frozen=True)
+class ChoiFactor:
+    """A keyed Choi state in Gram form, rho = vecs vecs^dag / n_keys.
+
+    The columns of vecs are the Choi vectors of the ell-fold Kraus
+    operators, grouped by key. The form is Hermitian and PSD by
+    construction, so finite entries and unit trace are the complete state
+    check.
+    """
+
     vecs: np.ndarray
     n_keys: int
 
-
-class ChoiFactor(_ChoiFactorFields):
-    """A keyed Choi state in Gram form, rho = vecs vecs^dag / n_keys.
-
-    ops are the ell-fold Kraus operators grouped by key, the columns of vecs
-    their Choi vectors. The form is Hermitian and PSD by construction, so
-    finite entries and unit trace are the complete state check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, ops, vecs, n_keys: int):
-        tr = float(np.sum(np.abs(vecs) ** 2)) / n_keys
-        if not np.all(np.isfinite(vecs)) or abs(tr - 1.0) > ATOL_TRACE:
+    def __post_init__(self):
+        tr = float(np.sum(np.abs(self.vecs) ** 2)) / self.n_keys
+        if not np.all(np.isfinite(self.vecs)) or abs(tr - 1.0) > ATOL_TRACE:
             raise ValueError(f"Choi factor is not a state: trace {tr}, tolerance {ATOL_TRACE}")
-        return super().__new__(cls, ops, vecs, n_keys)
 
     def key(self, index: int) -> "ChoiFactor":
         """The columns of the index-th key alone: that key's own Choi state."""
-        per = len(self.ops) // self.n_keys
-        cols = slice(index * per, (index + 1) * per)
-        return ChoiFactor(self.ops[cols], self.vecs[:, cols], 1)
+        per = self.vecs.shape[1] // self.n_keys
+        return ChoiFactor(self.vecs[:, index * per : (index + 1) * per], 1)
 
     def density(self, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
         """The dense state, for reference computations at small sizes."""
@@ -246,7 +238,7 @@ class ChoiFactor(_ChoiFactorFields):
 def keyed_choi_vectors(
     cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
 ) -> ChoiFactor:
-    """ell-fold Kraus operators of every key and their Choi vectors as columns.
+    """Choi vectors of the ell-fold Kraus operators of every key, as columns.
 
     Each key contributes 2^(c ell) operators; the keyed Choi state is the
     uniform key average of the per-key vector outer products, so the factor
@@ -255,11 +247,12 @@ def keyed_choi_vectors(
     qubits = (2 * cand.lam + cand.stretch_s) * ell
     budget.check_qubits(qubits, "keyed state vectors")
     budget.check_factor(qubits, len(cand.keys) * 2 ** (cand.ancilla_c * ell), "keyed state vectors")
-    ops: list[np.ndarray] = []
-    for k in cand.keys:
-        ops.extend(_fold_ops(_channel_kraus(cand, k, swap, hri, budget), ell))
-    vecs = np.column_stack([choi_vector(op) for op in ops])
-    return ChoiFactor(ops, vecs, len(cand.keys))
+    vecs = np.column_stack([
+        choi_vector(op)
+        for k in cand.keys
+        for op in _fold_ops(_channel_kraus(cand, k, swap, hri, budget), ell)
+    ])
+    return ChoiFactor(vecs, len(cand.keys))
 
 
 def keyed_choi(
@@ -286,16 +279,15 @@ def surrogate_choi(
 # ------------------------------------------------------------------ support overlap
 
 
-def _reference_weights(ops, coeffs: np.ndarray, lam: int, s: int, ell: int) -> np.ndarray:
-    """Weight the fully averaged reference puts on each direction sum_j coeffs[j, i] v_j.
+def _reference_weights(vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, ell: int) -> np.ndarray:
+    """Weight the fully averaged reference puts on each direction vecs @ coeffs[:, i].
 
-    v_j is the Choi vector of ops[j]. Frame identity: <u|rho2|u> = c^dag H c
-    with H the reference overlap matrix of the v_j, so the reference itself
-    is never materialized and the cost is set by the operator count, not
-    the register size.
+    The directions are combinations of Choi vectors of ell-fold operators,
+    so the reference overlap matrix gives <u|rho2|u> on its diagonal; the
+    reference itself is never materialized.
     """
-    h = reference_overlap_matrix(ops, 2**lam, 2 ** (lam + s), ell)
-    return np.real(np.einsum("ji,jk,ki->i", coeffs.conj(), h, coeffs))
+    h = reference_overlap_matrix(vecs @ coeffs, 2**lam, 2 ** (lam + s), ell)
+    return np.real(np.diag(h))
 
 
 def support_overlap(
@@ -307,11 +299,11 @@ def support_overlap(
     vectors, summed over an orthonormal basis of that span drawn from the
     vector Gram matrix G = U diag(w) U^dag: u_i = V U_i / sqrt(w_i).
     """
-    ops, vecs, _ = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
+    vecs = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget).vecs
     w, u = np.linalg.eigh(vecs.conj().T @ vecs)
     keep = w > 1e-10 * np.max(np.abs(w))
     coeffs = u[:, keep] / np.sqrt(w[keep])
-    return float(np.sum(_reference_weights(ops, coeffs, cand.lam, cand.stretch_s, ell)))
+    return float(np.sum(_reference_weights(vecs, coeffs, cand.lam, cand.stretch_s, ell)))
 
 
 def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
@@ -521,7 +513,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
 
         p_self = accept(_factor_weights(sur, coeffs, sur))
         p_keyed = accept(_factor_weights(sur, coeffs, keyed))
-        p_haar = accept(_reference_weights(sur.ops, coeffs, lam, s, ell))
+        p_haar = accept(_reference_weights(sur.vecs, coeffs, lam, s, ell))
         advantage = abs(p_keyed - p_haar)
         floor = p_self - hybrid / 2.0 - p_haar
 
@@ -534,7 +526,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
                 d_out = 2 ** (lam + s)
                 v = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat
                 op = _fold_ops([v @ np.eye(d_out, 2**lam)], ell)[0]
-                x = ChoiFactor([op], choi_vector(op)[:, None], 1)
+                x = ChoiFactor(choi_vector(op)[:, None], 1)
             else:
                 raise ValueError(f"unknown challenge kind {ch_kind!r}")
             ch_prob = accept(_factor_weights(sur, coeffs, x))

@@ -15,26 +15,12 @@ class SizingError(Exception):
 @dataclass(frozen=True)
 class Budget:
     max_total_qubits: int = 14
-    max_twirl_dim: int = 4096
-    max_dense_oracle_n: int = 5
     max_dense_matrix_qubits: int = 12
 
     def check_qubits(self, qubits: int, what: str) -> None:
         if qubits > self.max_total_qubits:
             raise SizingError(
                 f"{what} needs {qubits} qubits, budget allows {self.max_total_qubits}"
-            )
-
-    def check_twirl_dim(self, dim: int, what: str) -> None:
-        if dim > self.max_twirl_dim:
-            raise SizingError(
-                f"{what} twirls a register of dim {dim}, budget allows {self.max_twirl_dim}"
-            )
-
-    def check_dense_oracle(self, n: int) -> None:
-        if n > self.max_dense_oracle_n:
-            raise SizingError(
-                f"dense oracle block for n={n} exceeds budget n<={self.max_dense_oracle_n}"
             )
 
     def check_dense_matrix(self, qubits: int, what: str) -> None:

@@ -1,16 +1,22 @@
 """Averages over the unitary group.
 
-Exact twirls are computed by projecting onto the span of register
-permutation operators: the Gram matrix of that span has entries
-d^(cycles of sigma^-1 pi), and the data vector holds the partial traces
-Tr_A[(R_sigma^dag (x) I) rho]. A pseudo-inverse solve recovers the unique
-operator in the span with matching data, which is exactly the twirl. The
-same plumbing with fixed coefficients 2^(-n ell) gives the permutation-sum
-approximation used as a comparison point, and a Monte Carlo estimate of
-the state moment is an independent route to it. The distance between
-a twirled Choi reference and the matching state moment needs no matrix at
-all: both are scalar on the Schur-Weyl blocks, so it is a finite sum over
-the partitions of ell (choi_moment_distance).
+Every twirl here is one permutation sum over the leading register,
+
+    sum_{pi,sigma} W[pi,sigma] R_pi (x) Tr_A[(R_sigma^dag (x) I) rho],
+
+computed by one kernel (_perm_sum) from index maps, with no permutation
+operator built. The exact twirl takes W = G+, the pseudo-inverse of the
+Gram matrix of the permutation operators, whose entries are
+d^(cycles of sigma^-1 pi): that recovers the unique operator in their span
+with the same partial-trace data, which is exactly the twirl. The
+permutation-sum approximation takes W = I / d^ell. The overlaps of Choi
+vectors with the fully averaged Choi reference expand over the same pairs,
+each term a row and column gather of the vectors (reference_overlap_matrix).
+A Monte Carlo estimate of the state moment is an independent route to the
+moments. The distance between a twirled Choi reference and the matching
+state moment needs no matrix at all: both are scalar on the Schur-Weyl
+blocks, so it is a finite sum over the partitions of ell
+(choi_moment_distance).
 
 Registers: the twirled system is the leading factor (dim d^ell), any
 bystander trails. Choi-style states pair the twirled copies with one
@@ -18,6 +24,7 @@ maximally entangled partner register.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,13 +36,13 @@ from .linalg import (
     PureState,
     UnitaryMatrix,
     _as_mat,
+    _freeze,
     all_perms,
     omega_vector,
     perm_compose,
     perm_cycles,
     perm_inverse,
     perm_target_indices,
-    permutation_operator,
     random_state_from,
     random_unitary_from,
     sym_projector,
@@ -86,38 +93,40 @@ def state_moment_mc(
 # ------------------------------------------------------------------ exact twirl
 
 
-def _gram(d: int, ell: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _gram_pinv(d: int, ell: int) -> np.ndarray:
+    """Pseudo-inverse of the permutation Gram matrix, entries d^(cycles of sigma^-1 pi).
+
+    Read-only, since every caller shares the cached array.
+    """
     perms = all_perms(ell)
-    k = len(perms)
-    g = np.empty((k, k), dtype=np.float64)
-    for i, p in enumerate(perms):
-        pinv = perm_inverse(p)
-        for j, q in enumerate(perms):
-            g[i, j] = float(d) ** perm_cycles(perm_compose(pinv, q))
-    return g
+    gram = np.array(
+        [[float(d) ** perm_cycles(perm_compose(perm_inverse(p), q)) for q in perms] for p in perms]
+    )
+    return _freeze(np.linalg.pinv(gram, rcond=1e-12))
 
 
-def _perm_data(m4: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # Tr_A[(R_sigma^dag (x) I) rho]; R^dag reindexes rows of the A register
-    return np.einsum("aras->rs", m4[targets])
+def _perm_sum(mat: np.ndarray, d: int, ell: int, weights: np.ndarray, budget: Budget) -> np.ndarray:
+    """sum over pi, sigma of weights[pi, sigma] R_pi (x) Tr_A[(R_sigma^dag (x) I) mat].
 
-
-def _twirl_raw(mat: np.ndarray, d: int, ell: int, budget: Budget) -> np.ndarray:
+    A is the leading register of dim d^ell, permuted as ell registers of dim
+    d; whatever trails it is a bystander.
+    """
     dim = mat.shape[0]
+    budget.check_dense_matrix(math.ceil(math.log2(dim)), "permutation sum")
     a = d**ell
-    budget.check_twirl_dim(a, "exact twirl")
     r, rem = divmod(dim, a)
     if rem:
         raise ValueError(f"state dim {dim} is not a multiple of the twirled dim {a}")
-    perms = all_perms(ell)
+    targets = [perm_target_indices(p, d, ell) for p in all_perms(ell)]
     m4 = mat.reshape(a, r, a, r)
-    data = np.array([_perm_data(m4, perm_target_indices(p, d, ell)) for p in perms])
-    gpinv = np.linalg.pinv(_gram(d, ell), rcond=1e-12)
-    coeffs = np.tensordot(gpinv, data, axes=([1], [0]))
+    # R^dag reindexes the rows of the A register
+    data = np.array([np.einsum("aras->rs", m4[t]) for t in targets])
+    coeffs = np.tensordot(weights, data, axes=([1], [0]))
     out = np.zeros((a, r, a, r), dtype=np.complex128)
     cols = np.arange(a)
-    for p, c in zip(perms, coeffs):
-        out[perm_target_indices(p, d, ell), :, cols, :] += c[None, :, :]
+    for t, c in zip(targets, coeffs):
+        out[t, :, cols, :] += c[None, :, :]
     return out.reshape(dim, dim)
 
 
@@ -131,7 +140,7 @@ def twirl_exact(rho, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> Densi
     d, ell : int
         Local dimension and number of twirled copies.
     """
-    return DensityMatrix(_twirl_raw(_as_mat(rho), d, ell, budget))
+    return DensityMatrix(_perm_sum(_as_mat(rho), d, ell, _gram_pinv(d, ell), budget))
 
 
 # ------------------------------------------------------------------ Choi references
@@ -144,10 +153,11 @@ def haar_choi(lam: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMat
     partner register A' of lam*ell qubits.
     """
     budget.check_qubits(2 * lam * ell, "averaged reference state")
+    budget.check_dense_matrix(2 * lam * ell, "averaged reference state")
     a = 2 ** (lam * ell)
     omega = omega_vector(a)
     rho = np.outer(omega, omega.conj())
-    return DensityMatrix(_twirl_raw(rho, 2**lam, ell, budget))
+    return DensityMatrix(_perm_sum(rho, 2**lam, ell, _gram_pinv(2**lam, ell), budget))
 
 
 def haar_isometry_choi(
@@ -159,6 +169,7 @@ def haar_isometry_choi(
     blocks of (s + lam) qubits.
     """
     budget.check_qubits((2 * lam + s) * ell, "averaged isometry reference state")
+    budget.check_dense_matrix((2 * lam + s) * ell, "averaged isometry reference state")
     a_in = 2**lam
     omega = omega_vector(a_in**ell)
     padded = np.zeros((2**s, a_in) * ell + (a_in**ell,), dtype=np.complex128)
@@ -166,7 +177,8 @@ def haar_isometry_choi(
     padded[idx] = omega.reshape((a_in,) * ell + (a_in**ell,))
     vec = padded.reshape(-1)
     rho = np.outer(vec, vec.conj())
-    return DensityMatrix(_twirl_raw(rho, 2 ** (lam + s), ell, budget))
+    d = 2 ** (lam + s)
+    return DensityMatrix(_perm_sum(rho, d, ell, _gram_pinv(d, ell), budget))
 
 
 def _partitions(n: int, largest: int):
@@ -223,35 +235,28 @@ def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
     return total / 2
 
 
-def reference_overlap_matrix(ops, d_in: int, d_out: int, ell: int) -> np.ndarray:
+def reference_overlap_matrix(vecs: np.ndarray, d_in: int, d_out: int, ell: int) -> np.ndarray:
     """Overlaps v_i^dag rho2 v_j against the fully averaged Choi reference.
 
-    ops are ell-fold operators of shape (d_out^ell, d_in^ell); v_i is the
-    Choi vector of ops[i] on the same registers as the averaged reference
+    The columns v_i of vecs are Choi vectors of ell-fold operators of shape
+    (d_out^ell, d_in^ell), on the same registers as the averaged reference
     at copy dims d_in -> d_out. Expanding the exact twirl over pairs of
-    register permutations turns every entry into at most ell!^2 traces of
-    d_in^ell-sized products, so nothing on the doubled register is ever
-    materialized. Exact, including the low-dimension Gram corrections.
+    register permutations, rho2 v_j is sum_{pi,sigma} G+[pi,sigma]
+    R_pi A_j R_sigma^T / d_in^ell with A_j the reshaped v_j, and each
+    R_pi A R_sigma^T is a row and column gather of A. Nothing on the doubled
+    register is materialized beyond one array the size of vecs. Exact,
+    including the low-dimension Gram corrections.
     """
     perms = all_perms(ell)
-    gpinv = np.linalg.pinv(_gram(d_out, ell), rcond=1e-12)
-    r_out = [permutation_operator(p, d_out, ell) for p in perms]
-    r_in = [permutation_operator(p, d_in, ell).real for p in perms]
-    mats = [np.asarray(op, dtype=complex) for op in ops]
-    d_big = d_in**ell
-    k = len(mats)
-    h = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        for pi_idx, rp in enumerate(r_out):
-            left = mats[i].conj().T @ rp
-            for j in range(k):
-                mid = left @ mats[j]
-                # Tr[mid R_sigma^T] is an elementwise overlap with R_sigma
-                h[i, j] += sum(
-                    gpinv[pi_idx, si] * np.sum(mid * r_in[si])
-                    for si in range(len(perms))
-                )
-    return h / d_big**2
+    rows = [perm_target_indices(perm_inverse(p), d_out, ell) for p in perms]
+    cols = [perm_target_indices(perm_inverse(p), d_in, ell) for p in perms]
+    gpinv = _gram_pinv(d_out, ell)
+    v3 = vecs.reshape(d_out**ell, d_in**ell, -1)
+    acc = np.zeros_like(v3)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            acc += gpinv[i, j] * v3[np.ix_(r, c)]
+    return vecs.conj().T @ acc.reshape(vecs.shape) / d_in**ell
 
 
 def twirl_permutation_approx(rho, n: int, ell: int) -> np.ndarray:
@@ -260,17 +265,5 @@ def twirl_permutation_approx(rho, n: int, ell: int) -> np.ndarray:
     Sum over pi of 2^(-n ell) R_pi (x) Tr_A[(R_pi^dag (x) I) rho]. Accurate
     once 2^n is large against ell^2; returned raw since it need not be PSD.
     """
-    mat = _as_mat(rho)
-    d = 2**n
-    a = d**ell
-    r, rem = divmod(mat.shape[0], a)
-    if rem:
-        raise ValueError("state dim does not factor into the permuted register")
-    m4 = mat.reshape(a, r, a, r)
-    out = np.zeros((a, r, a, r), dtype=np.complex128)
-    cols = np.arange(a)
-    for p in all_perms(ell):
-        targets = perm_target_indices(p, d, ell)
-        c = _perm_data(m4, targets) / a
-        out[targets, :, cols, :] += c[None, :, :]
-    return out.reshape(mat.shape)
+    weights = np.eye(math.factorial(ell)) / 2 ** (n * ell)
+    return _perm_sum(_as_mat(rho), 2**n, ell, weights, DEFAULT_BUDGET)

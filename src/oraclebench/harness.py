@@ -13,8 +13,7 @@ slower than a loop (median 0.53 s against 0.34 s over 10 runs): the checks
 are small numpy calls glued by Python, so the workers mostly wait for the
 interpreter. The OpenBLAS thread count that subroutines lowers for small
 calls is also process-wide, so a pooled neighbour would change another
-check's rounding. The crossing recorder in subroutines is process global as
-well, and two concurrent attacks would interleave their entries.
+check's rounding.
 """
 from __future__ import annotations
 
@@ -32,6 +31,7 @@ import scipy
 from . import __version__, adversary, blockenc, games, haar, subroutines
 from . import linalg as la
 from .adversary import AttackConfig, AttackReport
+from .budget import DEFAULT_BUDGET
 from .oracles import HriOracleFamily, SwapOracleFamily
 from .seeds import SeedPath
 from .toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
@@ -220,6 +220,7 @@ def _permutation_twirl_rate(params: dict, seed: SeedPath):
     p = _take(params, n=2, ell=2)
     _at_least(p, 1, "n", "ell")
     n, ell = p["n"], p["ell"]
+    DEFAULT_BUDGET.check_dense_matrix(n * ell + 1, "permutation-twirl-rate")
     rho = _rand_density(seed.rng(), 2 ** (n * ell) * 2)
     exact = haar.twirl_exact(rho, 2**n, ell)
     approx = haar.twirl_permutation_approx(rho, n, ell)
@@ -285,6 +286,7 @@ def _swap_call_closeness(params: dict, seed: SeedPath):
     lam, c, n = p["lam"], p["c"], p["n"]
     if 2 * n + 1 > lam + c:
         raise ValueError(f"call on 2n+1={2 * n + 1} wires exceeds width {lam + c}")
+    DEFAULT_BUDGET.check_dense_matrix(lam + c, "swap-call-closeness")
     fam = SwapOracleFamily(seed.child("family"))
     gate = fam.dense_oracle(n).mat
     worst = max(
@@ -301,6 +303,7 @@ def _hri_call_closeness(params: dict, seed: SeedPath):
     t = fam.t_of(n)
     if 1 + t + n > lam + c:
         raise ValueError(f"call on 1+t+n={1 + t + n} wires exceeds width {lam + c}")
+    DEFAULT_BUDGET.check_dense_matrix(lam + c, "hri-call-closeness")
     worst = max(
         _one_call_distance(
             lam + c, 1 + t + n, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i)
@@ -333,6 +336,7 @@ def _perturbed_unitary(seed: SeedPath, d: int, p_exp: int):
 def _sv_tail_mass(params: dict, seed: SeedPath):
     p = _take(params, n=3, trials=5)
     n = p["n"]
+    DEFAULT_BUDGET.check_dense_matrix(n + 1, "sv-tail-mass")
     p_exp = 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
@@ -348,6 +352,7 @@ def _sv_tail_mass(params: dict, seed: SeedPath):
 def _kernel_leakage(params: dict, seed: SeedPath):
     p = _take(params, n=3, trials=5)
     n = p["n"]
+    DEFAULT_BUDGET.check_dense_matrix(n + 1, "kernel-leakage")
     d, p_exp = 2**n, 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0

@@ -80,7 +80,7 @@ class SwapOracleFamily:
 
     def dense_oracle(self, n: int, budget: Budget = DEFAULT_BUDGET) -> UnitaryMatrix:
         """Full member on 2n+1 qubits, block diagonal over the index register."""
-        budget.check_dense_oracle(n)
+        budget.check_dense_matrix(2 * n + 1, "dense oracle")
         block = 2 ** (n + 1)
         out = np.zeros((2**n * block, 2**n * block), dtype=np.complex128)
         for m in range(2**n):

@@ -11,6 +11,7 @@ one OpenBLAS thread, and `expm`, the matrix exponential that applies it.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import threading
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-_stack: list[list] = []
+# the entry lists of the captures open in this context, innermost last
+_captures: contextvars.ContextVar[tuple] = contextvars.ContextVar("captures", default=())
 
 # up to this many rows a second OpenBLAS thread makes a LAPACK factorisation
 # no faster, and the woken worker would spin beside the Python code that
@@ -38,18 +40,21 @@ _serial_saved: list[int] = []
 
 @contextmanager
 def capture():
-    """Collect every boundary crossing made inside the with-block."""
+    """Collect every boundary crossing made inside the with-block.
+
+    Captures are context-local: a crossing made on another thread (or in
+    another asyncio task) reaches only the captures open there.
+    """
     entries: list[dict] = []
-    _stack.append(entries)
+    token = _captures.set(_captures.get() + (entries,))
     try:
         yield entries
     finally:
-        # by identity: list equality would match another capture's entries
-        del _stack[next(i for i, e in enumerate(_stack) if e is entries)]
+        _captures.reset(token)
 
 
 def _note(op: str, label: str, dim: int) -> None:
-    for entries in _stack:
+    for entries in _captures.get():
         entries.append({"op": op, "label": label, "dim": int(dim)})
 
 

@@ -120,17 +120,20 @@ def test_isometry_kraus_put_the_pad_first():
     # copy [pad, payload], so its Kraus operator must read |0^s>|x>
     lam, s = 2, 1
     cand = Candidate(lam=lam, stretch_s=s, circuits={0: OracleCircuit(lam + s, ())})
-    ops, _, _ = adv.keyed_choi_vectors(cand, ell=1)
-    assert np.array_equal(ops[0], np.eye(2 ** (lam + s), 2**lam))
+    d_out, d_in = 2 ** (lam + s), 2**lam
+    vecs = adv.keyed_choi_vectors(cand, ell=1).vecs
+    op = vecs[:, 0].reshape(d_out, d_in) * math.sqrt(d_in)
+    assert np.array_equal(op, np.eye(d_out, d_in))
 
 
 def test_choi_vectors_resolve_the_channel_trace():
     # trace preservation shows up as unit total weight per key
     swap = SwapOracleFamily(SEED.child("swap", 4))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("tp"), c=2, swap_calls=1)
-    ops, vecs, n_keys = adv.keyed_choi_vectors(cand, swap, ell=2)
+    factor = adv.keyed_choi_vectors(cand, swap, ell=2)
+    vecs, n_keys = factor.vecs, factor.n_keys
     assert n_keys == 2
-    per_key = len(ops) // n_keys
+    per_key = vecs.shape[1] // n_keys
     norms = np.sum(np.abs(vecs) ** 2, axis=0)
     for k in range(n_keys):
         total = float(np.sum(norms[k * per_key : (k + 1) * per_key]))
@@ -447,7 +450,7 @@ def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, blas
 
     def factor():
         vecs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
-        return adv.ChoiFactor([None, None], vecs * np.sqrt(2.0) / np.linalg.norm(vecs), 2)
+        return adv.ChoiFactor(vecs * np.sqrt(2.0) / np.linalg.norm(vecs), 2)
 
     keyed, sur = factor(), factor()
     assert adv._hybrid_distance(keyed, keyed) == 0.0

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from oraclebench import harness
 from oraclebench.cli import cli_main
 
@@ -61,6 +63,27 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
     assert "sizing:" in capsys.readouterr().err
     assert cli_main(["lemma", "twirl-choi-rate", "--ell", "41"]) == 2
+    assert "sizing:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["permutation-twirl-rate", "--param", "n=6"],
+        ["sv-tail-mass", "--param", "n=12"],
+        ["kernel-leakage", "--param", "n=12"],
+        ["swap-call-closeness", "--lambda", "10", "--c", "3"],
+        ["hri-call-closeness", "--lambda", "10", "--c", "3"],
+    ],
+)
+def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypatch):
+    # each asks for a 13-qubit dense matrix, one past the default budget
+    def draw(*_):
+        raise AssertionError("drew a random matrix before the size check")
+
+    monkeypatch.setattr(harness, "_ginibre", draw)
+    monkeypatch.setattr(harness.la, "random_unitary_from", draw)
+    assert cli_main(["lemma", *args]) == 2
     assert "sizing:" in capsys.readouterr().err
 
 

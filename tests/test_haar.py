@@ -123,11 +123,47 @@ def test_twirl_mc_deterministic():
 
 
 def test_twirl_budget_guard():
-    tiny = Budget(max_twirl_dim=8)
+    tiny = Budget(max_dense_matrix_qubits=3)
     rng = np.random.default_rng(6)
     rho = rand_density(rng, 16)
     with pytest.raises(SizingError):
         haar.twirl_exact(rho, 4, 2, budget=tiny)
+
+
+def test_permutation_sums_match_dense_permutation_operators():
+    # both twirls against sum W[pi, sigma] R_pi (x) Tr_A[(R_sigma^dag (x) I) rho]
+    # built from dense operators; at ell = 3 a pi / pi^-1 mix-up between the
+    # data and the scatter would show
+    rng = np.random.default_rng(9)
+    for d, ell, r in ((2, 2, 2), (2, 3, 2), (3, 2, 1)):
+        a = d**ell
+        rho = rand_density(rng, a * r)
+        perms = la.all_perms(ell)
+        ops = [la.permutation_operator(p, d, ell) for p in perms]
+        m4 = rho.reshape(a, r, a, r)
+        data = [np.einsum("xrxs->rs", (op.conj().T @ m4.reshape(a, -1)).reshape(a, r, a, r))
+                for op in ops]
+        weights = haar._gram_pinv(d, ell)
+        exact = sum(weights[i, j] * np.kron(ops[i], data[j])
+                    for i in range(len(perms)) for j in range(len(perms)))
+        assert np.max(np.abs(haar.twirl_exact(rho, d, ell).mat - exact)) <= 1e-12
+        if d == 2:
+            approx = sum(np.kron(op, c) for op, c in zip(ops, data)) / a
+            assert np.max(np.abs(haar.twirl_permutation_approx(rho, 1, ell) - approx)) <= 1e-12
+
+
+def test_gram_pinv_is_cached_and_read_only():
+    g = haar._gram_pinv(2, 3)
+    assert g is haar._gram_pinv(2, 3)
+    assert not g.flags.writeable
+
+
+def test_references_past_the_dense_budget_are_refused():
+    # 13 and 14 qubits: each would build two 2^13 or 2^14 square complex matrices
+    with pytest.raises(SizingError):
+        haar.haar_isometry_choi(6, 1, 1)
+    with pytest.raises(SizingError):
+        haar.haar_choi(7, 1)
 
 
 def test_haar_choi_smallest_case_and_invariance():
@@ -219,7 +255,9 @@ def test_permutation_approx_improves_with_register_size():
 def test_reference_overlap_matrix_matches_dense_sandwich():
     # pair-expansion entries must equal v^dag rho2 v against the materialized
     # reference, across unitary and isometry copy dims
-    for case, (lam, s, ell) in enumerate([(1, 0, 2), (1, 1, 2), (2, 0, 2)]):
+    # at ell = 3 some permutations are not their own inverse, so a gather that
+    # swapped pi and pi^-1 would show
+    for case, (lam, s, ell) in enumerate([(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 0, 3), (1, 1, 3)]):
         d_in, d_out = 2**lam, 2 ** (lam + s)
         embed = np.eye(d_out, d_in)
         ops = []
@@ -232,14 +270,14 @@ def test_reference_overlap_matrix_matches_dense_sandwich():
         rho2 = (haar.haar_isometry_choi(lam, s, ell) if s else haar.haar_choi(lam, ell)).mat
         vecs = [la.choi_vector(op) for op in ops]
         dense = np.array([[v.conj() @ rho2 @ w for w in vecs] for v in vecs])
-        h = haar.reference_overlap_matrix(ops, d_in, d_out, ell)
+        h = haar.reference_overlap_matrix(np.column_stack(vecs), d_in, d_out, ell)
         assert np.max(np.abs(dense - h)) <= 1e-12
 
 
 def test_reference_overlap_identity_values():
     # single copy: 1/(d_in d_out); two identity copies at d=2: second moment
     # of |Tr U|^2 over the group, divided by d^4
-    h1 = haar.reference_overlap_matrix([np.eye(4, 2)], 2, 4, 1)
+    h1 = haar.reference_overlap_matrix(la.choi_vector(np.eye(4, 2))[:, None], 2, 4, 1)
     assert abs(h1[0, 0].real - 1 / 8) <= 1e-14
-    h2 = haar.reference_overlap_matrix([np.eye(4)], 2, 2, 2)
+    h2 = haar.reference_overlap_matrix(la.choi_vector(np.eye(4))[:, None], 2, 2, 2)
     assert abs(h2[0, 0].real - 2 / 16) <= 1e-14

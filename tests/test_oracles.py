@@ -50,7 +50,7 @@ def test_swap_block_trace_is_dim_minus_two():
 def test_dense_oracle_budget_guard():
     fam = fresh_family("guard")
     with pytest.raises(SizingError):
-        fam.dense_oracle(3, budget=Budget(max_dense_oracle_n=2))
+        fam.dense_oracle(3, budget=Budget(max_dense_matrix_qubits=5))
 
 
 def test_family_lazy_sampling_and_determinism():

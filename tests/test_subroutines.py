@@ -15,7 +15,7 @@ def _labels(entries) -> list:
 
 
 def test_nested_captures_unwind_by_identity():
-    depth = len(subroutines._stack)
+    depth = len(subroutines._captures.get())
     with subroutines.capture() as outer:
         with subroutines.capture() as inner:
             subroutines.eigh(np.eye(3), label="inside")
@@ -23,9 +23,30 @@ def test_nested_captures_unwind_by_identity():
         subroutines.eigh(np.eye(2), label="between")
     assert _labels(outer) == ["inside", "between"]
     assert _labels(inner) == ["inside"]
-    assert len(subroutines._stack) == depth
+    assert len(subroutines._captures.get()) == depth
     subroutines.svd(np.eye(2), label="after")
     assert _labels(inner) == ["inside"] and len(outer) == 2
+
+
+def test_concurrent_captures_keep_their_own_crossings():
+    # both captures are open when either thread crosses
+    barrier = threading.Barrier(2, timeout=30)
+    got = {}
+
+    def run(label):
+        with subroutines.capture() as entries:
+            barrier.wait()
+            subroutines.eigh(np.eye(2), label=label)
+            barrier.wait()
+        got[label] = _labels(entries)
+
+    threads = [threading.Thread(target=run, args=(label,)) for label in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert got == {"a": ["a"], "b": ["b"]}
 
 
 def test_one_blas_thread_nests_and_restores(blas_counts):
