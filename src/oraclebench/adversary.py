@@ -143,17 +143,21 @@ def tomograph_called_blocks(
                 raise ValueError("candidate queries the swap family but none was given")
             gate = swap.dense_oracle(key, budget).mat
             tomo_seed = seed.child("tomo-swap", key)
-        res = _tomograph_gate(gate, mode, eps, eta, tomo_seed)
+        res = _tomograph_gate(gate, mode, eps, eta, tomo_seed, budget)
         estimates[key] = res.estimate
         errors[key] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
     return TomographySet(estimates, errors, queries)
 
 
-def _tomograph_gate(gate: np.ndarray, mode: str, eps: float, eta: float, seed: SeedPath):
+def _tomograph_gate(
+    gate: np.ndarray, mode: str, eps: float, eta: float, seed: SeedPath, budget: Budget
+):
     if mode == "exact":
         return process_tomography_exact(lambda v: gate @ v, gate.shape[0])
-    return process_tomography_sampled(lambda v: gate @ v, gate.shape[0], eps, eta, seed)
+    return process_tomography_sampled(
+        lambda v: gate @ v, gate.shape[0], eps, eta, seed, budget=budget
+    )
 
 
 # ------------------------------------------------------------------ surrogates
@@ -245,7 +249,6 @@ def keyed_choi_vectors(
     returned here carries everything the dense state and its support need.
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
-    budget.check_qubits(qubits, "keyed state vectors")
     budget.check_factor(qubits, len(cand.keys) * 2 ** (cand.ancilla_c * ell), "keyed state vectors")
     vecs = np.column_stack([
         choi_vector(op)
@@ -253,27 +256,6 @@ def keyed_choi_vectors(
         for op in _fold_ops(_channel_kraus(cand, k, swap, hri, budget), ell)
     ])
     return ChoiFactor(vecs, len(cand.keys))
-
-
-def keyed_choi(
-    cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> DensityMatrix:
-    """Uniform-key average of the ell-fold Choi states, work register traced."""
-    return keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget).density(budget)
-
-
-def key_choi(
-    cand, key, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> DensityMatrix:
-    """Choi state of a single key."""
-    factor = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
-    return factor.key(cand.keys.index(key)).density(budget)
-
-
-def surrogate_choi(
-    sf: SurrogateFamily, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> DensityMatrix:
-    return keyed_choi(sf.candidate, ell=ell, budget=budget)
 
 
 # ------------------------------------------------------------------ support overlap
@@ -469,7 +451,6 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
         ell = cfg.ell_override if cfg.ell_override is not None else default_copies(len(cand.keys))
         t_queries = cand.query_count
         n_qubits = (2 * lam + s) * ell
-        budget.check_qubits(n_qubits, "attack states")
         bk = cfg.backend
         poly_backend = bk == "poly"
         if poly_backend:

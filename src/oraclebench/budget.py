@@ -14,14 +14,14 @@ class SizingError(Exception):
 
 @dataclass(frozen=True)
 class Budget:
-    max_total_qubits: int = 14
-    max_dense_matrix_qubits: int = 12
+    """One size limit: a dense 2^q x 2^q matrix for q up to max_dense_matrix_qubits.
 
-    def check_qubits(self, qubits: int, what: str) -> None:
-        if qubits > self.max_total_qubits:
-            raise SizingError(
-                f"{what} needs {qubits} qubits, budget allows {self.max_total_qubits}"
-            )
+    Dense builds check their qubit count against it, and a low-rank factor
+    may hold as many entries as that matrix, so a factored attack is sized
+    by its factor rather than by its qubit count.
+    """
+
+    max_dense_matrix_qubits: int = 12
 
     def check_dense_matrix(self, qubits: int, what: str) -> None:
         if qubits > self.max_dense_matrix_qubits:

@@ -43,12 +43,10 @@ class PrfsgGameResult:
         return self.tail_fraction <= self.tail_bound
 
 
-def prfsg_game(
-    lam: int, n_draws: int, seed: SeedPath, c_mean: float = 1.0, x_input: int = 0
-) -> PrfsgGameResult:
+def prfsg_game(lam: int, n_draws: int, seed: SeedPath) -> PrfsgGameResult:
     """Play the span-projector distinguisher against every key, per draw.
 
-    The adversary queries the family at input x for the first two keys
+    The adversary queries the family at input 0 for the first two keys
     (t_queries = 2) and accepts when the challenge state lies in their span.
     The advantage subtracts the rank/dim baseline a Haar state would give.
     """
@@ -59,17 +57,15 @@ def prfsg_game(
     advs = np.empty(n_draws)
     for i in range(n_draws):
         fam = SwapOracleFamily(seed.child("draw", i))
-        states = [
-            fam.state(n, (k << lam) | x_input).amplitudes for k in range(n_keys)
-        ]
+        states = [fam.state(n, k << lam).amplitudes for k in range(n_keys)]
         basis, _ = np.linalg.qr(np.stack(states[:t_queries], axis=1))
         overlaps = basis.conj().T @ np.stack(states, axis=1)
         accept = np.sum(np.abs(overlaps) ** 2, axis=0)
         advs[i] = float(np.mean(accept)) - t_queries / dim
-    mean_bound = c_mean * t_queries**2 / 2**lam
+    mean_bound = t_queries**2 / 2**lam
     tail_threshold = mean_bound + 2 ** (-lam / 2)
     tail_fraction = float(np.mean(advs >= tail_threshold))
-    gap = tail_threshold - c_mean * t_queries**2 * 2 ** (-lam)
+    gap = tail_threshold - mean_bound
     tail_bound = 10 * 2 * math.exp(
         -(2 ** (2 * lam) - 2) * gap**2 / (6144 * t_queries**2)
     )

@@ -152,7 +152,6 @@ def haar_choi(lam: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMat
     The state lives on [A_1 .. A_ell | A'] with each A_i of lam qubits and the
     partner register A' of lam*ell qubits.
     """
-    budget.check_qubits(2 * lam * ell, "averaged reference state")
     budget.check_dense_matrix(2 * lam * ell, "averaged reference state")
     a = 2 ** (lam * ell)
     omega = omega_vector(a)
@@ -168,7 +167,6 @@ def haar_isometry_choi(
     Registers: [B_1 A_1 .. B_ell A_ell | A'], the twirl acting on the ell
     blocks of (s + lam) qubits.
     """
-    budget.check_qubits((2 * lam + s) * ell, "averaged isometry reference state")
     budget.check_dense_matrix((2 * lam + s) * ell, "averaged isometry reference state")
     a_in = 2**lam
     omega = omega_vector(a_in**ell)

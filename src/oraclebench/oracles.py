@@ -142,17 +142,14 @@ def apply_swap_call(
     n: int,
     wires,
     n_qubits: int,
-    daggered: bool = False,
 ) -> np.ndarray:
     """Apply one family member to a state vector, or to each column of a
     (2^n_qubits, b) batch, without materializing it.
 
     Each index block is a rank-2 correction of the identity, so the update
     touches two slices per block; blocks the input has no weight on are
-    skipped exactly, which also keeps lazy sampling lazy. The member is an
-    involution, so daggered does not change the action.
+    skipped exactly, which also keeps lazy sampling lazy.
     """
-    del daggered
     wires = list(wires)
     if len(wires) != 2 * n + 1:
         raise ValueError(f"swap call on n={n} needs {2 * n + 1} wires, got {len(wires)}")
@@ -195,7 +192,6 @@ class FixedGate:
 class OracleCall:
     n: int
     wires: tuple
-    daggered: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
@@ -213,7 +209,6 @@ class HriCall:
     n: int
     m: int
     wires: tuple
-    daggered: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
@@ -266,7 +261,7 @@ def circuit_unitary(
         elif isinstance(step, OracleCall):
             if swap is None:
                 raise ValueError("circuit queries the swap family but none was given")
-            mat = apply_swap_call(swap, mat, step.n, step.wires, n_q, step.daggered)
+            mat = apply_swap_call(swap, mat, step.n, step.wires, n_q)
         else:
             if hri is None:
                 raise ValueError("circuit queries the rotation family but none was given")
@@ -305,7 +300,6 @@ def rewrite_surrogate(
             raise KeyError(f"surrogate rewrite is missing a gate for call {step.key}")
         gate = replacements[step.key]
         mat = gate.mat if isinstance(gate, UnitaryMatrix) else as_complex_array(gate)
-        # both families are involutions, so a daggered call uses the same gate
         steps.append(FixedGate(mat, step.wires))
     return OracleCircuit(circ.total_qubits, tuple(steps)), deleted
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET
+from .budget import DEFAULT_BUDGET, Budget
 from .linalg import _freeze, as_complex_array
 from .seeds import as_generator
 from . import subroutines
@@ -28,6 +28,8 @@ from . import subroutines
 # calibrated so (dim=2, eps=0.1, eta=0.1) reconstructs within eps in well
 # over 9 of 10 runs; see scripts/tomography_calibration.py
 C_TOM = 2.0
+# largest Frobenius defect of M^dag M - I that exact tomography accepts
+ATOL_ISOMETRY = 1e-8
 
 
 def shot_count(dim: int, eps: float, eta: float, c_tom: float = C_TOM) -> int:
@@ -71,7 +73,7 @@ class TomographyResult:
     shots_per_setting: int = 0
 
 
-def process_tomography_exact(apply_fn, dim: int, atol: float = 1e-8) -> TomographyResult:
+def process_tomography_exact(apply_fn, dim: int) -> TomographyResult:
     """Read the matrix off basis columns; faults unless it is an isometry."""
     cols = []
     for j in range(dim):
@@ -80,7 +82,7 @@ def process_tomography_exact(apply_fn, dim: int, atol: float = 1e-8) -> Tomograp
         cols.append(as_complex_array(apply_fn(e)))
     m = np.stack(cols, axis=1)
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
-    if defect > atol:
+    if defect > ATOL_ISOMETRY:
         raise ValueError(f"channel output is not isometric, gram defect {defect:.3g}")
     est = canonical_phase(nearest_unitary(m))
     return TomographyResult(est, "exact", dim, defect)
@@ -137,10 +139,16 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
 
 
 def process_tomography_sampled(
-    apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM
+    apply_fn,
+    dim: int,
+    eps: float,
+    eta: float,
+    seed,
+    c_tom: float = C_TOM,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> TomographyResult:
     """Estimate a unitary to spectral error eps (up to phase) from shot counts."""
-    DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(dim * dim)), "sampled tomography correlation")
+    budget.check_dense_matrix(math.ceil(math.log2(dim * dim)), "sampled tomography correlation")
     rng = as_generator(seed)
     shots = shot_count(dim, eps, eta, c_tom)
     outs = []

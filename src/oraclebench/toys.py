@@ -16,31 +16,32 @@ def _random_gate(seed: SeedPath, width: int) -> FixedGate:
     return FixedGate(random_unitary_from(seed.rng(), 2**width), tuple(range(width)))
 
 
-def _keyed_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, need: int, call) -> dict:
+# every toy oracle call queries a size-1 block on the leading three wires: a
+# swap call on 2n + 1 of them, or a rotation call on flag, pad and payload
+# (the rotation family's default stretch pads n = 1 with t = 1 qubit)
+_CALL_WIRES = (0, 1, 2)
+
+
+def _keyed_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, call) -> dict:
     """Per key: a random gate, then `calls` rounds of oracle call plus random gate.
 
-    `call(k, daggered)` builds key k's call on the leading `need` wires;
-    every other call is daggered.
+    `call(k)` builds key k's call.
     """
-    if calls and width < need:
-        raise ValueError(f"width {width} cannot host an oracle call on {need} wires")
+    if calls and width < len(_CALL_WIRES):
+        raise ValueError(f"width {width} cannot host an oracle call on {len(_CALL_WIRES)} wires")
     circuits = {}
     for k in range(n_keys):
         ks = seed.child("key", k)
         steps = [_random_gate(ks.child("g", 0), width)]
         for q in range(calls):
-            steps.append(call(k, q % 2 == 1))
+            steps.append(call(k))
             steps.append(_random_gate(ks.child("g", q + 1), width))
         circuits[k] = OracleCircuit(width, tuple(steps))
     return circuits
 
 
-def _swap_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, call_n: int) -> dict:
-    wires = tuple(range(2 * call_n + 1))
-    return _keyed_circuits(
-        width, n_keys, seed, calls, len(wires),
-        lambda k, daggered: OracleCall(call_n, wires, daggered=daggered),
-    )
+def _swap_circuits(width: int, n_keys: int, seed: SeedPath, calls: int) -> dict:
+    return _keyed_circuits(width, n_keys, seed, calls, lambda k: OracleCall(1, _CALL_WIRES))
 
 
 def toy_pru_candidate(
@@ -49,9 +50,8 @@ def toy_pru_candidate(
     seed: SeedPath,
     c: int = 0,
     swap_calls: int = 0,
-    call_n: int = 1,
 ) -> Candidate:
-    circuits = _swap_circuits(lam + c, n_keys, seed, swap_calls, call_n)
+    circuits = _swap_circuits(lam + c, n_keys, seed, swap_calls)
     return Candidate(lam=lam, ancilla_c=c, circuits=circuits)
 
 
@@ -62,9 +62,8 @@ def toy_pri_candidate(
     seed: SeedPath,
     c: int = 0,
     swap_calls: int = 1,
-    call_n: int = 1,
 ) -> Candidate:
-    circuits = _swap_circuits(lam + s + c, n_keys, seed, swap_calls, call_n)
+    circuits = _swap_circuits(lam + s + c, n_keys, seed, swap_calls)
     return Candidate(lam=lam, stretch_s=s, ancilla_c=c, circuits=circuits)
 
 
@@ -74,14 +73,9 @@ def toy_hri_candidate(
     seed: SeedPath,
     c: int = 0,
     rot_calls: int = 0,
-    call_n: int = 1,
-    t_of_call: int = 1,
 ) -> Candidate:
     """Unitary candidate whose circuits may query the hidden-rotation family."""
-    need = 1 + t_of_call + call_n
-
-    def call(k, daggered):
-        return HriCall(call_n, m=k % 2**call_n, wires=tuple(range(need)), daggered=daggered)
-
-    circuits = _keyed_circuits(lam + c, n_keys, seed, rot_calls, need, call)
+    circuits = _keyed_circuits(
+        lam + c, n_keys, seed, rot_calls, lambda k: HriCall(1, m=k % 2, wires=_CALL_WIRES)
+    )
     return Candidate(lam=lam, ancilla_c=c, circuits=circuits)

@@ -100,9 +100,7 @@ def per_column_circuit_unitary(
             if isinstance(step, FixedGate):
                 vec = apply_on_wires(vec, step.matrix, step.wires, circ.total_qubits)
             elif isinstance(step, OracleCall):
-                vec = apply_swap_call(
-                    swap, vec, step.n, step.wires, circ.total_qubits, step.daggered
-                )
+                vec = apply_swap_call(swap, vec, step.n, step.wires, circ.total_qubits)
             else:
                 gate = hri.oracle(step.n, step.m, budget).mat
                 vec = apply_on_wires(vec, gate, step.wires, circ.total_qubits)

@@ -8,7 +8,7 @@ import pytest
 
 from oraclebench import adversary as adv
 from oraclebench import blockenc
-from oraclebench.budget import SizingError
+from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vector, schatten_norm
 from oraclebench.oracles import (
@@ -81,7 +81,7 @@ def test_oversized_copy_count_faults():
 
 def test_keyed_choi_is_state_with_capped_rank():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("rank"))
-    rho = adv.keyed_choi(cand, ell=2).mat
+    rho = adv.keyed_choi_vectors(cand, ell=2).density().mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     evals = np.linalg.eigvalsh(rho)
@@ -92,14 +92,14 @@ def test_keyed_choi_is_state_with_capped_rank():
 def test_keyed_choi_rank_cap_with_work_register():
     swap = SwapOracleFamily(SEED.child("swap", 3))
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("rank-c"), c=1, swap_calls=1)
-    rho = adv.keyed_choi(cand, swap, ell=2).mat
+    rho = adv.keyed_choi_vectors(cand, swap, ell=2).density().mat
     evals = np.linalg.eigvalsh(rho)
     assert int(np.sum(evals > 1e-10)) <= 2 ** ((1 + 1) * 2)
 
 
 def test_single_key_choi_is_pure():
     cand = toy_pru_candidate(lam=2, n_keys=1, seed=SEED.child("pure"))
-    rho = adv.keyed_choi(cand, ell=1).mat
+    rho = adv.keyed_choi_vectors(cand, ell=1).density().mat
     assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
@@ -110,8 +110,8 @@ def test_keyed_choi_merge_order_invariance():
         ancilla_c=cand.ancilla_c,
         circuits={1: cand.circuits[1], 0: cand.circuits[0]},
     )
-    a = adv.keyed_choi(cand, ell=2).mat
-    b = adv.keyed_choi(swapped, ell=2).mat
+    a = adv.keyed_choi_vectors(cand, ell=2).density().mat
+    b = adv.keyed_choi_vectors(swapped, ell=2).density().mat
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -163,6 +163,17 @@ def test_missing_tomography_faults():
         adv.build_surrogates(cand, empty, 3)
 
 
+def test_sampled_tomography_is_held_to_the_callers_budget():
+    # an n=1 swap block is an 8 x 8 gate, so its column correlation is 2^6 x 2^6
+    swap = SwapOracleFamily(SEED.child("swap", 8))
+    cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("tomo-budget"), c=2, swap_calls=1)
+    with pytest.raises(SizingError, match="sampled tomography correlation"):
+        adv.tomograph_called_blocks(
+            cand, swap, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5,
+            budget=Budget(max_dense_matrix_qubits=5),
+        )
+
+
 def test_surrogate_family_rejects_oracle_calls():
     circ = OracleCircuit(3, (OracleCall(1, (0, 1, 2)),))
     with pytest.raises(ValueError):
@@ -179,7 +190,7 @@ def test_deletion_below_cutoff():
     tomo = adv.tomograph_called_blocks(cand, swap, d_cutoff=0)
     sf = adv.build_surrogates(cand, tomo, 0)
     assert sf.deleted_total == 2
-    rho = adv.surrogate_choi(sf, ell=2).mat
+    rho = adv.keyed_choi_vectors(sf.candidate, ell=2).density().mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
 
@@ -325,7 +336,7 @@ def test_report_serializes_to_json(pru_call_report):
 
 def test_backend_agreement_at_tight_eta():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("agree"))
-    rho1 = adv.keyed_choi(cand, ell=2)
+    rho1 = adv.keyed_choi_vectors(cand, ell=2).density()
     rho2 = haar_choi(2, 2)
     for challenge in (rho1, rho2):
         _, p_ideal = adv.distinguisher(rho1, challenge, 8, 2, "ideal")
@@ -335,7 +346,7 @@ def test_backend_agreement_at_tight_eta():
 
 def test_advantage_monotone_in_eta():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("mono"))
-    rho1 = adv.keyed_choi(cand, ell=2)
+    rho1 = adv.keyed_choi_vectors(cand, ell=2).density()
     rho2 = haar_choi(2, 2)
     advs = []
     for eta in (2**-6, 2**-4, 0.25):
@@ -348,7 +359,7 @@ def test_advantage_monotone_in_eta():
 
 def test_distinguisher_dimension_faults():
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("dims"))
-    rho = adv.keyed_choi(cand, ell=1)
+    rho = adv.keyed_choi_vectors(cand, ell=1).density()
     with pytest.raises(ValueError):
         adv.distinguisher(rho, rho, 3, 1)
     with pytest.raises(ValueError):
@@ -357,7 +368,7 @@ def test_distinguisher_dimension_faults():
 
 def test_distinguisher_bit_is_seeded():
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("bit"))
-    rho = adv.keyed_choi(cand, ell=1)
+    rho = adv.keyed_choi_vectors(cand, ell=1).density()
     bits = {adv.distinguisher(rho, rho, 2, 1, seed=SEED.child("b", 5))[0] for _ in range(3)}
     assert len(bits) == 1
 
@@ -398,8 +409,8 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
 
     tomo = adv.tomograph_called_blocks(cand, swap, hri, d_cutoff=rep.d_cutoff)
     sf = adv.build_surrogates(cand, tomo, rep.d_cutoff)
-    rho_keyed = adv.keyed_choi(cand, swap, hri, ell=ell)
-    rho_sur = adv.surrogate_choi(sf, ell=ell)
+    rho_keyed = adv.keyed_choi_vectors(cand, swap, hri, ell=ell).density()
+    rho_sur = adv.keyed_choi_vectors(sf.candidate, ell=ell).density()
     rho_ref = haar_isometry_choi(lam, s, ell) if s else haar_choi(lam, ell)
 
     def dense(state):
@@ -432,7 +443,7 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     for r in reps:
         for name, (value, extra) in want.items():
             assert abs(getattr(r, name) - value) <= 1e-12 + extra, name
-    key_state = adv.key_choi(cand, 1, swap, hri, ell=ell)
+    key_state = adv.keyed_choi_vectors(cand, swap, hri, ell=ell).key(1).density()
     assert abs(reps[0].challenge_prob - dense(key_state)) <= 1e-12 + slack
     assert abs(reps[1].challenge_prob - dense(np.outer(vec, vec.conj()))) <= 1e-12 + slack
 

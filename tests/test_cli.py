@@ -62,6 +62,10 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert cli_main(["attack", "pru", "--ell", "9"]) == 2
     assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
     assert "sizing:" in capsys.readouterr().err
+    # lambda 5 with one work qubit: a 2^22 x 16 keyed factor, four times the budget
+    assert cli_main(["attack", "pri", "--lambda", "5", "--c", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "sizing:" in err and "2^22 x 16 factor" in err
     assert cli_main(["lemma", "twirl-choi-rate", "--ell", "41"]) == 2
     assert "sizing:" in capsys.readouterr().err
 

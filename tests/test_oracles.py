@@ -95,7 +95,7 @@ def test_apply_swap_call_is_involution():
     # the input is left alone, also on the leading wires where no axis moves
     assert np.array_equal(vec, kept) and not np.shares_memory(once, vec)
     assert not np.allclose(once, vec, atol=1e-6)
-    twice = orc.apply_swap_call(fam, once, 1, [0, 1, 2], 3, daggered=True)
+    twice = orc.apply_swap_call(fam, once, 1, [0, 1, 2], 3)
     assert np.allclose(twice, vec, atol=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_rewrite_surrogate_replaces_and_deletes():
         5,
         (
             orc.FixedGate(g, tuple(range(5))),
-            orc.OracleCall(1, (0, 1, 2), daggered=True),
+            orc.OracleCall(1, (0, 1, 2)),
             orc.OracleCall(2, (0, 1, 2, 3, 4)),
         ),
     )

@@ -39,7 +39,7 @@ def test_tomography_calibration(monkeypatch, capsys):
     assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
 
 
-@pytest.mark.parametrize("lam", ["1", "3"])
+@pytest.mark.parametrize("lam", ["1", "3", "4"])
 def test_attack_summary(monkeypatch, capsys, lam):
     lines = _run(monkeypatch, capsys, "attack_summary", "--lambda", lam)
     rows = [line.split() for line in lines[1:-1]]
