@@ -261,14 +261,16 @@ def keyed_choi_vectors(
 # ------------------------------------------------------------------ support overlap
 
 
-def _reference_weights(vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, ell: int) -> np.ndarray:
+def _reference_weights(
+    vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, ell: int, budget: Budget
+) -> np.ndarray:
     """Weight the fully averaged reference puts on each direction vecs @ coeffs[:, i].
 
     The directions are combinations of Choi vectors of ell-fold operators,
     so the reference overlap matrix gives <u|rho2|u> on its diagonal; the
     reference itself is never materialized.
     """
-    h = reference_overlap_matrix(vecs @ coeffs, 2**lam, 2 ** (lam + s), ell)
+    h = reference_overlap_matrix(vecs @ coeffs, 2**lam, 2 ** (lam + s), ell, budget)
     return np.real(np.diag(h))
 
 
@@ -285,7 +287,7 @@ def support_overlap(
     w, u = np.linalg.eigh(vecs.conj().T @ vecs)
     keep = w > 1e-10 * np.max(np.abs(w))
     coeffs = u[:, keep] / np.sqrt(w[keep])
-    return float(np.sum(_reference_weights(vecs, coeffs, cand.lam, cand.stretch_s, ell)))
+    return float(np.sum(_reference_weights(vecs, coeffs, cand.lam, cand.stretch_s, ell, budget)))
 
 
 def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
@@ -494,7 +496,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
 
         p_self = accept(_factor_weights(sur, coeffs, sur))
         p_keyed = accept(_factor_weights(sur, coeffs, keyed))
-        p_haar = accept(_reference_weights(sur.vecs, coeffs, lam, s, ell))
+        p_haar = accept(_reference_weights(sur.vecs, coeffs, lam, s, ell, budget))
         advantage = abs(p_keyed - p_haar)
         floor = p_self - hybrid / 2.0 - p_haar
 

@@ -11,7 +11,9 @@ d^(cycles of sigma^-1 pi): that recovers the unique operator in their span
 with the same partial-trace data, which is exactly the twirl. The
 permutation-sum approximation takes W = I / d^ell. The overlaps of Choi
 vectors with the fully averaged Choi reference expand over the same pairs,
-each term a row and column gather of the vectors (reference_overlap_matrix).
+which fold into 2 ell! row and column gathers of the vectors
+(reference_overlap_matrix). Every route sizes its ell! x ell! pair weights
+against the budget before building them.
 A Monte Carlo estimate of the state moment is an independent route to the
 moments. The distance between a twirled Choi reference and the matching
 state moment needs no matrix at all: both are scalar on the Schur-Weyl
@@ -93,12 +95,18 @@ def state_moment_mc(
 # ------------------------------------------------------------------ exact twirl
 
 
+def _check_perm_pairs(ell: int, budget: Budget) -> None:
+    """Weights over pairs of permutations form an ell! x ell! matrix: size it as a dense one."""
+    budget.check_dense_matrix(math.ceil(math.log2(math.factorial(ell))), "permutation pair weights")
+
+
 @functools.lru_cache(maxsize=None)
-def _gram_pinv(d: int, ell: int) -> np.ndarray:
+def _gram_pinv(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
     """Pseudo-inverse of the permutation Gram matrix, entries d^(cycles of sigma^-1 pi).
 
     Read-only, since every caller shares the cached array.
     """
+    _check_perm_pairs(ell, budget)
     perms = all_perms(ell)
     gram = np.array(
         [[float(d) ** perm_cycles(perm_compose(perm_inverse(p), q)) for q in perms] for p in perms]
@@ -140,7 +148,7 @@ def twirl_exact(rho, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> Densi
     d, ell : int
         Local dimension and number of twirled copies.
     """
-    return DensityMatrix(_perm_sum(_as_mat(rho), d, ell, _gram_pinv(d, ell), budget))
+    return DensityMatrix(_perm_sum(_as_mat(rho), d, ell, _gram_pinv(d, ell, budget), budget))
 
 
 # ------------------------------------------------------------------ Choi references
@@ -156,7 +164,7 @@ def haar_choi(lam: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMat
     a = 2 ** (lam * ell)
     omega = omega_vector(a)
     rho = np.outer(omega, omega.conj())
-    return DensityMatrix(_perm_sum(rho, 2**lam, ell, _gram_pinv(2**lam, ell), budget))
+    return DensityMatrix(_perm_sum(rho, 2**lam, ell, _gram_pinv(2**lam, ell, budget), budget))
 
 
 def haar_isometry_choi(
@@ -176,7 +184,7 @@ def haar_isometry_choi(
     vec = padded.reshape(-1)
     rho = np.outer(vec, vec.conj())
     d = 2 ** (lam + s)
-    return DensityMatrix(_perm_sum(rho, d, ell, _gram_pinv(d, ell), budget))
+    return DensityMatrix(_perm_sum(rho, d, ell, _gram_pinv(d, ell, budget), budget))
 
 
 def _partitions(n: int, largest: int):
@@ -233,7 +241,9 @@ def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
     return total / 2
 
 
-def reference_overlap_matrix(vecs: np.ndarray, d_in: int, d_out: int, ell: int) -> np.ndarray:
+def reference_overlap_matrix(
+    vecs: np.ndarray, d_in: int, d_out: int, ell: int, budget: Budget = DEFAULT_BUDGET
+) -> np.ndarray:
     """Overlaps v_i^dag rho2 v_j against the fully averaged Choi reference.
 
     The columns v_i of vecs are Choi vectors of ell-fold operators of shape
@@ -241,19 +251,25 @@ def reference_overlap_matrix(vecs: np.ndarray, d_in: int, d_out: int, ell: int) 
     at copy dims d_in -> d_out. Expanding the exact twirl over pairs of
     register permutations, rho2 v_j is sum_{pi,sigma} G+[pi,sigma]
     R_pi A_j R_sigma^T / d_in^ell with A_j the reshaped v_j, and each
-    R_pi A R_sigma^T is a row and column gather of A. Nothing on the doubled
-    register is materialized beyond one array the size of vecs. Exact,
-    including the low-dimension Gram corrections.
+    R_pi A R_sigma^T is a row and column gather of A. G+ is the
+    pseudo-inverse of a central element of the group algebra, so
+    G+[pi,sigma] = w(pi^-1 sigma) for a class function w, its identity row,
+    and the pair sum folds into sum_pi R_pi (sum_tau w(tau) A R_tau^T) R_pi^T:
+    2 ell! gathers rather than ell!^2. Nothing on the doubled register is
+    materialized beyond two arrays the size of vecs. Exact, including the
+    low-dimension Gram corrections.
     """
     perms = all_perms(ell)
+    w = _gram_pinv(d_out, ell, budget)[0]
     rows = [perm_target_indices(perm_inverse(p), d_out, ell) for p in perms]
     cols = [perm_target_indices(perm_inverse(p), d_in, ell) for p in perms]
-    gpinv = _gram_pinv(d_out, ell)
     v3 = vecs.reshape(d_out**ell, d_in**ell, -1)
+    inner = np.zeros_like(v3)
+    for wt, c in zip(w, cols):
+        inner += wt * v3[:, c]
     acc = np.zeros_like(v3)
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            acc += gpinv[i, j] * v3[np.ix_(r, c)]
+    for r, c in zip(rows, cols):
+        acc += inner[np.ix_(r, c)]
     return vecs.conj().T @ acc.reshape(vecs.shape) / d_in**ell
 
 
@@ -263,5 +279,6 @@ def twirl_permutation_approx(rho, n: int, ell: int) -> np.ndarray:
     Sum over pi of 2^(-n ell) R_pi (x) Tr_A[(R_pi^dag (x) I) rho]. Accurate
     once 2^n is large against ell^2; returned raw since it need not be PSD.
     """
+    _check_perm_pairs(ell, DEFAULT_BUDGET)
     weights = np.eye(math.factorial(ell)) / 2 ** (n * ell)
     return _perm_sum(_as_mat(rho), 2**n, ell, weights, DEFAULT_BUDGET)

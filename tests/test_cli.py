@@ -68,6 +68,12 @@ def test_premise_and_sizing_faults_exit_2(capsys):
     assert "sizing:" in err and "2^22 x 16 factor" in err
     assert cli_main(["lemma", "twirl-choi-rate", "--ell", "41"]) == 2
     assert "sizing:" in capsys.readouterr().err
+    # small factors, but 8! x 8! permutation pair weights behind the reference overlaps
+    for args in (["attack", "pru", "--lambda", "1", "--ell", "8"],
+                 ["lemma", "support-overlap", "--lambda", "1", "--ell", "8"]):
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert "sizing:" in err and "permutation pair weights" in err
 
 
 @pytest.mark.parametrize(

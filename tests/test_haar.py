@@ -274,6 +274,19 @@ def test_reference_overlap_matrix_matches_dense_sandwich():
         assert np.max(np.abs(dense - h)) <= 1e-12
 
 
+def test_permutation_pair_weights_are_sized_before_building():
+    # ell = 7 needs 5040 x 5040 pair weights, past the default 2^12 rows; at
+    # ell = 3 the 6 x 6 weights are past a 2-qubit budget
+    with pytest.raises(SizingError, match="permutation pair weights"):
+        haar.reference_overlap_matrix(np.zeros((4**7, 1), dtype=complex), 2, 2, 7)
+    with pytest.raises(SizingError, match="permutation pair weights"):
+        haar.twirl_permutation_approx(np.eye(2**7) / 2**7, 1, 7)
+    with pytest.raises(SizingError, match="permutation pair weights"):
+        haar.reference_overlap_matrix(
+            np.zeros((4**3, 1), dtype=complex), 2, 2, 3, Budget(max_dense_matrix_qubits=2)
+        )
+
+
 def test_reference_overlap_identity_values():
     # single copy: 1/(d_in d_out); two identity copies at d=2: second moment
     # of |Tr U|^2 over the group, divided by d^4
