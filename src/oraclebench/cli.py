@@ -40,11 +40,15 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+# flag names that differ from the ExperimentConfig field they set
+_FLAG_FIELDS = {"lambda": "lam", "tomo": "tomography_mode"}
+
+
 def _parse_sweep(text: str) -> tuple:
     key, sep, vals = text.partition("=")
     if not sep or not vals:
         raise ValueError(f"--sweep expects PARAM=V1,V2,.., got {text!r}")
-    return key, tuple(_parse_value(v) for v in vals.split(","))
+    return _FLAG_FIELDS.get(key, key), tuple(_parse_value(v) for v in vals.split(","))
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -121,7 +125,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(sweep, str):
         sweep = _parse_sweep(sweep)
     elif sweep is not None:
-        sweep = (sweep[0], tuple(sweep[1]))
+        sweep = (_FLAG_FIELDS.get(sweep[0], sweep[0]), tuple(sweep[1]))
     return ExperimentConfig(
         kind=kind,
         lemma_ids=ids,

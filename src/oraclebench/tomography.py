@@ -6,7 +6,10 @@ the two-level superpositions (e_j + e_k)/sqrt(2) and (e_j + i e_k)/sqrt(2),
 estimates every output density matrix from simulated projective shot counts,
 assembles the rank-one column-correlation matrix whose top eigenvector is
 the vectorized unitary, and projects the reshaped eigenvector back onto the
-unitary group. Both routes fix the global phase canonically.
+unitary group. It queries and samples in chunks of states, computing each
+chunk's outcome probabilities in one vectorized pass, and takes the top
+eigenvector by a certified power iteration (`subroutines.top_eigh`) rather
+than a full eigendecomposition. Both routes fix the global phase canonically.
 
 The sampled route draws, per output state, the diagonal setting and then all
 pair settings in one multinomial (pairs a < b row-major, real before
@@ -88,15 +91,6 @@ def process_tomography_exact(apply_fn, dim: int) -> TomographyResult:
     return TomographyResult(est, "exact", dim, defect)
 
 
-def _pair_inputs(dim: int, j: int, k: int):
-    ep = np.zeros(dim, dtype=np.complex128)
-    ep[j] = ep[k] = 1 / math.sqrt(2)
-    ei = np.zeros(dim, dtype=np.complex128)
-    ei[j] = 1 / math.sqrt(2)
-    ei[k] = 1j / math.sqrt(2)
-    return ep, ei
-
-
 @lru_cache(maxsize=None)
 def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every pair a < b, row-major; built once per dim."""
@@ -104,38 +98,64 @@ def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(a), _freeze(b)
 
 
-def _sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
-    """Shot-simulated state tomography of the pure output psi.
+def _query(apply_fn, inputs: np.ndarray) -> np.ndarray:
+    """The channel's output on each input row, one query per row, in row order."""
+    return as_complex_array(np.stack([apply_fn(v) for v in inputs]), "channel output")
+
+
+def _sampled_densities(psi: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Shot-simulated state tomography of each pure output row of psi.
 
     One computational-basis setting covers the diagonal; each off-diagonal
     entry takes two pair settings (real and imaginary observables), sampled
     from the exact three-outcome distribution of the +1/-1/0 eigenspaces.
+    The probabilities of every row are computed in one pass; only the draws
+    loop over the rows.
 
-    Draw order (one-seed contract): the diagonal setting, then one batched
-    multinomial over the pairs a < b row-major, real setting before imaginary.
+    Draw order (one-seed contract): row by row, the diagonal setting, then
+    one batched multinomial over the pairs a < b row-major, real setting
+    before imaginary.
     """
-    d = psi.size
-    est = np.zeros((d, d), dtype=np.complex128)
-    diag = rng.multinomial(shots, _clean_probs(np.abs(psi) ** 2)) / shots
-    np.fill_diagonal(est, diag)
+    # numpy sums a row pairwise only along the contiguous axis, as for one state
+    psi = np.ascontiguousarray(psi)
+    n, d = psi.shape
     a, b = _pair_indices(d)
-    pa, pb = psi[a], psi[b]
-    z = np.stack([pa + pb, pa - pb, pa - 1j * pb, pa + 1j * pb], axis=-1).reshape(-1, 2, 2)
+    ar, ai, br, bi = psi.real[:, a], psi.imag[:, a], psi.real[:, b], psi.imag[:, b]
+    # p[s, o] is |z|^2 / 2 for outcome o (+1, -1) of setting s: z = pa + pb,
+    # pa - pb in the real setting and pa - i pb, pa + i pb in the imaginary
+    # one. Multiplying by i only swaps and negates parts, so these real sums
+    # equal the complex ones bit for bit.
+    p = np.empty((2, 2, n, a.size))
+    np.hypot(ar + br, ai + bi, out=p[0, 0])
+    np.hypot(ar - br, ai - bi, out=p[0, 1])
+    np.hypot(ar + bi, ai - br, out=p[1, 0])
+    np.hypot(ar - bi, ai + br, out=p[1, 1])
     # |z|^2 / 2 as the scalar abs(z) ** 2 rounds it: hypot, then libm pow
     # (numpy's vectorized abs and square differ from those in the last bit)
-    p = (np.hypot(z.real, z.imag).astype(object) ** 2).astype(np.float64) / 2
-    probs = np.concatenate([p, np.maximum(0.0, 1 - p[..., :1] - p[..., 1:])], axis=-1)
-    n = rng.multinomial(shots, _clean_probs(probs))
+    np.float_power(p, 2.0, out=p)
+    p /= 2
+    # one row of outcomes +1, -1, 0 per state, pair and setting; the third
+    # outcome takes the rest
+    probs = np.empty((n, a.size, 2, 3))
+    probs[..., :2] = p.transpose(2, 3, 0, 1)
+    np.maximum(0.0, 1 - p[:, 0] - p[:, 1], out=probs[..., 2].transpose(2, 0, 1))
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    diags = np.abs(psi) ** 2
+    diags /= np.sum(diags, axis=-1, keepdims=True)
+    diag_counts = np.empty(diags.shape, dtype=np.int64)
+    pair_counts = np.empty(probs.shape, dtype=np.int64)
+    for i in range(n):
+        diag_counts[i] = rng.multinomial(shots, diags[i])
+        pair_counts[i] = rng.multinomial(shots, probs[i])
+    est = np.zeros((n, d, d), dtype=np.complex128)
+    idx = np.arange(d)
+    est[:, idx, idx] = diag_counts / shots
     # x estimates 2 Re rho_ab, y estimates -2 Im rho_ab
-    x, y = ((n[..., 0] - n[..., 1]) / shots).T
-    est[a, b] = (x - 1j * y) / 2
-    est[b, a] = np.conj(est[a, b])
+    x, y = np.moveaxis((pair_counts[..., 0] - pair_counts[..., 1]) / shots, -1, 0)
+    upper = (x - 1j * y) / 2
+    est[:, a, b] = upper
+    est[:, b, a] = np.conj(upper)
     return est
-
-
-def _clean_probs(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 0.0, None)
-    return p / np.sum(p, axis=-1, keepdims=True)
 
 
 def process_tomography_sampled(
@@ -147,44 +167,48 @@ def process_tomography_sampled(
     c_tom: float = C_TOM,
     budget: Budget = DEFAULT_BUDGET,
 ) -> TomographyResult:
-    """Estimate a unitary to spectral error eps (up to phase) from shot counts."""
+    """Estimate a unitary to spectral error eps (up to phase) from shot counts.
+
+    The inputs are queried and sampled in chunks: the dim basis vectors,
+    then up to dim pairs (2 dim states) at a time, so a chunk holds O(dim^3)
+    numbers against the dim^4 of the correlation matrix.
+    """
     budget.check_dense_matrix(math.ceil(math.log2(dim * dim)), "sampled tomography correlation")
     rng = as_generator(seed)
     shots = shot_count(dim, eps, eta, c_tom)
-    outs = []
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        outs.append(as_complex_array(apply_fn(e)))
-    singles = [_sampled_density(psi, shots, rng) for psi in outs]
-
-    # column-correlation blocks: C[j, k] = u_j u_k^dag, from the identities
+    # column-correlation blocks C[j, k] = u_j u_k^dag, as blocks[j, :, k, :], from
     #   u_j u_k^dag + u_k u_j^dag = 2 rho_plus - rho_j - rho_k
     #   u_j u_k^dag - u_k u_j^dag = i (2 rho_imag - rho_j - rho_k)
+    # every block is written with its exact Hermitian mirror
     corr = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    n_inputs = dim
-    for j in range(dim):
-        corr[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim] = singles[j]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            ep, ei = _pair_inputs(dim, j, k)
-            rho_p = _sampled_density(as_complex_array(apply_fn(ep)), shots, rng)
-            rho_i = _sampled_density(as_complex_array(apply_fn(ei)), shots, rng)
-            n_inputs += 2
-            s = 2 * rho_p - singles[j] - singles[k]
-            t = 1j * (2 * rho_i - singles[j] - singles[k])
-            block = (s + t) / 2
-            corr[j * dim:(j + 1) * dim, k * dim:(k + 1) * dim] = block
-            corr[k * dim:(k + 1) * dim, j * dim:(j + 1) * dim] = block.conj().T
+    blocks = corr.reshape(dim, dim, dim, dim)
+    basis = np.arange(dim)
+    singles = _sampled_densities(_query(apply_fn, np.eye(dim, dtype=np.complex128)), shots, rng)
+    blocks[basis, :, basis, :] = singles
+    a, b = _pair_indices(dim)
+    h = 1 / math.sqrt(2)
+    for first in range(0, a.size, dim):
+        j, k = a[first:first + dim], b[first:first + dim]
+        rows = np.arange(j.size)
+        # (e_j + e_k)/sqrt(2) then (e_j + i e_k)/sqrt(2), per pair
+        inputs = np.zeros((j.size, 2, dim), dtype=np.complex128)
+        inputs[rows, :, j] = h
+        inputs[rows, 0, k] = h
+        inputs[rows, 1, k] = 1j * h
+        rho = _sampled_densities(_query(apply_fn, inputs.reshape(-1, dim)), shots, rng)
+        rho = rho.reshape(j.size, 2, dim, dim)
+        s = 2 * rho[:, 0] - singles[j] - singles[k]
+        t = 1j * (2 * rho[:, 1] - singles[j] - singles[k])
+        block = (s + t) / 2
+        blocks[j, :, k, :] = block
+        blocks[k, :, j, :] = block.conj().transpose(0, 2, 1)
 
-    corr = (corr + corr.conj().T) / 2
-    with subroutines.serial_if_small(dim * dim):
-        w, v = subroutines.eigh(corr, label="tomo-correlation")
-    top = v[:, -1] * math.sqrt(dim)
-    m = top.reshape(dim, dim).T
+    _, top = subroutines.top_eigh(corr, label="tomo-correlation")
+    m = (top * math.sqrt(dim)).reshape(dim, dim).T
     est = canonical_phase(nearest_unitary(m))
     gram = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
-    # every shot of every measurement setting consumes one channel query
+    # dim^2 input states (the basis, two per pair); every shot of every
+    # measurement setting consumes one channel query
     settings_per_state = 1 + dim * (dim - 1)
-    queries = n_inputs * settings_per_state * shots
+    queries = dim * dim * settings_per_state * shots
     return TomographyResult(est, "sampled", queries, gram, shots)

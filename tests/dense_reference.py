@@ -4,8 +4,9 @@ Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
 unitary, explicit subsystem permutation matrices, a circuit's unitary
 evaluated one basis column at a time, the threshold polynomial built by
-`chebinterpolate` and certified on the full grid at every degree, and the
-checks run on a thread pool instead of one after another.
+`chebinterpolate` and certified on the full grid at every degree, the
+checks run on a thread pool instead of one after another, and sampled
+process tomography one measurement setting at a time with a full `eigh`.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from oraclebench.linalg import (
 )
 from oraclebench.oracles import FixedGate, OracleCall, OracleCircuit, apply_swap_call
 from oraclebench.seeds import SeedPath, as_generator
+from oraclebench.tomography import C_TOM, TomographyResult, canonical_phase, nearest_unitary, shot_count
 
 
 def twirl_mc(rho, d: int, ell: int, samples: int, seed) -> DensityMatrix:
@@ -159,3 +161,59 @@ def pooled_checks(ids, params: dict, root: SeedPath) -> list:
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(lemma_check, cid, params.get(cid, {}), root.child(cid)) for cid in ids]
         return [f.result() for f in futures]
+
+
+def scalar_sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Shot-simulated state tomography of one pure output, one multinomial call per setting.
+
+    Draws in the library's order: the diagonal setting, then the pairs a < b
+    row-major, real setting before imaginary.
+    """
+    def clean(p):
+        p = np.clip(p, 0.0, None)
+        return p / np.sum(p)
+
+    def mean(p_plus, p_minus):
+        n = rng.multinomial(shots, clean(np.array([p_plus, p_minus, max(0.0, 1 - p_plus - p_minus)])))
+        return (n[0] - n[1]) / shots
+
+    d = psi.size
+    est = np.zeros((d, d), dtype=np.complex128)
+    np.fill_diagonal(est, rng.multinomial(shots, clean(np.abs(psi) ** 2)) / shots)
+    for a in range(d):
+        for b in range(a + 1, d):
+            x = mean(abs(psi[a] + psi[b]) ** 2 / 2, abs(psi[a] - psi[b]) ** 2 / 2)
+            y = mean(abs(psi[a] - 1j * psi[b]) ** 2 / 2, abs(psi[a] + 1j * psi[b]) ** 2 / 2)
+            est[a, b] = (x - 1j * y) / 2
+            est[b, a] = np.conj(est[a, b])
+    return est
+
+
+def sampled_tomography(apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM):
+    """Sampled process tomography one setting and one block at a time, top vector by `eigh`."""
+    rng = as_generator(seed)
+    shots = shot_count(dim, eps, eta, c_tom)
+    h = 1 / math.sqrt(2)
+    singles = [scalar_sampled_density(apply_fn(e), shots, rng) for e in np.eye(dim, dtype=np.complex128)]
+    corr = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    n_inputs = dim
+    for j in range(dim):
+        corr[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim] = singles[j]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            ep = np.zeros(dim, dtype=np.complex128)
+            ep[j] = ep[k] = h
+            ei = ep.copy()
+            ei[k] = 1j * h
+            rho_p = scalar_sampled_density(apply_fn(ep), shots, rng)
+            rho_i = scalar_sampled_density(apply_fn(ei), shots, rng)
+            n_inputs += 2
+            block = (2 * rho_p - singles[j] - singles[k] + 1j * (2 * rho_i - singles[j] - singles[k])) / 2
+            corr[j * dim:(j + 1) * dim, k * dim:(k + 1) * dim] = block
+            corr[k * dim:(k + 1) * dim, j * dim:(j + 1) * dim] = block.conj().T
+    corr = (corr + corr.conj().T) / 2
+    _, v = np.linalg.eigh(corr)
+    m = (v[:, -1] * math.sqrt(dim)).reshape(dim, dim).T
+    gram = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
+    queries = n_inputs * (1 + dim * (dim - 1)) * shots
+    return TomographyResult(canonical_phase(nearest_unitary(m)), "sampled", queries, gram, shots)

@@ -179,6 +179,25 @@ def test_sweep_flag_writes_companion(tmp_path, capsys):
     assert lines[0] == "samples,value" and len(lines) == 3
 
 
+@pytest.mark.parametrize("argv,field,swept", [
+    (["attack", "pru", "--sweep", "tomo=exact,sampled"], "tomography_mode",
+     lambda results: [r["tomography_mode"] for r in results]),
+    (["prfsg-game", "--trials", "20", "--sweep", "lambda=1,2"], "lam",
+     lambda results: [r["params"]["lam"] for r in results[::2]]),
+], ids=["tomo", "lambda"])
+def test_sweep_takes_the_flag_names(tmp_path, capsys, argv, field, swept):
+    path = tmp_path / "r.json"
+    rc = cli_main(argv + ["--out", str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    report = json.loads(path.read_text())
+    field_name, values = report["config"]["sweep"]
+    assert field_name == field
+    assert swept(report["results"]) == values
+    lines = (tmp_path / "r.sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == f"{field},value"
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "oraclebench.cli", "lemma", "choi-shrinkage"],

@@ -122,3 +122,55 @@ def test_expm_runs_small_matrices_on_one_blas_thread(monkeypatch, blas_counts, r
     assert seen == [threads]
     assert blas_counts() == dict.fromkeys(blas_counts(), 2)
     assert np.array_equal(got, want)
+
+
+def _random_basis(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(mat):
+        calls.append(mat.shape[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def test_top_eigh_certifies_rank_one_plus_noise(monkeypatch):
+    n = 16
+    rng = np.random.default_rng(7)
+    u = _random_basis(n, 8)[:, 0]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # Hermitian noise on the complement of u, so u stays an exact eigenvector
+    proj = np.eye(n) - np.outer(u, u.conj())
+    noise = proj @ (g + g.conj().T) @ proj * 0.05
+    mat = 4.0 * np.outer(u, u.conj()) + noise
+    calls = _count_eigh(monkeypatch)
+    with subroutines.capture() as log:
+        value, vec = subroutines.top_eigh(mat, label="rank-one")
+    assert calls == []
+    assert log == [{"op": "eigh", "label": "rank-one", "dim": n}]
+    assert abs(value - 4.0) < 1e-12
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-14
+    sin_theta = np.linalg.norm(vec - np.vdot(u, vec) * u)
+    assert sin_theta <= subroutines.TOP_EIGH_SIN_THETA
+
+
+def test_top_eigh_falls_back_on_a_degenerate_top_pair(monkeypatch):
+    q = _random_basis(3, 9)
+    mat = q @ np.diag([1.0, 1.0, 0.5]) @ q.conj().T
+    mat = (mat + mat.conj().T) / 2
+    w, v = np.linalg.eigh(mat)
+    calls = _count_eigh(monkeypatch)
+    with subroutines.capture() as log:
+        value, vec = subroutines.top_eigh(mat, label="degenerate")
+    assert calls == [3]
+    assert log == [{"op": "eigh", "label": "degenerate", "dim": 3}]
+    assert value == w[-1]
+    assert np.array_equal(vec, v[:, -1])

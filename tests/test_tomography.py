@@ -9,6 +9,8 @@ from oraclebench.haar import sample_haar_unitary
 from oraclebench.linalg import UnitaryMatrix
 from oraclebench.seeds import SeedPath
 
+import dense_reference as ref
+
 SEED = SeedPath(41255)
 
 
@@ -99,35 +101,22 @@ def test_sampled_tomography_dim4():
     assert tg.phase_aligned_distance(res.estimate, u.mat) <= 0.15
 
 
-def test_tomography_routes_spectral_work_through_subroutines():
+def test_tomography_routes_spectral_work_through_subroutines(monkeypatch):
+    labels = []
+    top_eigh = subroutines.top_eigh
+
+    def spy(mat, label=""):
+        labels.append(label)
+        return top_eigh(mat, label)
+
+    monkeypatch.setattr(subroutines, "top_eigh", spy)
     u = sample_haar_unitary(2, SEED.child("log"))
     with subroutines.capture() as log:
         tg.process_tomography_sampled(lambda v: u.mat @ v, 2, 0.3, 0.3, SEED.child("lg"))
     ops = {(e["op"], e["label"]) for e in log}
+    assert labels == ["tomo-correlation"]
     assert ("eigh", "tomo-correlation") in ops
     assert ("svd", "polar") in ops
-
-
-def _scalar_sampled_density(psi, shots, rng):
-    """The per-setting loop the batched sampler replaced, one multinomial call per setting."""
-    def clean(p):
-        p = np.clip(p, 0.0, None)
-        return p / np.sum(p)
-
-    def mean(p_plus, p_minus):
-        n = rng.multinomial(shots, clean(np.array([p_plus, p_minus, max(0.0, 1 - p_plus - p_minus)])))
-        return (n[0] - n[1]) / shots
-
-    d = psi.size
-    est = np.zeros((d, d), dtype=np.complex128)
-    np.fill_diagonal(est, rng.multinomial(shots, clean(np.abs(psi) ** 2)) / shots)
-    for a in range(d):
-        for b in range(a + 1, d):
-            x = mean(abs(psi[a] + psi[b]) ** 2 / 2, abs(psi[a] - psi[b]) ** 2 / 2)
-            y = mean(abs(psi[a] - 1j * psi[b]) ** 2 / 2, abs(psi[a] + 1j * psi[b]) ** 2 / 2)
-            est[a, b] = (x - 1j * y) / 2
-            est[b, a] = np.conj(est[a, b])
-    return est
 
 
 class _RecordingRng:
@@ -141,31 +130,33 @@ class _RecordingRng:
         return self.rng.multinomial(n, pvals)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
 def test_batched_sampler_matches_scalar_reference(dim):
     for i in range(4):
-        psi = sample_haar_unitary(dim, SEED.child(f"bat-{dim}", i)).mat[:, 0]
+        # one chunk of states: the columns of a Haar unitary, sampled in one call
+        psi = sample_haar_unitary(dim, SEED.child(f"bat-{dim}", i)).mat.T
         rng_ref = _RecordingRng(SEED.child(f"bat-sh-{dim}", i).rng())
         rng_new = _RecordingRng(SEED.child(f"bat-sh-{dim}", i).rng())
-        ref = _scalar_sampled_density(psi, 50 + i, rng_ref)
-        new = tg._sampled_density(psi, 50 + i, rng_new)
-        assert np.array_equal(new, ref)
+        want = np.stack([ref.scalar_sampled_density(row, 50 + i, rng_ref) for row in psi])
+        got = tg._sampled_densities(psi, 50 + i, rng_new)
+        assert np.array_equal(got, want)
         assert rng_new.rows == rng_ref.rows
         # same state after both: the same draws, in the same order
         assert rng_new.rng.bit_generator.state == rng_ref.rng.bit_generator.state
 
 
-def test_batched_reconstruction_matches_scalar_reference(monkeypatch):
-    u = sample_haar_unitary(4, SEED.child("bat-rec"))
-
-    def run():
-        return tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.15, 0.2, SEED.child("bat-rec-s"))
-
-    new = run()
-    monkeypatch.setattr(tg, "_sampled_density", _scalar_sampled_density)
-    ref = run()
-    assert np.array_equal(new.estimate, ref.estimate)
-    assert new.gram_defect == ref.gram_defect and new.queries == ref.queries
+def test_batched_reconstruction_matches_scalar_reference():
+    for dim in (1, 2, 3, 4, 8, 16):
+        u = sample_haar_unitary(dim, SEED.child("bat-rec", dim)).mat
+        for eps in (0.1, 0.3, 0.6):
+            seed = SEED.child("bat-rec-s", dim).child("eps", int(eps * 10))
+            new = tg.process_tomography_sampled(lambda v: u @ v, dim, eps, 0.2, seed)
+            old = ref.sampled_tomography(lambda v: u @ v, dim, eps, 0.2, seed)
+            assert new.queries == old.queries
+            assert new.shots_per_setting == old.shots_per_setting
+            # at dim 2 |U_00| = |U_11|, so canonical_phase may pick either under rounding
+            assert tg.phase_aligned_distance(new.estimate, old.estimate) <= 1e-12
+            assert abs(new.gram_defect - old.gram_defect) <= 1e-12
 
 
 def test_sampled_tomography_refuses_oversized_correlation():
@@ -177,13 +168,15 @@ def test_sampled_tomography_refuses_oversized_correlation():
 
 def test_small_correlation_eigh_runs_on_one_blas_thread(monkeypatch, blas_counts):
     seen = []
-    eigh = subroutines.eigh
+    note = subroutines._note
 
-    def spy(mat, label=""):
-        seen.append((mat.shape[0], blas_counts()))
-        return eigh(mat, label)
+    def spy(op, label, dim):
+        if op == "eigh":
+            seen.append((dim, blas_counts()))
+        note(op, label, dim)
 
-    monkeypatch.setattr(subroutines, "eigh", spy)
+    # top_eigh records its crossing inside its serial block
+    monkeypatch.setattr(subroutines, "_note", spy)
     u = sample_haar_unitary(4, SEED.child("serial"))
     tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.1, 0.1, SEED.child("serial-shots"))
     assert seen == [(16, dict.fromkeys(blas_counts(), 1))]
