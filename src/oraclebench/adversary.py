@@ -23,8 +23,9 @@ mode and the final challenge bit.
 
 Register conventions follow the averaged references: copies lead, the
 entangled partner trails, and inside each copy the fresh pad qubits sit in
-front of the payload. Candidate channels emit the opposite order, so their
-Kraus operators are reordered by one reshape and transpose on extraction.
+front of the payload. `oracles.candidate_channel` returns each key's Kraus
+operators in that order already, read off the circuit unitary whose wires
+put the payload first.
 """
 from __future__ import annotations
 
@@ -36,13 +37,7 @@ import numpy as np
 from .blockenc import compact_register, encode_density, svd_discriminate
 from .budget import DEFAULT_BUDGET, Budget
 from .haar import reference_overlap_matrix, sample_haar_unitary
-from .linalg import (
-    ATOL_TRACE,
-    DensityMatrix,
-    _as_mat,
-    choi_vector,
-    schatten_norm,
-)
+from .linalg import ATOL_TRACE, DensityMatrix, _as_mat, choi_vectors, schatten_norm
 from .oracles import Candidate, candidate_channel, rewrite_surrogate
 from .seeds import SeedPath, as_generator
 from .tomography import (
@@ -71,6 +66,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("target polynomial value p must be at least 2")
+        if self.ell_override is not None and self.ell_override < 1:
+            raise ValueError(f"copies ell must be at least 1, got {self.ell_override}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.tomography_mode not in ("exact", "sampled"):
@@ -196,20 +193,6 @@ def build_surrogates(cand: Candidate, tomo: TomographySet, d_cutoff: int) -> Sur
 # ------------------------------------------------------------------ Choi states
 
 
-def _channel_kraus(cand: Candidate, key, swap, hri, budget: Budget) -> list[np.ndarray]:
-    ks = candidate_channel(cand, key, swap=swap, hri=hri, budget=budget).kraus()
-    # candidate output order is [payload, pad]; references want the pad first
-    d_in, d_pad = 2**cand.lam, 2**cand.stretch_s
-    return [k.reshape(d_in, d_pad, -1).transpose(1, 0, 2).reshape(d_pad * d_in, -1) for k in ks]
-
-
-def _fold_ops(kraus: list[np.ndarray], ell: int) -> list[np.ndarray]:
-    ops = [np.ones((1, 1), dtype=np.complex128)]
-    for _ in range(ell):
-        ops = [np.kron(op, k) for op in ops for k in kraus]
-    return ops
-
-
 @dataclass(frozen=True)
 class ChoiFactor:
     """A keyed Choi state in Gram form, rho = vecs vecs^dag / n_keys.
@@ -250,12 +233,8 @@ def keyed_choi_vectors(
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
     budget.check_factor(qubits, len(cand.keys) * 2 ** (cand.ancilla_c * ell), "keyed state vectors")
-    vecs = np.column_stack([
-        choi_vector(op)
-        for k in cand.keys
-        for op in _fold_ops(_channel_kraus(cand, k, swap, hri, budget), ell)
-    ])
-    return ChoiFactor(vecs, len(cand.keys))
+    kraus = np.stack([candidate_channel(cand, k, swap, hri, budget) for k in cand.keys])
+    return ChoiFactor(choi_vectors(kraus, ell), len(cand.keys))
 
 
 # ------------------------------------------------------------------ support overlap
@@ -508,8 +487,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
             elif ch_kind == "haar":
                 d_out = 2 ** (lam + s)
                 v = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat
-                op = _fold_ops([v @ np.eye(d_out, 2**lam)], ell)[0]
-                x = ChoiFactor(choi_vector(op)[:, None], 1)
+                x = ChoiFactor(choi_vectors(v[None, :, : 2**lam], ell), 1)
             else:
                 raise ValueError(f"unknown challenge kind {ch_kind!r}")
             ch_prob = accept(_factor_weights(sur, coeffs, x))

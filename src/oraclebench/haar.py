@@ -158,13 +158,9 @@ def haar_choi(lam: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMat
     """Exact twirl of ell copies of one half of a maximally entangled register.
 
     The state lives on [A_1 .. A_ell | A'] with each A_i of lam qubits and the
-    partner register A' of lam*ell qubits.
+    partner register A' of lam*ell qubits: the isometry reference with no pad.
     """
-    budget.check_dense_matrix(2 * lam * ell, "averaged reference state")
-    a = 2 ** (lam * ell)
-    omega = omega_vector(a)
-    rho = np.outer(omega, omega.conj())
-    return DensityMatrix(_perm_sum(rho, 2**lam, ell, _gram_pinv(2**lam, ell, budget), budget))
+    return haar_isometry_choi(lam, 0, ell, budget)
 
 
 def haar_isometry_choi(

@@ -440,18 +440,25 @@ def lemma_check(lemma_id: str, params: dict | None = None, seed: SeedPath | None
 
 # -------------------------------------------------------------- experiments
 
-_KINDS = (
-    "lemma",
-    "attack-pru",
-    "attack-pri",
-    "attack-pri-vs-hri",
-    "prfsg-game",
-    "suite-fast",
-    "suite-all",
-)
-
 # per-config fields a lemma run forwards into the check parameters
 _LEMMA_FIELDS = ("lam", "ell", "s", "c", "trials")
+_ATTACK_FIELDS = ("lam", "ell", "c", "p", "backend", "tomography_mode")
+
+# what each experiment kind reads besides the seed; "extra" stands for the
+# free-form parameters. A run refuses a setting its kind would ignore.
+_READS = {
+    "lemma": _LEMMA_FIELDS + ("extra",),
+    "attack-pru": _ATTACK_FIELDS + ("extra",),
+    "attack-pri": _ATTACK_FIELDS + ("s", "extra"),
+    "attack-pri-vs-hri": _ATTACK_FIELDS + ("extra",),
+    "prfsg-game": _LEMMA_FIELDS + ("extra",),
+    "suite-fast": (),
+    "suite-all": (),
+}
+_SETTINGS = ("lam", "ell", "s", "c", "p", "trials", "backend", "tomography_mode")
+
+# the checks a prfsg-game run reports
+_GAME_CHECKS = ("prfsg-mean-advantage", "prfsg-tail")
 
 
 @dataclass(frozen=True)
@@ -475,7 +482,7 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _READS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
@@ -489,6 +496,15 @@ class ExperimentConfig:
             if not values:
                 raise ValueError("sweep needs at least one value")
             object.__setattr__(self, "sweep", (str(param), tuple(values)))
+        given = {f for f in _SETTINGS if getattr(self, f) is not None}
+        if self.extra:
+            given.add("extra")
+        if self.sweep is not None:
+            param = self.sweep[0]
+            given.add(param if param in _SETTINGS + ("seed",) else "extra")
+        unread = sorted(given - set(_READS[self.kind]) - {"seed"})
+        if unread:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
 
     def as_dict(self) -> dict:
         return {
@@ -591,8 +607,10 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
     s = cfg.s if cfg.s is not None else 1
     c = cfg.c if cfg.c is not None else 0
     width = lam + c + (s if kind == "pri" else 0)
-    # `a` is read by _run_attack; listing it here makes every other key a fault
-    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, a=1.0)
+    # `a` stretches only the rotation attack's cutoff and is read by _run_attack;
+    # listing it here makes every other key a fault
+    stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
+    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, **stretch)
     keys, calls = p["keys"], p["calls"]
     if keys < 1 or calls < 0:
         raise ValueError(f"attacks need keys >= 1 and calls >= 0, got keys={keys}, calls={calls}")
@@ -666,18 +684,12 @@ def _run_suite(profile: str, cfg: ExperimentConfig, root: SeedPath) -> list:
 
 def _run_single(cfg: ExperimentConfig) -> list:
     root = SeedPath(cfg.seed)
-    if cfg.kind == "lemma":
+    if cfg.kind in ("lemma", "prfsg-game"):
         params = _lemma_params(cfg)
-        return [lemma_check(cid, params, root.child(cid)) for cid in cfg.lemma_ids]
+        ids = cfg.lemma_ids if cfg.kind == "lemma" else _GAME_CHECKS
+        return [lemma_check(cid, params, root.child(cid)) for cid in ids]
     if cfg.kind.startswith("attack-"):
         return [_run_attack(cfg.kind.removeprefix("attack-"), cfg, root)]
-    if cfg.kind == "prfsg-game":
-        params = {"lam": cfg.lam if cfg.lam is not None else 2,
-                  "trials": cfg.trials if cfg.trials is not None else 200, **cfg.extra}
-        return [
-            lemma_check("prfsg-mean-advantage", params, root.child("prfsg-mean-advantage")),
-            lemma_check("prfsg-tail", params, root.child("prfsg-tail")),
-        ]
     return _run_suite(cfg.kind.removeprefix("suite-"), cfg, root)
 
 

@@ -140,44 +140,6 @@ def _as_mat(x) -> np.ndarray:
     return as_complex_array(x)
 
 
-@dataclass(frozen=True)
-class ChannelRep:
-    """Channel as a Stinespring unitary.
-
-    Input enters on the leading register, the ancilla (initialized to |0...0>)
-    is appended last, and the traced-out register is the trailing qubits of the
-    output. Kraus operators are read off as slices of the unitary.
-    """
-
-    stinespring: UnitaryMatrix
-    ancilla_in_qubits: int
-    traced_out_qubits: int
-
-    def __post_init__(self):
-        q = self.stinespring.qubits
-        if self.ancilla_in_qubits < 0 or self.traced_out_qubits < 0:
-            raise ValueError("register sizes must be nonnegative")
-        if self.ancilla_in_qubits > q or self.traced_out_qubits > q:
-            raise ValueError("register sizes exceed the Stinespring unitary")
-
-    @property
-    def in_dim(self) -> int:
-        return self.stinespring.dim >> self.ancilla_in_qubits
-
-    @property
-    def out_dim(self) -> int:
-        return self.stinespring.dim >> self.traced_out_qubits
-
-    def kraus(self) -> list[np.ndarray]:
-        w = self.stinespring.mat
-        d_out = self.out_dim
-        d_tr = self.stinespring.dim // d_out
-        d_in = self.in_dim
-        d_anc = self.stinespring.dim // d_in
-        w4 = w.reshape(d_out, d_tr, d_in, d_anc)
-        return [np.ascontiguousarray(w4[:, j, :, 0]) for j in range(d_tr)]
-
-
 def permute_subsystems(mat, dims: list[int], perm: list[int]) -> np.ndarray:
     """Conjugate by the register reordering where new slot j holds old subsystem perm[j]."""
     m = _as_mat(mat)
@@ -239,13 +201,27 @@ def omega_vector(d: int) -> np.ndarray:
     return vec
 
 
-def choi_vector(a: np.ndarray) -> np.ndarray:
-    """(A (x) I) applied to the maximally entangled pair on A's input dim.
+def choi_vectors(kraus: np.ndarray, ell: int = 1) -> np.ndarray:
+    """Choi vectors of the ell-fold tensor products of stacked Kraus operators, as columns.
 
-    Row-major flattening of A is exactly that vector scaled by sqrt(d_in).
+    `kraus` has shape (r, d_out, d_in), or (keys, r, d_out, d_in) for several
+    channels, each folded with itself only. Column (key, j_1 .. j_ell), j_1
+    most significant, is (K_j1 (x) .. (x) K_jell (x) I) applied to the
+    maximally entangled pair on d_in^ell: the row-major flattening of the
+    product, scaled by 1/sqrt(d_in^ell). Each copy is one broadcast multiply
+    with the operands in np.kron's order, so the entries equal a kron chain's.
     """
-    d_in = a.shape[1]
-    return a.reshape(-1) / math.sqrt(d_in)
+    stack = kraus.reshape((-1,) + kraus.shape[-3:])
+    keys, r, d_out, d_in = stack.shape
+    k = stack.transpose(2, 3, 0, 1)
+    ops = np.ones((1, 1, keys, 1), dtype=np.complex128)
+    for _ in range(ell):
+        a, b, _, n = ops.shape
+        ops = ops[:, None, :, None, :, :, None] * k[None, :, None, :, :, None, :]
+        ops = ops.reshape(a * d_out, b * d_in, keys, n * r)
+    vecs = ops.reshape(-1, keys * r**ell)
+    vecs /= math.sqrt(d_in**ell)
+    return vecs
 
 
 def transpose_identity_residual(a: np.ndarray) -> float:

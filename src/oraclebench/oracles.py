@@ -17,7 +17,9 @@ Each call carries the key of the block it queries: n for a swap call (the
 whole member S_n), (n, m) for a rotation call; tomography and the surrogate
 rewrite both go by that key. Keyed candidates are one type, `Candidate`,
 whose stretch s = 0 makes a keyed unitary. `circuit_unitary` runs a
-circuit's steps once, on all basis columns as one batch.
+circuit's steps once, on all basis columns as one batch, and
+`candidate_channel` reads one key's Kraus operators off that unitary as a
+single array.
 """
 from __future__ import annotations
 
@@ -26,13 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, Budget
-from .linalg import (
-    ChannelRep,
-    PureState,
-    UnitaryMatrix,
-    apply_on_wires,
-    as_complex_array,
-)
+from .linalg import PureState, UnitaryMatrix, apply_on_wires, as_complex_array
 from .seeds import SeedPath
 from . import haar
 
@@ -322,6 +318,11 @@ class Candidate:
     ancilla_c: int = 0
 
     def __post_init__(self):
+        if self.lam < 1 or self.stretch_s < 0 or self.ancilla_c < 0:
+            raise ValueError(
+                f"candidate needs lam >= 1 and s, c >= 0, got "
+                f"lam={self.lam}, s={self.stretch_s}, c={self.ancilla_c}"
+            )
         width = self.lam + self.stretch_s + self.ancilla_c
         for k, circ in self.circuits.items():
             if circ.total_qubits != width:
@@ -342,11 +343,15 @@ def candidate_channel(
     swap: SwapOracleFamily | None = None,
     hri: HriOracleFamily | None = None,
     budget: Budget = DEFAULT_BUDGET,
-) -> ChannelRep:
-    """One key's circuit as a channel from the input register to the output register."""
-    u = circuit_unitary(cand.circuits[key], swap=swap, hri=hri, budget=budget)
-    return ChannelRep(
-        u,
-        ancilla_in_qubits=cand.stretch_s + cand.ancilla_c,
-        traced_out_qubits=cand.ancilla_c,
-    )
+) -> np.ndarray:
+    """One key's Kraus operators, stacked: shape (2^c, 2^(s+lam), 2^lam).
+
+    Operator j is the block of the circuit unitary taking inputs with pad and
+    work in zeros to outputs with the work register in |j>. Its rows put the
+    pad qubits ahead of the payload, the copy order of the averaged references.
+    """
+    u = circuit_unitary(cand.circuits[key], swap=swap, hri=hri, budget=budget).mat
+    d_in, d_pad, d_work = 2**cand.lam, 2**cand.stretch_s, 2**cand.ancilla_c
+    # rows [payload, pad, work], columns [input, pad and work]
+    u5 = u.reshape(d_in, d_pad, d_work, d_in, d_pad * d_work)
+    return u5[..., 0].transpose(2, 1, 0, 3).reshape(d_work, d_pad * d_in, d_in)

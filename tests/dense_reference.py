@@ -3,10 +3,12 @@
 Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
 unitary, explicit subsystem permutation matrices, a circuit's unitary
-evaluated one basis column at a time, the threshold polynomial built by
-`chebinterpolate` and certified on the full grid at every degree, the
-checks run on a thread pool instead of one after another, and sampled
-process tomography one measurement setting at a time with a full `eigh`.
+evaluated one basis column at a time, a candidate's Kraus operators sliced
+off its Stinespring unitary and their Choi vectors built by a chain of
+`np.kron` products, the threshold polynomial built by `chebinterpolate` and
+certified on the full grid at every degree, the checks run on a thread pool
+instead of one after another, and sampled process tomography one
+measurement setting at a time with a full `eigh`.
 """
 from __future__ import annotations
 
@@ -108,6 +110,31 @@ def per_column_circuit_unitary(
                 vec = apply_on_wires(vec, gate, step.wires, circ.total_qubits)
         cols[:, j] = PureState(vec).amplitudes
     return UnitaryMatrix(cols)
+
+
+def stinespring_kraus(u: np.ndarray, lam: int, s: int, c: int) -> list[np.ndarray]:
+    """Kraus operators of a keyed circuit unitary on [input (lam), pad (s), work (c)].
+
+    Operator j maps inputs with pad and work in zeros to outputs with the
+    work register in |j>. Each is sliced off u on its own, then its rows are
+    reordered from [payload, pad] to [pad, payload].
+    """
+    d_in, d_pad, d_work = 2**lam, 2**s, 2**c
+    w4 = u.reshape(d_in * d_pad, d_work, d_in, d_pad * d_work)
+    ks = [np.ascontiguousarray(w4[:, j, :, 0]) for j in range(d_work)]
+    return [k.reshape(d_in, d_pad, -1).transpose(1, 0, 2).reshape(d_pad * d_in, -1) for k in ks]
+
+
+def kron_choi_vectors(kraus: list[np.ndarray], ell: int) -> np.ndarray:
+    """Choi vectors of every ell-fold product of the listed operators, as columns.
+
+    The products are an explicit `np.kron` list, each flattened and scaled
+    on its own, then stacked.
+    """
+    ops = [np.ones((1, 1), dtype=np.complex128)]
+    for _ in range(ell):
+        ops = [np.kron(op, k) for op in ops for k in kraus]
+    return np.column_stack([op.reshape(-1) / math.sqrt(op.shape[1]) for op in ops])
 
 
 def chebinterpolate_step(a: float, b: float, eta_target: float, degree: int) -> np.ndarray:

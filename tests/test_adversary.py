@@ -10,7 +10,7 @@ from oraclebench import adversary as adv
 from oraclebench import blockenc
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
-from oraclebench.linalg import choi_vector, schatten_norm
+from oraclebench.linalg import choi_vectors, schatten_norm
 from oraclebench.oracles import (
     Candidate,
     HriOracleFamily,
@@ -21,6 +21,8 @@ from oraclebench.oracles import (
 )
 from oraclebench.seeds import SeedPath
 from oraclebench.toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
+
+import dense_reference as ref
 
 SEED = SeedPath(404)
 
@@ -124,6 +126,19 @@ def test_isometry_kraus_put_the_pad_first():
     vecs = adv.keyed_choi_vectors(cand, ell=1).vecs
     op = vecs[:, 0].reshape(d_out, d_in) * math.sqrt(d_in)
     assert np.array_equal(op, np.eye(d_out, d_in))
+
+
+def test_keyed_choi_vectors_match_the_kron_chain():
+    lam, s, c, ell = 2, 1, 1, 2
+    swap = SwapOracleFamily(SEED.child("swap", 9))
+    cand = toy_pri_candidate(lam, s, 3, SEED.child("kron"), c=c, swap_calls=1)
+    want = np.column_stack([
+        ref.kron_choi_vectors(
+            ref.stinespring_kraus(circuit_unitary(cand.circuits[k], swap=swap).mat, lam, s, c), ell
+        )
+        for k in cand.keys
+    ])
+    assert np.array_equal(adv.keyed_choi_vectors(cand, swap, ell=ell).vecs, want)
 
 
 def test_choi_vectors_resolve_the_channel_trace():
@@ -419,10 +434,7 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     p_keyed, p_haar = dense(rho_keyed), dense(rho_ref)
     d_out = 2 ** (lam + s)
     iso = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat @ np.eye(d_out, 2**lam)
-    op = iso
-    for _ in range(ell - 1):
-        op = np.kron(op, iso)
-    vec = choi_vector(op)
+    (vec,) = choi_vectors(iso[None], ell).T
     # The dense reference sees the surrogate's zero singular values as rounding
     # noise (~1e-16), where the threshold polynomial is steep; the factored path
     # evaluates p at exact zeros. Each acceptance may differ by at most the

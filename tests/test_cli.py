@@ -52,8 +52,28 @@ def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["lemma", "permutation-twirl-rate", "--param", "n=0"]) == 2
     assert cli_main(["lemma", "permutation-twirl-rate", "--ell", "0"]) == 2
     assert cli_main(["prfsg-game", "--param", "bogus=3", "--trials", "5"]) == 2
+    assert cli_main(["attack", "pru", "--c", "-1"]) == 2
+    assert cli_main(["attack", "pri", "--s", "-1"]) == 2
+    assert cli_main(["attack", "pru", "--ell", "0"]) == 2
+    assert cli_main(["attack", "pru", "--lambda", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 15
+    assert err.count("error:") == 19
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prfsg-game", "--ell", "3", "--c", "2"],
+    ["attack", "pru", "--trials", "7", "--s", "3"],
+    ["attack", "pri-vs-hri", "--s", "2"],
+    ["attack", "pru", "--param", "a=2"],
+    ["lemma", "hri-trace", "--p", "5", "--backend", "poly", "--tomo", "sampled"],
+    ["suite", "fast", "--lambda", "5", "--ell", "3"],
+    ["suite", "fast", "--param", "trials=3"],
+    ["attack", "pru", "--sweep", "trials=1,2"],
+])
+def test_flags_the_experiment_does_not_read_exit_2(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_premise_and_sizing_faults_exit_2(capsys):

@@ -268,9 +268,9 @@ def test_reference_overlap_matrix_matches_dense_sandwich():
                 op = np.kron(op, u.mat @ embed)
             ops.append(op)
         rho2 = (haar.haar_isometry_choi(lam, s, ell) if s else haar.haar_choi(lam, ell)).mat
-        vecs = [la.choi_vector(op) for op in ops]
-        dense = np.array([[v.conj() @ rho2 @ w for w in vecs] for v in vecs])
-        h = haar.reference_overlap_matrix(np.column_stack(vecs), d_in, d_out, ell)
+        vecs = la.choi_vectors(np.stack(ops))
+        dense = vecs.conj().T @ rho2 @ vecs
+        h = haar.reference_overlap_matrix(vecs, d_in, d_out, ell)
         assert np.max(np.abs(dense - h)) <= 1e-12
 
 
@@ -290,7 +290,7 @@ def test_permutation_pair_weights_are_sized_before_building():
 def test_reference_overlap_identity_values():
     # single copy: 1/(d_in d_out); two identity copies at d=2: second moment
     # of |Tr U|^2 over the group, divided by d^4
-    h1 = haar.reference_overlap_matrix(la.choi_vector(np.eye(4, 2))[:, None], 2, 4, 1)
+    h1 = haar.reference_overlap_matrix(la.choi_vectors(np.eye(4, 2)[None]), 2, 4, 1)
     assert abs(h1[0, 0].real - 1 / 8) <= 1e-14
-    h2 = haar.reference_overlap_matrix(la.choi_vector(np.eye(4))[:, None], 2, 2, 2)
+    h2 = haar.reference_overlap_matrix(la.choi_vectors(np.eye(4)[None]), 2, 2, 2)
     assert abs(h2[0, 0].real - 2 / 16) <= 1e-14

@@ -129,6 +129,11 @@ def test_config_validation_and_normalization():
         {"backend": "polynomial"},
         {"tomography_mode": "psychic"},
         {"sweep": ("d", [])},
+        {"kind": "suite-fast", "lam": 2},
+        {"kind": "suite-fast", "extra": {"trials": 3}},
+        {"kind": "attack-pru", "s": 1},
+        {"kind": "attack-pru", "sweep": ("trials", [1, 2])},
+        {"kind": "lemma", "backend": "poly"},
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)

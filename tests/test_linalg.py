@@ -72,25 +72,6 @@ def test_density_validation_and_clipping():
         la.DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
 
 
-def test_channel_rep_kraus_completeness_and_apply():
-    rng = rng_of(2)
-    w = la.UnitaryMatrix(la.random_unitary_from(rng, 8))
-    chan = la.ChannelRep(w, ancilla_in_qubits=1, traced_out_qubits=1)
-    ks = chan.kraus()
-    assert len(ks) == 2 and ks[0].shape == (4, 4)
-    acc = sum(k.conj().T @ k for k in ks)
-    assert np.allclose(acc, np.eye(4), atol=1e-10)
-
-    rho = rand_density(rng, 4)
-    out = sum(k @ rho @ k.conj().T for k in ks)
-    # independent route: conjugate the embedded state by the full unitary, then trace
-    emb = np.zeros((8, 8), dtype=complex)
-    emb[::2, ::2] = rho  # ancilla |0> appended as least significant qubit
-    direct = w.mat @ emb @ w.mat.conj().T
-    direct = np.trace(direct.reshape(4, 2, 4, 2), axis1=1, axis2=3)
-    assert np.allclose(out, direct, atol=1e-10)
-
-
 def test_permute_subsystems_and_matrix_agree():
     rng = rng_of(6)
     dims = [2, 3, 2]
@@ -202,16 +183,31 @@ def test_max_entangled_amplitudes_and_marginals():
         assert np.allclose(psi.T @ psi.conj(), np.eye(d) / d, atol=1e-12)
 
 
-def test_choi_vector_identity():
+def test_choi_vectors_identity():
     rng = rng_of(12)
     for d_out, d_in in ((4, 4), (8, 4), (2, 8)):
         a = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
         direct = np.kron(a, np.eye(d_in)) @ la.omega_vector(d_in)
-        assert np.allclose(la.choi_vector(a), direct, atol=1e-12)
-        assert np.isclose(
-            np.linalg.norm(la.choi_vector(a)) ** 2,
-            np.real(np.trace(a.conj().T @ a)) / d_in,
-        )
+        (vec,) = la.choi_vectors(a[None]).T
+        assert np.allclose(vec, direct, atol=1e-12)
+        assert np.isclose(np.linalg.norm(vec) ** 2, np.real(np.trace(a.conj().T @ a)) / d_in)
+
+
+def test_choi_vectors_match_the_kron_chain():
+    rng = rng_of(13)
+    for r in (1, 2, 3):
+        for d_out, d_in in ((4, 2), (2, 4), (8, 2)):
+            shape = (r, d_out, d_in)
+            kraus = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for ell in (1, 2, 3):
+                want = ref.kron_choi_vectors(list(kraus), ell)
+                got = la.choi_vectors(kraus, ell)
+                assert got.shape == (d_out**ell * d_in**ell, r**ell)
+                assert np.array_equal(got, want)
+    # a stack of channels folds each with itself, channel after channel
+    stack = rng.standard_normal((3, 2, 4, 2)) + 1j * rng.standard_normal((3, 2, 4, 2))
+    want = np.hstack([ref.kron_choi_vectors(list(k), 2) for k in stack])
+    assert np.array_equal(la.choi_vectors(stack, 2), want)
 
 
 # ---------------------------------------------------------------- permutations

@@ -257,25 +257,52 @@ def test_toy_pru_candidate_shapes():
     cand = toys.toy_pru_candidate(2, 4, SEED.child("pru"))
     assert cand.keys == (0, 1, 2, 3)
     assert cand.query_count == 0
-    chan = orc.candidate_channel(cand, 0)
-    assert chan.in_dim == 4 and chan.out_dim == 4
-    assert len(chan.kraus()) == 1
+    assert orc.candidate_channel(cand, 0).shape == (1, 4, 4)
 
 
 def test_toy_pri_candidate_queries_family():
     fam = fresh_family("pric")
     cand = toys.toy_pri_candidate(2, 1, 2, SEED.child("pri-cand"), swap_calls=2)
     assert cand.query_count == 2
-    chan = orc.candidate_channel(cand, 1, swap=fam)
-    ks = chan.kraus()
-    assert len(ks) == 1 and ks[0].shape == (8, 4)
+    kraus = orc.candidate_channel(cand, 1, swap=fam)
+    assert kraus.shape == (1, 8, 4)
     # isometry: K^dag K = I on the input register
-    assert np.allclose(ks[0].conj().T @ ks[0], np.eye(4), atol=1e-10)
+    assert np.allclose(kraus[0].conj().T @ kraus[0], np.eye(4), atol=1e-10)
 
 
 def test_toy_hri_candidate_queries_rotation_family():
     hfam = orc.HriOracleFamily(SEED.child("hritoy"), stretch="n")
     cand = toys.toy_hri_candidate(3, 2, SEED.child("htoy"), rot_calls=1)
     assert cand.query_count == 1
-    chan = orc.candidate_channel(cand, 0, hri=hfam)
-    assert chan.out_dim == 8
+    assert orc.candidate_channel(cand, 0, hri=hfam).shape == (1, 8, 8)
+
+
+def test_candidate_kraus_completeness_and_stinespring_route():
+    lam, s, c = 2, 1, 1
+    fam = fresh_family("kraus")
+    cand = toys.toy_pri_candidate(lam, s, 2, SEED.child("kraus-cand"), c=c, swap_calls=1)
+    kraus = orc.candidate_channel(cand, 0, swap=fam)
+    assert kraus.shape == (2, 8, 4)
+    acc = sum(k.conj().T @ k for k in kraus)
+    assert np.allclose(acc, np.eye(4), atol=1e-10)
+
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    out = sum(k @ rho @ k.conj().T for k in kraus)
+    # independent route: embed with pad and work in zeros, conjugate by the
+    # circuit unitary, trace out the work qubit, then move the pad first
+    u = orc.circuit_unitary(cand.circuits[0], swap=fam).mat
+    zeros = np.zeros((4, 4), dtype=complex)
+    zeros[0, 0] = 1.0
+    direct = (u @ np.kron(rho, zeros) @ u.conj().T).reshape(4, 2, 2, 4, 2, 2)
+    direct = np.einsum("abjcdj->abcd", direct).transpose(1, 0, 3, 2).reshape(8, 8)
+    assert np.allclose(out, direct, atol=1e-10)
+
+    # pad first: row (pad, y) of operator j is output wire order (y, pad, j)
+    for j in range(2):
+        for pad in range(2):
+            for y in range(4):
+                for x in range(4):
+                    assert kraus[j, pad * 4 + y, x] == u[(y * 2 + pad) * 2 + j, x * 4]
+
