@@ -7,17 +7,19 @@ the system, the unitary W^dag (swap A A') W has top-left block exactly rho,
 and only the purification column of W ever enters that block. The
 discrimination measurement projects onto the high singular directions of an
 encoded block, either exactly (ideal backend) or through a bounded
-polynomial applied to the singular values (polynomial backend).
+polynomial applied to the singular values (polynomial backend). That
+polynomial interpolates an erf step (after Gilyen-Su-Low-Wiebe); the step
+uses the standard library's `math.erf` and its normal quantile.
 """
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.special import erf, erfinv
 
 from .linalg import UnitaryMatrix, _as_mat
 from .seeds import as_generator
@@ -205,11 +207,18 @@ def _chebyshev_coeffs(samples: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)  # math.erf element-wise
+
+
+def _kappa(a: float, b: float, eta_target: float) -> float:
+    """The step's slope 2 erfinv(1 - 2 eta) / (b - a), by the normal quantile: no 1 - 2 eta cancellation."""
+    return -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(eta_target) / (b - a)
+
+
 def _poly_candidate(a: float, b: float, eta_target: float, degree: int) -> np.ndarray:
-    mu = (a + b) / 2.0
-    kappa = 2.0 * erfinv(1.0 - 2.0 * eta_target) / (b - a)
     x = (_cheb.chebpts1(degree + 1) + 1.0) / 2.0
-    return _chebyshev_coeffs(0.5 * (1.0 + erf(kappa * (x - mu))))
+    step = _erf(_kappa(a, b, eta_target) * (x - (a + b) / 2.0)).astype(float)
+    return _chebyshev_coeffs(0.5 * (1.0 + step))
 
 
 @functools.lru_cache(maxsize=16)

@@ -126,6 +126,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         sweep = _parse_sweep(sweep)
     elif sweep is not None:
         sweep = (_FLAG_FIELDS.get(sweep[0], sweep[0]), tuple(sweep[1]))
+    out = _merge(args.out, filed.get("out"), None)
+    fmt = _merge(args.fmt, filed.get("format"), None)
+    if out is None and fmt is not None:
+        raise ValueError("a report format needs a report path (--out)")
+    out_dir = out and os.path.dirname(os.path.abspath(out))
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"report directory {out_dir} does not exist")
     return ExperimentConfig(
         kind=kind,
         lemma_ids=ids,
@@ -138,8 +145,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=_merge(args.seed, filed.get("seed"), 0),
         backend=_merge(args.backend, filed.get("backend"), None),
         tomography_mode=_merge(args.tomo, filed.get("tomo"), None),
-        out_path=_merge(args.out, filed.get("out"), None),
-        fmt=_merge(args.fmt, filed.get("format"), "json"),
+        out_path=out,
+        fmt=fmt or "json",
         sweep=sweep,
         extra=params,
     )
@@ -170,10 +177,6 @@ def cli_main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = _config_from_args(args)
-        if cfg.out_path is not None:
-            out_dir = os.path.dirname(os.path.abspath(cfg.out_path))
-            if not os.path.isdir(out_dir):
-                raise ValueError(f"report directory {out_dir} does not exist")
         report = harness.run_experiment(cfg)
     except SizingError as e:
         print(f"sizing: {e}", file=sys.stderr)

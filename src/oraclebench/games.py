@@ -111,7 +111,7 @@ def _perturbed_pair(d: int, scale: float, seed: SeedPath):
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (h + h.conj().T) / 2
     h *= scale / np.linalg.norm(h, 2)
-    return u, u @ subroutines.expm(1j * h)
+    return u, u @ subroutines.expi(h)
 
 
 def two_query_lipschitz_check(

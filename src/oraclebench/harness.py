@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import __version__, adversary, blockenc, games, haar, subroutines
 from . import linalg as la
@@ -159,7 +158,7 @@ def _conjugation_lipschitz(params: dict, seed: SeedPath):
         h = _ginibre(rng, d)
         h = (h + h.conj().T) / 2
         scale = 10.0 ** (-3 + 3.5 * i / max(1, p["trials"] - 1))
-        v = u @ subroutines.expm(1j * (scale / np.linalg.norm(h, 2)) * h)
+        v = u @ subroutines.expi((scale / np.linalg.norm(h, 2)) * h)
         psi = la.random_state_from(rng, d)
         ru = np.outer(u @ psi, np.conj(u @ psi))
         rv = np.outer(v @ psi, np.conj(v @ psi))
@@ -330,7 +329,7 @@ def _perturbed_unitary(seed: SeedPath, d: int, p_exp: int):
     h = (h + h.conj().T) / 2
     h /= np.linalg.norm(h, 2)
     delta = 2.0 ** (-p_exp - 1)
-    return u @ subroutines.expm(1j * delta * h) * (1.0 - delta)
+    return u @ subroutines.expi(delta * h) * (1.0 - delta)
 
 
 def _sv_tail_mass(params: dict, seed: SeedPath):
@@ -447,7 +446,7 @@ _ATTACK_FIELDS = ("lam", "ell", "c", "p", "backend", "tomography_mode")
 # what each experiment kind reads besides the seed; "extra" stands for the
 # free-form parameters. A run refuses a setting its kind would ignore.
 _READS = {
-    "lemma": _LEMMA_FIELDS + ("extra",),
+    "lemma": _LEMMA_FIELDS + ("lemma_ids", "extra"),
     "attack-pru": _ATTACK_FIELDS + ("extra",),
     "attack-pri": _ATTACK_FIELDS + ("s", "extra"),
     "attack-pri-vs-hri": _ATTACK_FIELDS + ("extra",),
@@ -497,8 +496,7 @@ class ExperimentConfig:
                 raise ValueError("sweep needs at least one value")
             object.__setattr__(self, "sweep", (str(param), tuple(values)))
         given = {f for f in _SETTINGS if getattr(self, f) is not None}
-        if self.extra:
-            given.add("extra")
+        given |= {f for f in ("lemma_ids", "extra") if getattr(self, f)}
         if self.sweep is not None:
             param = self.sweep[0]
             given.add(param if param in _SETTINGS + ("seed",) else "extra")
@@ -548,6 +546,7 @@ def result_passed(res) -> bool:
 
 
 def _versions() -> dict:
+    import scipy  # the package alone, for its version; the library calls none of it
     return {
         "schema": 1,
         "package": __version__,

@@ -7,7 +7,8 @@ this module makes every crossing recordable, so attack reports can list
 exactly which classical helpers were invoked and on what sizes.
 
 The module also holds the guard that runs small BLAS and LAPACK calls on
-one OpenBLAS thread, and `expm`, the matrix exponential that applies it.
+numpy's OpenBLAS with one thread, and `expi`, the exponential exp(iH) of a
+Hermitian matrix that applies it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 # the entry lists of the captures open in this context, innermost last
 _captures: contextvars.ContextVar[tuple] = contextvars.ContextVar("captures", default=())
@@ -41,7 +41,7 @@ TOP_EIGH_MAX_STEPS = 200
 # one_blas_thread nests and overlaps across threads; the last to leave restores
 _serial_lock = threading.Lock()
 _serial_users = 0
-_serial_saved: list[int] = []
+_serial_saved = 0
 
 
 @contextmanager
@@ -111,56 +111,43 @@ def top_eigh(mat: np.ndarray, label: str = "") -> tuple[float, np.ndarray]:
         return float(w[-1]), v[:, -1]
 
 
-def _thread_api(lib):
-    """(get, set) for the thread count of one OpenBLAS build, else None."""
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
 @functools.cache
-def _openblas_threads() -> dict:
-    """Package name -> (get, set) for each OpenBLAS the numpy and scipy wheels bundle.
-
-    The two wheels ship separate builds: numpy's exports
-    `scipy_openblas_*_num_threads64_`, scipy's the same names without the
-    suffix. A package whose wheel bundles none has no entry.
-    """
-    found = {}
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*.so*")):
-            api = _thread_api(ctypes.CDLL(str(path)))
-            if api is not None:
-                found[pkg.__name__] = api
-                break
-    return found
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS numpy's wheel bundles, else None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
 
 
 @contextmanager
 def one_blas_thread():
     """Run the with-block's LAPACK and BLAS calls on a single OpenBLAS thread.
 
-    Covers the OpenBLAS bundled with numpy and the separate one bundled with
-    scipy (which `scipy.linalg` calls). A woken OpenBLAS worker keeps
-    spinning on another core long after its call returns, so a small
-    threaded call taxes the Python code after it. The count is
-    process-wide: calls made meanwhile by other threads also run serially.
-    A no-op for a library that is not found.
+    Governs the OpenBLAS bundled with numpy, the only one the library calls.
+    A woken OpenBLAS worker keeps spinning on another core long after its
+    call returns, so a small threaded call taxes the Python code after it.
+    The count is process-wide: calls made meanwhile by other threads also
+    run serially. A no-op when numpy bundles no OpenBLAS.
     """
     global _serial_users, _serial_saved
-    apis = list(_openblas_threads().values())
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
     with _serial_lock:
         if _serial_users == 0:
-            _serial_saved = [get() for get, _ in apis]
-            for _, put in apis:
-                put(1)
+            _serial_saved = get()
+            put(1)
         _serial_users += 1
     try:
         yield
@@ -168,8 +155,7 @@ def one_blas_thread():
         with _serial_lock:
             _serial_users -= 1
             if _serial_users == 0:
-                for (_, put), count in zip(apis, _serial_saved):
-                    put(count)
+                put(_serial_saved)
 
 
 def serial_if_small(rows: int):
@@ -177,7 +163,8 @@ def serial_if_small(rows: int):
     return one_blas_thread() if rows <= SERIAL_MAX_ROWS else nullcontext()
 
 
-def expm(mat: np.ndarray) -> np.ndarray:
-    """`scipy.linalg.expm`, on one OpenBLAS thread for at most SERIAL_MAX_ROWS rows."""
-    with serial_if_small(mat.shape[0]):
-        return scipy.linalg.expm(mat)
+def expi(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H by `np.linalg.eigh`; one OpenBLAS thread up to SERIAL_MAX_ROWS rows."""
+    with serial_if_small(h.shape[0]):
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(1j * w)) @ v.conj().T

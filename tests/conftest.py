@@ -6,20 +6,18 @@ from oraclebench import subroutines
 
 @pytest.fixture
 def blas_counts():
-    """Set every bundled OpenBLAS to two threads; yield a reader of their counts.
+    """Set numpy's bundled OpenBLAS to two threads; yield a reader of its count.
 
-    The reader returns {package: thread count} for each library found, so an
-    assertion on it covers numpy's and scipy's builds alike. The counts are
-    restored afterwards.
+    The reader returns {"numpy": thread count}; that build is the only BLAS
+    the library calls. The count is restored afterwards.
     """
-    apis = subroutines._openblas_threads()
-    if not apis:
-        pytest.skip("neither numpy nor scipy bundles OpenBLAS here")
-    before = {name: get() for name, (get, _) in apis.items()}
-    for _, put in apis.values():
-        put(2)
+    api = subroutines._openblas_threads()
+    if api is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = api
+    before = get()
+    put(2)
     try:
-        yield lambda: {name: get() for name, (get, _) in apis.items()}
+        yield lambda: {"numpy": get()}
     finally:
-        for name, (_, put) in apis.items():
-            put(before[name])
+        put(before)

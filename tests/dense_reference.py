@@ -7,7 +7,8 @@ evaluated one basis column at a time, a candidate's Kraus operators sliced
 off its Stinespring unitary and their Choi vectors built by a chain of
 `np.kron` products, the threshold polynomial built by `chebinterpolate` and
 certified on the full grid at every degree, the checks run on a thread pool
-instead of one after another, and sampled process tomography one
+instead of one after another (with exp(iH) taken outside the one-thread
+BLAS guard), and sampled process tomography one
 measurement setting at a time with a full `eigh`.
 """
 from __future__ import annotations
@@ -176,6 +177,12 @@ def threshold_poly_ladder(a: float, b: float, eta: float) -> ThresholdPoly:
         if degree >= cap:
             raise ValueError(f"threshold polynomial failed to certify by the degree cap {cap}")
         degree = min(2 * degree, cap)
+
+
+def expi_unguarded(h: np.ndarray) -> np.ndarray:
+    """`subroutines.expi`'s eigh route on however many OpenBLAS threads are set."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def pooled_checks(ids, params: dict, root: SeedPath) -> list:

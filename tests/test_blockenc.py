@@ -132,6 +132,18 @@ def test_dct_coefficients_match_chebinterpolate(degree):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_stdlib_erf_step_agrees_with_scipy_special():
+    from scipy.special import erf, erfinv
+
+    x = np.concatenate([np.linspace(-8.0, 8.0, 100_001), np.geomspace(1e-300, 30.0, 2001)])
+    x = np.concatenate([x, -x])
+    assert np.max(np.abs(be._erf(x).astype(float) - erf(x))) <= 1e-15
+    a, b = 2.0**-24, 2.0**-16
+    for eta in np.geomspace(1e-4, 0.49, 1000):
+        want = 2.0 * erfinv(1.0 - 2.0 * eta) / (b - a)
+        assert abs(be._kappa(a, b, eta) / want - 1.0) <= 1e-13, eta
+
+
 _LADDER_CASES = [
     (2.0 ** (-3 * n), 2.0 ** (-2 * n), 2.0**-lam / 2.0) for n in (2, 4, 6, 8, 10) for lam in (1, 2, 3)
 ] + [(0.2, 0.6, 0.025), (0.3, 0.7, 0.05), (0.48, 0.52, 0.01)]

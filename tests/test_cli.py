@@ -70,6 +70,7 @@ def test_bad_param_forms_exit_2(capsys):
     ["suite", "fast", "--lambda", "5", "--ell", "3"],
     ["suite", "fast", "--param", "trials=3"],
     ["attack", "pru", "--sweep", "trials=1,2"],
+    ["lemma", "hri-trace", "--format", "csv"],
 ])
 def test_flags_the_experiment_does_not_read_exit_2(argv, capsys):
     assert cli_main(argv) == 2
@@ -174,6 +175,17 @@ def test_missing_report_directory_exits_2_before_running(tmp_path, capsys, monke
     assert not out.parent.exists()
 
 
+def test_config_format_without_report_path_exits_2(tmp_path, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran with a format but no report path")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "csv"}))
+    assert cli_main(["lemma", "hri-trace", "--config", str(cfgfile)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli_main(["lemma", "holder-product", "--config", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
@@ -227,14 +239,27 @@ def test_module_entry_point_runs():
     assert "choi-shrinkage" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    # the threshold polynomial's DCT goes through numpy.fft; scipy.fft would add to start-up
-    proc = subprocess.run(
-        [sys.executable, "-c", "import oraclebench.cli, sys; print('scipy.fft' in sys.modules)"],
-        capture_output=True, text=True, timeout=120,
-    )
+def _scipy_modules_after(code: str) -> list:
+    report = "; import json, sys; print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    proc = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # the library computes with numpy and the standard library alone; importing
+    # scipy's subpackages would double the start-up of every run
+    assert _scipy_modules_after("import oraclebench.cli") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "fast"],
+    ["attack", "pru", "--c", "1", "--backend", "poly", "--tomo", "sampled"],
+])
+def test_runs_leave_scipy_linalg_and_special_unloaded(argv):
+    # only the report's version field imports scipy, and the package alone
+    loaded = _scipy_modules_after(f"from oraclebench.cli import cli_main; assert cli_main({argv!r}) == 0")
+    assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.special"))], loaded
 
 
 def test_suite_fast_all_green(capsys):

@@ -5,9 +5,8 @@ import math
 import threading
 
 import pytest
-import scipy.linalg
 
-from dense_reference import pooled_checks
+from dense_reference import expi_unguarded, pooled_checks
 from oraclebench import harness, subroutines
 from oraclebench.budget import SizingError
 from oraclebench.harness import (
@@ -199,13 +198,21 @@ def test_checks_run_on_the_calling_thread(monkeypatch):
     assert max(active) == before
 
 
+def test_lemma_ids_outside_a_lemma_run_are_refused():
+    with pytest.raises(ValueError, match="attack-pru does not read lemma_ids"):
+        ExperimentConfig(kind="attack-pru", lemma_ids=("holder-product",))
+    with pytest.raises(ValueError, match="lemma_ids"):
+        ExperimentConfig(kind="suite-fast", lemma_ids=["holder-product"])
+    assert ExperimentConfig(kind="attack-pru", lemma_ids=()).lemma_ids == ()
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_serial_suite_checks_equal_the_pooled_reference(monkeypatch, seed):
     rows = strip_timing(run_experiment(ExperimentConfig(kind="suite-fast", seed=seed))).results
-    # the pool ran scipy's expm unguarded: the one-thread guard is
+    # the pool runs the exponential unguarded: the one-thread guard is
     # process-wide, so under the pool it would change a concurrent check's
     # BLAS rounding (choi-shrinkage's exact 0.0 becomes 5.6e-17)
-    monkeypatch.setattr(subroutines, "expm", scipy.linalg.expm)
+    monkeypatch.setattr(subroutines, "expi", expi_unguarded)
     ref = pooled_checks(CHECKS, harness._SUITE_OVERRIDES["fast"], SeedPath(seed))
     got = [r.as_dict() for r in rows[: len(CHECKS)]]
     want = [dataclasses.replace(r, runtime_ms=0).as_dict() for r in ref]

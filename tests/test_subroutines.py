@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dense_reference import expi_unguarded
 from oraclebench import subroutines
 
 
@@ -88,40 +89,50 @@ def test_one_blas_thread_holds_under_overlapping_threads(blas_counts):
         sys.setswitchinterval(interval)
 
 
-def test_every_bundled_openblas_build_is_found(blas_counts):
-    bundled = {
-        pkg.__name__
-        for pkg in (np, scipy)
-        if any((Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs").glob("*openblas*"))
-    }
-    assert set(blas_counts()) == bundled
-    if bundled == {"numpy", "scipy"}:
-        # separate builds: numpy's count does not reach scipy.linalg's calls
-        _, put = subroutines._openblas_threads()["numpy"]
-        put(1)
-        assert blas_counts() == {"numpy": 1, "scipy": 2}
+def test_numpys_bundled_openblas_is_found(blas_counts):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    assert any(libs.glob("*openblas*"))
+    get, put = subroutines._openblas_threads()
+    put(1)
+    assert get() == 1 and blas_counts() == {"numpy": 1}
+
+
+def _hermitian(rows: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
+    h = (h + h.conj().T) / 2
+    return h / np.linalg.norm(h, 2)
 
 
 @pytest.mark.parametrize("rows,threads", [(8, 1), (512, 2)])
-def test_expm_runs_small_matrices_on_one_blas_thread(monkeypatch, blas_counts, rows, threads):
-    if "scipy" not in blas_counts():
-        pytest.skip("scipy does not bundle OpenBLAS here")
+def test_expi_runs_small_matrices_on_one_blas_thread(monkeypatch, blas_counts, rows, threads):
     seen = []
-    expm = scipy.linalg.expm
+    eigh = np.linalg.eigh
 
     def spy(mat):
-        seen.append(blas_counts()["scipy"])
-        return expm(mat)
+        seen.append(blas_counts()["numpy"])
+        return eigh(mat)
 
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
-    h = 1j * (h + h.conj().T) / (4 * rows)
-    want = expm(h)
-    monkeypatch.setattr(scipy.linalg, "expm", spy)
-    got = subroutines.expm(h)
+    h = _hermitian(rows, 3)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    subroutines.expi(h)
     assert seen == [threads]
-    assert blas_counts() == dict.fromkeys(blas_counts(), 2)
-    assert np.array_equal(got, want)
+    assert blas_counts() == {"numpy": 2}
+
+
+# the checks exponentiate at d <= 8 by default; a 256-row eigh on two threads rounds
+# differently from one, which is why the pooled reference runs unguarded
+@pytest.mark.parametrize("rows", [2, 8, 64, 512])
+def test_expi_equals_the_unguarded_eigh_route(blas_counts, rows):
+    h = _hermitian(rows, rows)
+    assert np.array_equal(subroutines.expi(h), expi_unguarded(h))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 8, 64, 512])
+def test_expi_agrees_with_scipy_expm(rows):
+    # scipy's Pade exponential stays here as the dense reference
+    h = 3.0 * _hermitian(rows, 10 + rows)
+    assert np.max(np.abs(subroutines.expi(h) - scipy.linalg.expm(1j * h))) <= 1e-12
 
 
 def _random_basis(n: int, seed: int) -> np.ndarray:
