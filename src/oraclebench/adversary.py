@@ -15,11 +15,9 @@ eigendecomposition of the surrogate's r x r Gram matrix gives its support
 and singular values; a challenge's weight on each support direction comes
 from its own factor, or, for the fully averaged reference, from the
 reference overlap matrix of the support directions, a permutation gather
-of the vectors themselves. The dense states and the block-encoding
-distinguisher remain as the reference the factored numbers are tested
-against. Acceptance probabilities on the report path are exact
-traces; randomness enters only through the optional finite-shot tomography
-mode and the final challenge bit.
+of the vectors themselves. Acceptance probabilities on the report path are
+exact traces; randomness enters only through the optional finite-shot
+tomography mode and the final challenge bit.
 
 Register conventions follow the averaged references: copies lead, the
 entangled partner trails, and inside each copy the fresh pad qubits sit in
@@ -34,10 +32,10 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
-from .blockenc import compact_register, encode_density, svd_discriminate
+from .blockenc import compact_register
 from .budget import DEFAULT_BUDGET, Budget
 from .haar import reference_overlap_matrix, sample_haar_unitary
-from .linalg import ATOL_TRACE, DensityMatrix, _as_mat, choi_vectors, schatten_norm
+from .linalg import ATOL_TRACE, choi_vectors, schatten_norm
 from .oracles import Candidate, candidate_channel, rewrite_surrogate
 from .seeds import SeedPath, as_generator
 from .tomography import (
@@ -216,11 +214,6 @@ class ChoiFactor:
         per = self.vecs.shape[1] // self.n_keys
         return ChoiFactor(self.vecs[:, index * per : (index + 1) * per], 1)
 
-    def density(self, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
-        """The dense state, for reference computations at small sizes."""
-        budget.check_dense_matrix(self.vecs.shape[0].bit_length() - 1, "dense Choi state")
-        return DensityMatrix((self.vecs @ self.vecs.conj().T) / self.n_keys)
-
 
 def keyed_choi_vectors(
     cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
@@ -259,14 +252,12 @@ def support_overlap(
     """Exact weight the averaged reference puts on the keyed support.
 
     Tr[Q rho2] with Q the projector onto the span of the keyed Choi
-    vectors, summed over an orthonormal basis of that span drawn from the
-    vector Gram matrix G = U diag(w) U^dag: u_i = V U_i / sqrt(w_i).
+    vectors, summed over the orthonormal basis of that span that the attack
+    takes of the surrogate state (`_surrogate_support`, rank cut included).
     """
-    vecs = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget).vecs
-    w, u = np.linalg.eigh(vecs.conj().T @ vecs)
-    keep = w > 1e-10 * np.max(np.abs(w))
-    coeffs = u[:, keep] / np.sqrt(w[keep])
-    return float(np.sum(_reference_weights(vecs, coeffs, cand.lam, cand.stretch_s, ell, budget)))
+    keyed = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
+    _, coeffs = _surrogate_support(keyed)
+    return float(np.sum(_reference_weights(keyed.vecs, coeffs, cand.lam, cand.stretch_s, ell, budget)))
 
 
 def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
@@ -274,40 +265,6 @@ def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
     rank_cap = 2 ** ((1 + c) * ell)
     sym = math.comb(2 ** (2 * lam + s) + ell - 1, ell)
     return rank_cap / sym + 4.0 * ell**2 / 2 ** (lam + s)
-
-
-# ------------------------------------------------------------------ distinguisher
-
-
-def distinguisher(
-    rho_surrogate,
-    input_state,
-    n_qubits: int,
-    lam: int,
-    backend: str = "ideal",
-    seed=SeedPath(0),
-    eta: float | None = None,
-) -> tuple[bool, float]:
-    """Threshold test of a challenge against the surrogate's singular support.
-
-    Block-encodes the surrogate state and accepts when the challenge sits in
-    singular directions of value above the window (2^-3n, 2^-2n). eta
-    defaults to 2^-lam; the returned probability is the exact trace, the bit
-    a single seeded Bernoulli draw from it.
-    """
-    rho = _as_mat(rho_surrogate)
-    state = _as_mat(input_state)
-    if rho.shape[0] != 2**n_qubits:
-        raise ValueError("surrogate state does not match the stated qubit count")
-    if state.shape[0] != rho.shape[0]:
-        raise ValueError("challenge state does not match the surrogate state")
-    a = 2.0 ** (-3 * n_qubits)
-    b = 2.0 ** (-2 * n_qubits)
-    if eta is None:
-        eta = 2.0 ** (-lam)
-    be = encode_density(rho)
-    res = svd_discriminate(be, state, a, b, eta, backend=backend, seed=seed)
-    return res.accept, res.accept_prob
 
 
 # ------------------------------------------------------------------ attack drivers
@@ -372,12 +329,13 @@ def _deletion_term(kind: str, ell: int, t_queries: int, c: int, s: int, denom_ex
 
 
 def _surrogate_support(sur: ChoiFactor) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of the surrogate state and its support, from one Gram eigh.
+    """Singular values of a factored state and its support, from one Gram eigh.
 
-    Applies the rank cut and renormalisation of the compact purification the
-    dense distinguisher block-encodes: the top 2^m eigenvalues are scaled to
-    unit sum. Returns (values, coeffs), direction i being sur.vecs @ coeffs[:, i],
-    for the directions above the numerical rank only.
+    Applies the rank cut and renormalisation of `blockenc`'s compact
+    purification, which the block-encoded distinguisher encodes: the top 2^m
+    eigenvalues are scaled to unit sum. Returns (values, coeffs), direction i
+    being sur.vecs @ coeffs[:, i] (orthonormal), for the directions above the
+    numerical rank only.
     """
     w, u = subroutines.eigh(sur.vecs.conj().T @ sur.vecs / sur.n_keys, label="surrogate-gram")
     w = np.clip(w[::-1], 0.0, None)

@@ -34,14 +34,6 @@ class PrfsgGameResult:
     tail_fraction: float
     tail_bound: float
 
-    @property
-    def mean_ok(self) -> bool:
-        return self.mean_advantage <= self.mean_bound
-
-    @property
-    def tail_ok(self) -> bool:
-        return self.tail_fraction <= self.tail_bound
-
 
 def prfsg_game(lam: int, n_draws: int, seed: SeedPath) -> PrfsgGameResult:
     """Play the span-projector distinguisher against every key, per draw.
@@ -92,10 +84,6 @@ class LipschitzCheckResult:
     constant: float
     max_ratio: float
     violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
 
 def _two_query_prob(u: np.ndarray, a: np.ndarray) -> float:
@@ -183,10 +171,6 @@ class ConcentrationResult:
     mean_value: float
     exceed_fraction: float
     bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.exceed_fraction <= self.bound
 
 
 def haar_concentration_check(

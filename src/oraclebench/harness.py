@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -66,11 +67,31 @@ class LemmaCheckResult:
         }
 
 
-def _take(params: dict, **defaults):
-    """Fill defaults and coerce to the default's type.
+def _integer(name: str, value) -> int:
+    """An integer, or a float with an integral value, as an int; anything else faults.
 
-    Unknown keys, non-integral values for integer parameters, and trial or
-    sample counts below one fault.
+    A bool or a string is not taken for a number.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# the lowest value of each named check or attack parameter; delta, a deviation
+# of a probability, lies in (0, 1] instead
+_LOWEST = {
+    "lam": 1, "ell": 1, "n": 1, "members": 1, "keys": 1, "trials": 1, "samples": 1,
+    "d": 2, "s": 0, "c": 0, "calls": 0,
+}
+
+
+def _take(params: dict, **defaults):
+    """Fill defaults and type each value as its default is typed.
+
+    Unknown keys fault, as do integer parameters that are not integers,
+    numbers given as strings or not finite, and values out of range.
     """
     extra = sorted(set(params) - set(defaults))
     if extra:
@@ -78,17 +99,20 @@ def _take(params: dict, **defaults):
     out = {}
     for k, v in defaults.items():
         val = params.get(k, v)
-        if isinstance(v, int) and isinstance(val, float) and not val.is_integer():
-            raise ValueError(f"parameter {k} must be an integer, got {val!r}")
-        out[k] = type(v)(val)
-    _at_least(out, 1, *(k for k in ("trials", "samples") if k in out))
+        if isinstance(v, int):
+            val = _integer(f"parameter {k}", val)
+        elif isinstance(v, float):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+                raise ValueError(f"parameter {k} must be a finite number, got {val!r}")
+            val = float(val)
+        else:
+            val = str(val)
+        if k in _LOWEST and val < _LOWEST[k]:
+            raise ValueError(f"parameter {k} must be at least {_LOWEST[k]}, got {val}")
+        out[k] = val
+    if "delta" in out and not 0 < out["delta"] <= 1:
+        raise ValueError(f"parameter delta must lie in (0, 1], got {out['delta']}")
     return out
-
-
-def _at_least(p: dict, low: int, *keys: str) -> None:
-    for k in keys:
-        if p[k] < low:
-            raise ValueError(f"parameter {k} must be at least {low}, got {p[k]}")
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
@@ -200,7 +224,6 @@ def _pair_to_block(mat: np.ndarray, d_copy: int, d_partner: int, ell: int) -> np
 
 def _twirl_choi_rate(params: dict, seed: SeedPath):
     p = _take(params, lam=2, ell=2)
-    _at_least(p, 1, "lam", "ell")
     lam, ell = p["lam"], p["ell"]
     dist = haar.choi_moment_distance(2**lam, 2**lam, ell)
     return p, float(dist), ell**2 / 2**lam, 4.0
@@ -208,8 +231,6 @@ def _twirl_choi_rate(params: dict, seed: SeedPath):
 
 def _isometry_choi_rate(params: dict, seed: SeedPath):
     p = _take(params, lam=1, s=1, ell=2)
-    _at_least(p, 1, "lam", "ell")
-    _at_least(p, 0, "s")
     lam, s, ell = p["lam"], p["s"], p["ell"]
     dist = haar.choi_moment_distance(2 ** (lam + s), 2**lam, ell)
     return p, float(dist), ell**2 / 2 ** (lam + s), 4.0
@@ -217,7 +238,6 @@ def _isometry_choi_rate(params: dict, seed: SeedPath):
 
 def _permutation_twirl_rate(params: dict, seed: SeedPath):
     p = _take(params, n=2, ell=2)
-    _at_least(p, 1, "n", "ell")
     n, ell = p["n"], p["ell"]
     DEFAULT_BUDGET.check_dense_matrix(n * ell + 1, "permutation-twirl-rate")
     rho = _rand_density(seed.rng(), 2 ** (n * ell) * 2)
@@ -454,15 +474,29 @@ _READS = {
     "suite-fast": (),
     "suite-all": (),
 }
-_SETTINGS = ("lam", "ell", "s", "c", "p", "trials", "backend", "tomography_mode")
+_SETTINGS = ("lam", "ell", "s", "c", "p", "trials", "seed", "backend", "tomography_mode")
+_CHOICES = {"backend": ("ideal", "poly"), "tomography_mode": ("exact", "sampled")}
 
 # the checks a prfsg-game run reports
 _GAME_CHECKS = ("prfsg-mean-advantage", "prfsg-tail")
 
 
+def _setting(name: str, value):
+    """A run setting as typed: a backend or tomography mode by name, the rest integers."""
+    if name not in _CHOICES:
+        return _integer(name, value)
+    if value not in _CHOICES[name]:
+        raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One harness invocation; None means the item's own default applies."""
+    """One harness invocation; None means the item's own default applies.
+
+    The settings, and the values of a swept setting, are typed here once:
+    integers by `_integer`, backend and tomography mode by name.
+    """
 
     kind: str = "lemma"
     lemma_ids: tuple = ()
@@ -485,21 +519,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
-        if self.backend not in (None, "ideal", "poly"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.tomography_mode not in (None, "exact", "sampled"):
-            raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")
+        for name in _SETTINGS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _setting(name, getattr(self, name)))
         object.__setattr__(self, "lemma_ids", tuple(self.lemma_ids))
         if self.sweep is not None:
             param, values = self.sweep
             if not values:
                 raise ValueError("sweep needs at least one value")
+            if param in _SETTINGS:
+                values = [_setting(param, v) for v in values]
             object.__setattr__(self, "sweep", (str(param), tuple(values)))
         given = {f for f in _SETTINGS if getattr(self, f) is not None}
         given |= {f for f in ("lemma_ids", "extra") if getattr(self, f)}
         if self.sweep is not None:
             param = self.sweep[0]
-            given.add(param if param in _SETTINGS + ("seed",) else "extra")
+            given.add(param if param in _SETTINGS else "extra")
         unread = sorted(given - set(_READS[self.kind]) - {"seed"})
         if unread:
             raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
@@ -611,8 +646,6 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
     stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
     p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, **stretch)
     keys, calls = p["keys"], p["calls"]
-    if keys < 1 or calls < 0:
-        raise ValueError(f"attacks need keys >= 1 and calls >= 0, got keys={keys}, calls={calls}")
     seed = root.child("cand")
     if kind == "pru":
         cand = toy_pru_candidate(lam, keys, seed, c=c, swap_calls=calls)
@@ -628,13 +661,16 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
 
 def _run_attack(kind: str, cfg: ExperimentConfig, root: SeedPath) -> AttackReport:
     cand, fam = _toy_for(kind, cfg, root)
+    # only what the experiment set: the defaults live in AttackConfig
+    given = {
+        "p": cfg.p,
+        "ell_override": cfg.ell,
+        "backend": cfg.backend,
+        "tomography_mode": cfg.tomography_mode,
+        "exponent_a": cfg.extra.get("a"),
+    }
     acfg = AttackConfig(
-        p=cfg.p if cfg.p is not None else 20,
-        ell_override=cfg.ell,
-        backend=cfg.backend or "ideal",
-        tomography_mode=cfg.tomography_mode or "exact",
-        seed=root.child("attack"),
-        exponent_a=float(cfg.extra.get("a", 1.0)),
+        seed=root.child("attack"), **{k: v for k, v in given.items() if v is not None}
     )
     if kind == "pru":
         return adversary.attack_pru(cand, fam, acfg)
@@ -693,10 +729,8 @@ def _run_single(cfg: ExperimentConfig) -> list:
 
 
 def _with_sweep_value(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    if param in ("lam", "ell", "s", "c", "p", "trials", "seed"):
-        return replace(cfg, sweep=None, **{param: int(value)})
-    if param in ("backend", "tomography_mode"):
-        return replace(cfg, sweep=None, **{param: str(value)})
+    if param in _SETTINGS:
+        return replace(cfg, sweep=None, **{param: value})
     return replace(cfg, sweep=None, extra={**cfg.extra, param: value})
 
 

@@ -39,16 +39,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _qubits_of_dim(dim: int, what: str) -> int:
-    q = dim.bit_length() - 1
-    if dim <= 0 or 2**q != dim:
-        raise ValueError(f"{what} has dim {dim}, not a power of 2")
-    return q
-
-
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector. `dim` is arbitrary, `qubits` demands a power of 2."""
+    """Normalized state vector of any nonzero dimension."""
 
     amplitudes: np.ndarray
 
@@ -64,10 +57,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    @property
-    def qubits(self) -> int:
-        return _qubits_of_dim(self.dim, "state")
 
 
 @dataclass(frozen=True)
@@ -90,10 +79,6 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return _qubits_of_dim(self.dim, "unitary")
 
 
 @dataclass(frozen=True)
@@ -126,10 +111,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return _qubits_of_dim(self.dim, "density matrix")
 
 
 def _as_mat(x) -> np.ndarray:

@@ -92,6 +92,10 @@ class HriOracleFamily:
     stretch: str = "n"
     _unitaries: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.stretch not in STRETCHES:
+            raise ValueError(f"unknown stretch {self.stretch!r}; known: {', '.join(STRETCHES)}")
+
     def t_of(self, n: int) -> int:
         return STRETCHES[self.stretch](n)
 

@@ -2,7 +2,9 @@
 
 Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
-unitary, explicit subsystem permutation matrices, a circuit's unitary
+unitary, a keyed Choi state built densely from its factor and the
+block-encoded singular-value threshold test run on it, explicit subsystem
+permutation matrices, a circuit's unitary
 evaluated one basis column at a time, a candidate's Kraus operators sliced
 off its Stinespring unitary and their Choi vectors built by a chain of
 `np.kron` products, the threshold polynomial built by `chebinterpolate` and
@@ -20,7 +22,15 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from scipy.special import erf, erfinv
 
-from oraclebench.blockenc import GRID_POINTS, BlockEncoding, ThresholdPoly, complete_to_unitary
+from oraclebench.adversary import ChoiFactor
+from oraclebench.blockenc import (
+    GRID_POINTS,
+    BlockEncoding,
+    ThresholdPoly,
+    complete_to_unitary,
+    encode_density,
+    svd_discriminate,
+)
 from oraclebench.budget import DEFAULT_BUDGET, Budget
 from oraclebench.harness import lemma_check
 from oraclebench.linalg import (
@@ -89,6 +99,42 @@ def block_encoding_unitary(be: BlockEncoding, budget: Budget = DEFAULT_BUDGET) -
     eye_a = np.eye(be.block_dim)
     swap = subsystem_perm_matrix([2**m_q, be.block_dim, be.block_dim], [0, 2, 1])
     return UnitaryMatrix(np.kron(w.conj().T, eye_a) @ swap @ np.kron(w, eye_a))
+
+
+def choi_density(factor: ChoiFactor, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+    """The dense state vecs vecs^dag / n_keys of a Choi factor."""
+    budget.check_dense_matrix(factor.vecs.shape[0].bit_length() - 1, "dense Choi state")
+    return DensityMatrix((factor.vecs @ factor.vecs.conj().T) / factor.n_keys)
+
+
+def distinguisher(
+    rho_surrogate,
+    input_state,
+    n_qubits: int,
+    lam: int,
+    backend: str = "ideal",
+    seed=SeedPath(0),
+    eta: float | None = None,
+) -> tuple[bool, float]:
+    """Threshold test of a challenge against the surrogate's singular support, densely.
+
+    Block-encodes the surrogate state and accepts when the challenge sits in
+    singular directions of value above the window (2^-3n, 2^-2n). eta
+    defaults to 2^-lam; the returned probability is the exact trace, the bit
+    a single seeded Bernoulli draw from it.
+    """
+    rho = _as_mat(rho_surrogate)
+    state = _as_mat(input_state)
+    if rho.shape[0] != 2**n_qubits:
+        raise ValueError("surrogate state does not match the stated qubit count")
+    if state.shape[0] != rho.shape[0]:
+        raise ValueError("challenge state does not match the surrogate state")
+    a = 2.0 ** (-3 * n_qubits)
+    b = 2.0 ** (-2 * n_qubits)
+    if eta is None:
+        eta = 2.0 ** (-lam)
+    res = svd_discriminate(encode_density(rho), state, a, b, eta, backend=backend, seed=seed)
+    return res.accept, res.accept_prob
 
 
 def per_column_circuit_unitary(

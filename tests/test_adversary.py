@@ -83,7 +83,7 @@ def test_oversized_copy_count_faults():
 
 def test_keyed_choi_is_state_with_capped_rank():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("rank"))
-    rho = adv.keyed_choi_vectors(cand, ell=2).density().mat
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, ell=2)).mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     evals = np.linalg.eigvalsh(rho)
@@ -94,14 +94,14 @@ def test_keyed_choi_is_state_with_capped_rank():
 def test_keyed_choi_rank_cap_with_work_register():
     swap = SwapOracleFamily(SEED.child("swap", 3))
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("rank-c"), c=1, swap_calls=1)
-    rho = adv.keyed_choi_vectors(cand, swap, ell=2).density().mat
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, swap, ell=2)).mat
     evals = np.linalg.eigvalsh(rho)
     assert int(np.sum(evals > 1e-10)) <= 2 ** ((1 + 1) * 2)
 
 
 def test_single_key_choi_is_pure():
     cand = toy_pru_candidate(lam=2, n_keys=1, seed=SEED.child("pure"))
-    rho = adv.keyed_choi_vectors(cand, ell=1).density().mat
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, ell=1)).mat
     assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
@@ -112,8 +112,8 @@ def test_keyed_choi_merge_order_invariance():
         ancilla_c=cand.ancilla_c,
         circuits={1: cand.circuits[1], 0: cand.circuits[0]},
     )
-    a = adv.keyed_choi_vectors(cand, ell=2).density().mat
-    b = adv.keyed_choi_vectors(swapped, ell=2).density().mat
+    a = ref.choi_density(adv.keyed_choi_vectors(cand, ell=2)).mat
+    b = ref.choi_density(adv.keyed_choi_vectors(swapped, ell=2)).mat
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -205,7 +205,7 @@ def test_deletion_below_cutoff():
     tomo = adv.tomograph_called_blocks(cand, swap, d_cutoff=0)
     sf = adv.build_surrogates(cand, tomo, 0)
     assert sf.deleted_total == 2
-    rho = adv.keyed_choi_vectors(sf.candidate, ell=2).density().mat
+    rho = ref.choi_density(adv.keyed_choi_vectors(sf.candidate, ell=2)).mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
 
@@ -351,22 +351,22 @@ def test_report_serializes_to_json(pru_call_report):
 
 def test_backend_agreement_at_tight_eta():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("agree"))
-    rho1 = adv.keyed_choi_vectors(cand, ell=2).density()
+    rho1 = ref.choi_density(adv.keyed_choi_vectors(cand, ell=2))
     rho2 = haar_choi(2, 2)
     for challenge in (rho1, rho2):
-        _, p_ideal = adv.distinguisher(rho1, challenge, 8, 2, "ideal")
-        _, p_poly = adv.distinguisher(rho1, challenge, 8, 2, "poly", eta=1e-4)
+        _, p_ideal = ref.distinguisher(rho1, challenge, 8, 2, "ideal")
+        _, p_poly = ref.distinguisher(rho1, challenge, 8, 2, "poly", eta=1e-4)
         assert abs(p_ideal - p_poly) <= 1e-6
 
 
 def test_advantage_monotone_in_eta():
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("mono"))
-    rho1 = adv.keyed_choi_vectors(cand, ell=2).density()
+    rho1 = ref.choi_density(adv.keyed_choi_vectors(cand, ell=2))
     rho2 = haar_choi(2, 2)
     advs = []
     for eta in (2**-6, 2**-4, 0.25):
-        _, p_keyed = adv.distinguisher(rho1, rho1, 8, 2, "poly", eta=eta)
-        _, p_haar = adv.distinguisher(rho1, rho2, 8, 2, "poly", eta=eta)
+        _, p_keyed = ref.distinguisher(rho1, rho1, 8, 2, "poly", eta=eta)
+        _, p_haar = ref.distinguisher(rho1, rho2, 8, 2, "poly", eta=eta)
         advs.append(p_keyed - p_haar)
     assert advs[0] >= advs[1] - 1e-12
     assert advs[1] >= advs[2] - 1e-12
@@ -374,17 +374,17 @@ def test_advantage_monotone_in_eta():
 
 def test_distinguisher_dimension_faults():
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("dims"))
-    rho = adv.keyed_choi_vectors(cand, ell=1).density()
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, ell=1))
     with pytest.raises(ValueError):
-        adv.distinguisher(rho, rho, 3, 1)
+        ref.distinguisher(rho, rho, 3, 1)
     with pytest.raises(ValueError):
-        adv.distinguisher(rho, np.eye(8) / 8, 2, 1)
+        ref.distinguisher(rho, np.eye(8) / 8, 2, 1)
 
 
 def test_distinguisher_bit_is_seeded():
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("bit"))
-    rho = adv.keyed_choi_vectors(cand, ell=1).density()
-    bits = {adv.distinguisher(rho, rho, 2, 1, seed=SEED.child("b", 5))[0] for _ in range(3)}
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, ell=1))
+    bits = {ref.distinguisher(rho, rho, 2, 1, seed=SEED.child("b", 5))[0] for _ in range(3)}
     assert len(bits) == 1
 
 
@@ -424,12 +424,12 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
 
     tomo = adv.tomograph_called_blocks(cand, swap, hri, d_cutoff=rep.d_cutoff)
     sf = adv.build_surrogates(cand, tomo, rep.d_cutoff)
-    rho_keyed = adv.keyed_choi_vectors(cand, swap, hri, ell=ell).density()
-    rho_sur = adv.keyed_choi_vectors(sf.candidate, ell=ell).density()
+    rho_keyed = ref.choi_density(adv.keyed_choi_vectors(cand, swap, hri, ell=ell))
+    rho_sur = ref.choi_density(adv.keyed_choi_vectors(sf.candidate, ell=ell))
     rho_ref = haar_isometry_choi(lam, s, ell) if s else haar_choi(lam, ell)
 
     def dense(state):
-        return adv.distinguisher(rho_sur, state, n, lam, backend)[1]
+        return ref.distinguisher(rho_sur, state, n, lam, backend)[1]
 
     p_keyed, p_haar = dense(rho_keyed), dense(rho_ref)
     d_out = 2 ** (lam + s)
@@ -455,7 +455,7 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     for r in reps:
         for name, (value, extra) in want.items():
             assert abs(getattr(r, name) - value) <= 1e-12 + extra, name
-    key_state = adv.keyed_choi_vectors(cand, swap, hri, ell=ell).key(1).density()
+    key_state = ref.choi_density(adv.keyed_choi_vectors(cand, swap, hri, ell=ell).key(1))
     assert abs(reps[0].challenge_prob - dense(key_state)) <= 1e-12 + slack
     assert abs(reps[1].challenge_prob - dense(np.outer(vec, vec.conj()))) <= 1e-12 + slack
 

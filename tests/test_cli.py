@@ -56,9 +56,44 @@ def test_bad_param_forms_exit_2(capsys):
     assert cli_main(["attack", "pri", "--s", "-1"]) == 2
     assert cli_main(["attack", "pru", "--ell", "0"]) == 2
     assert cli_main(["attack", "pru", "--lambda", "0"]) == 2
+    assert cli_main(["lemma", "holder-product", "--param", "d=0"]) == 2
+    assert cli_main(["lemma", "hri-trace", "--param", "stretch=bogus"]) == 2
+    assert cli_main(["lemma", "support-overlap", "--ell", "0"]) == 2
+    for cid in ("choi-shrinkage", "hri-trace", "swap-call-closeness", "hri-call-closeness",
+                "sv-tail-mass", "kernel-leakage"):
+        assert cli_main(["lemma", cid, "--param", "n=0"]) == 2
+    assert cli_main(["lemma", "family-lipschitz", "--param", "members=0"]) == 2
+    assert cli_main(["lemma", "two-query-lipschitz", "--param", "d=0"]) == 2
+    assert cli_main(["lemma", "prfsg-mean-advantage", "--lambda", "0"]) == 2
+    assert cli_main(["lemma", "haar-concentration", "--param", "delta=-1"]) == 2
+    assert cli_main(["attack", "pri-vs-hri", "--c", "1", "--param", "a=inf"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 19
+    assert err.count("error:") == 33
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,filed", [
+    (["lemma", "twirl-choi-rate", "--sweep", "lambda=2.5,3"], None),
+    (["lemma", "twirl-choi-rate", "--sweep", "seed=1.5"], None),
+    (["attack", "pru", "--sweep", "p=2.9"], None),
+    (["lemma", "twirl-choi-rate"], {"seed": 1.5}),
+    (["attack", "pru"], {"lam": 2.5}),
+    (["attack", "pru"], {"lam": "3"}),
+    (["attack", "pru"], {"p": "20"}),
+    (["lemma", "twirl-choi-rate"], {"lam": "3"}),
+])
+def test_non_integer_settings_exit_2_before_running(argv, filed, tmp_path, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran with a setting that is not an integer")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    if filed is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(filed))
+        argv = argv + ["--config", str(cfgfile)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -63,8 +63,12 @@ def test_unknown_check_id_and_unknown_param_fault():
 
 
 def test_non_integral_and_empty_count_params_fault():
-    with pytest.raises(ValueError, match="must be an integer"):
-        lemma_check("holder-product", {"d": 6.7})
+    for d in (6.7, "4", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            lemma_check("holder-product", {"d": d})
+    for delta in ("0.3", float("nan")):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            lemma_check("haar-concentration", {"delta": delta})
     for cid, key in (("gentle-measurement", "trials"), ("state-moment-mc", "samples")):
         with pytest.raises(ValueError, match="at least 1"):
             lemma_check(cid, {key: 0})
@@ -121,6 +125,10 @@ def test_config_validation_and_normalization():
     cfg = ExperimentConfig(kind="lemma", lemma_ids=["holder-product"], sweep=("d", [4, 6]))
     assert cfg.lemma_ids == ("holder-product",)
     assert cfg.sweep == ("d", (4, 6))
+    # integral floats are typed once, in the fields and in the swept values
+    cfg = ExperimentConfig(kind="lemma", lam=3.0, sweep=("seed", [1.0, 2]))
+    assert type(cfg.lam) is int and cfg.lam == 3
+    assert cfg.sweep == ("seed", (1, 2)) and all(type(v) is int for v in cfg.sweep[1])
     for bad in (
         {"kind": "bogus"},
         {"fmt": "yaml"},
@@ -133,6 +141,12 @@ def test_config_validation_and_normalization():
         {"kind": "attack-pru", "s": 1},
         {"kind": "attack-pru", "sweep": ("trials", [1, 2])},
         {"kind": "lemma", "backend": "poly"},
+        {"lam": 2.5},
+        {"seed": 1.5},
+        {"trials": "3"},
+        {"ell": True},
+        {"sweep": ("lam", [2, 2.5])},
+        {"kind": "attack-pru", "sweep": ("backend", ["ideal", "fancy"])},
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)

@@ -1,5 +1,7 @@
-"""Every name the library and the study scripts import is used."""
+"""Every name the library and the study scripts import is used, and every
+library definition has a caller outside the unit tests."""
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,3 +29,51 @@ def test_every_import_is_used():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _references(paths) -> tuple[set, set]:
+    """(names, attributes) the files refer to: loaded or imported names, accessed attributes."""
+    names, attrs = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names, attrs
+
+
+def test_every_library_definition_has_a_caller_outside_the_unit_tests():
+    # the callers: the library itself, the study scripts, the benchmark, the
+    # acceptance tests and the installed entry point. Top-level names match by
+    # name, import or attribute, class members by attribute access alone.
+    library = sorted((ROOT / "src" / "oraclebench").glob("*.py"))
+    callers = (
+        library
+        + sorted((ROOT / "scripts").glob("*.py"))
+        + sorted((ROOT / "perfbench").glob("*.py"))
+        + [ROOT / "tests" / "test_acceptance.py"]
+    )
+    names, attrs = _references(callers)
+    # the `module:function` targets of pyproject.toml's [project.scripts] table
+    table = (ROOT / "pyproject.toml").read_text().partition("[project.scripts]")[2].partition("\n[")[0]
+    names.update(re.findall(r':(\w+)"', table))
+    referenced = names | attrs
+    uncalled = []
+    for path in library:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in referenced:
+                uncalled.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                uncalled += [
+                    f"{path.stem}.{node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                    and member.name not in attrs
+                ]
+    assert uncalled == []

@@ -43,12 +43,9 @@ def test_pure_state_validation():
         la.PureState(np.array([np.nan, 0.0]))
 
 
-def test_pure_state_qubits_property():
-    assert la.PureState(np.ones(8) / math.sqrt(8)).qubits == 3
-    s = la.PureState(np.ones(3) / math.sqrt(3))
-    assert s.dim == 3
-    with pytest.raises(ValueError):
-        _ = s.qubits
+def test_pure_state_dim_is_any_size():
+    assert la.PureState(np.ones(8) / math.sqrt(8)).dim == 8
+    assert la.PureState(np.ones(3) / math.sqrt(3)).dim == 3
 
 
 def test_unitary_validation():
