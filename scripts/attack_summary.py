@@ -2,6 +2,7 @@
 import argparse
 import time
 
+from oraclebench.adversary import BACKENDS
 from oraclebench.harness import ExperimentConfig, run_experiment
 
 
@@ -10,7 +11,7 @@ def main() -> None:
     ap.add_argument("--lambda", dest="lam", type=int, default=2)
     ap.add_argument("--c", type=int, default=0)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--backend", choices=["ideal", "poly"], default="ideal")
+    ap.add_argument("--backend", choices=BACKENDS, default="ideal")
     args = ap.parse_args()
 
     print(f"{'attack':>12} {'ell':>4} {'T':>3} {'d':>3} {'advantage':>10} "

@@ -49,7 +49,8 @@ from . import blockenc, subroutines
 # unit runs stays under 2, doubled for slack
 C_HYBRID = 4.0
 
-_BACKENDS = ("ideal", "poly")
+BACKENDS = ("ideal", "poly")
+TOMOGRAPHY_MODES = ("exact", "sampled")
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ class AttackConfig:
             raise ValueError("target polynomial value p must be at least 2")
         if self.ell_override is not None and self.ell_override < 1:
             raise ValueError(f"copies ell must be at least 1, got {self.ell_override}")
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.tomography_mode not in ("exact", "sampled"):
+        if self.tomography_mode not in TOMOGRAPHY_MODES:
             raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")
         if self.exponent_a < 1:
             raise ValueError("stretch exponent must be at least 1")

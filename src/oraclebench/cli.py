@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import harness
+from .adversary import BACKENDS, TOMOGRAPHY_MODES
 from .budget import SizingError
 from .harness import ExperimentConfig, LemmaCheckResult
 
@@ -61,9 +62,9 @@ def _shared_flags() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, default=None, help="target inverse-polynomial exponent base")
     g.add_argument("--trials", type=int, default=None, help="repetitions inside one check")
     g.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    g.add_argument("--backend", choices=["ideal", "poly"], default=None,
+    g.add_argument("--backend", choices=BACKENDS, default=None,
                    help="threshold backend for the distinguisher")
-    g.add_argument("--tomo", choices=["exact", "sampled"], default=None,
+    g.add_argument("--tomo", choices=TOMOGRAPHY_MODES, default=None,
                    help="process tomography mode")
     g.add_argument("--param", action="append", metavar="K=V", default=None,
                    help="extra check or attack parameter, repeatable")

@@ -1,5 +1,7 @@
 """Experiment harness: named checks, attack presets, reports, suites.
 
+A check is `fn(seed, *, name=default, ...) -> (lhs, bound, calibration)`:
+its keyword defaults are all the parameters it reads.
 Every check reduces to one scalar comparison, lhs <= calibration * bound,
 and reports the seed label plus wall time so a run can be replayed or
 diffed. Bounds that hold with an absolute constant use calibration 1;
@@ -24,7 +26,7 @@ import numbers
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -54,44 +56,25 @@ class LemmaCheckResult:
     runtime_ms: int
 
     def as_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "calibration": self.calibration,
-            "pass": self.passed,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
-def _integer(name: str, value) -> int:
-    """An integer, or a float with an integral value, as an int; anything else faults.
-
-    A bool or a string is not taken for a number.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-# the lowest value of each named check or attack parameter; delta, a deviation
-# of a probability, lies in (0, 1] instead
+# the lowest value of each named setting, check or attack parameter; delta, a
+# deviation of a probability, lies in (0, 1] instead
 _LOWEST = {
     "lam": 1, "ell": 1, "n": 1, "members": 1, "keys": 1, "trials": 1, "samples": 1,
-    "d": 2, "s": 0, "c": 0, "calls": 0,
+    "d": 2, "s": 0, "c": 0, "calls": 0, "p": 2, "a": 1,
 }
 
 
 def _take(params: dict, **defaults):
     """Fill defaults and type each value as its default is typed.
 
-    Unknown keys fault, as do integer parameters that are not integers,
-    numbers given as strings or not finite, and values out of range.
+    Unknown keys fault, as do integer parameters that are not integers (an
+    integral float is taken; a bool or a string is not), numbers given as
+    strings or not finite, and values out of range.
     """
     extra = sorted(set(params) - set(defaults))
     if extra:
@@ -100,7 +83,11 @@ def _take(params: dict, **defaults):
     for k, v in defaults.items():
         val = params.get(k, v)
         if isinstance(v, int):
-            val = _integer(f"parameter {k}", val)
+            if isinstance(val, float) and val.is_integer():
+                val = int(val)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"parameter {k} must be an integer, got {val!r}")
+            val = int(val)
         elif isinstance(v, float):
             if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
                 raise ValueError(f"parameter {k} must be a finite number, got {val!r}")
@@ -129,10 +116,9 @@ def _rand_density(rng: np.random.Generator, d: int) -> np.ndarray:
 # ---------------------------------------------------------- norm inequalities
 
 
-def _gentle_measurement(params: dict, seed: SeedPath):
-    p = _take(params, d=8, trials=30)
-    d, worst = p["d"], 0.0
-    for i in range(p["trials"]):
+def _gentle_measurement(seed: SeedPath, *, d=8, trials=30):
+    worst = 0.0
+    for i in range(trials):
         sub = seed.child("inst", i)
         rng = sub.rng()
         if i % 2 == 0:
@@ -150,38 +136,35 @@ def _gentle_measurement(params: dict, seed: SeedPath):
             continue
         _, dist = la.gentle_residual(m, rho)
         worst = max(worst, dist / math.sqrt(eps))
-    return p, worst, 1.0, 1.0 + 1e-9
+    return worst, 1.0, 1.0 + 1e-9
 
 
-def _holder_product(params: dict, seed: SeedPath):
-    p = _take(params, d=6, trials=40)
-    d, worst = p["d"], 0.0
-    for i in range(p["trials"]):
+def _holder_product(seed: SeedPath, *, d=6, trials=40):
+    worst = 0.0
+    for i in range(trials):
         rng = seed.child("inst", i).rng()
         a, b = _ginibre(rng, d), _ginibre(rng, d)
         sp = (1.0, 2.0, np.inf)[i % 3]
         num = la.schatten_norm(a @ b, sp)
         den = la.schatten_norm(a, sp) * la.schatten_norm(b, np.inf)
         worst = max(worst, num / den)
-    return p, worst, 1.0, 1.0 + 1e-9
+    return worst, 1.0, 1.0 + 1e-9
 
 
-def _two_query_lipschitz(params: dict, seed: SeedPath):
-    p = _take(params, d=8, trials=100)
-    res = games.two_query_lipschitz_check(p["d"], p["trials"], seed)
-    return p, res.max_ratio, 1.0, 1.0 + 1e-9
+def _two_query_lipschitz(seed: SeedPath, *, d=8, trials=100):
+    res = games.two_query_lipschitz_check(d, trials, seed)
+    return res.max_ratio, 1.0, 1.0 + 1e-9
 
 
-def _conjugation_lipschitz(params: dict, seed: SeedPath):
-    p = _take(params, d=8, trials=100)
-    d, worst = p["d"], 0.0
-    for i in range(p["trials"]):
+def _conjugation_lipschitz(seed: SeedPath, *, d=8, trials=100):
+    worst = 0.0
+    for i in range(trials):
         sub = seed.child("pair", i)
         rng = sub.rng()
         u = la.random_unitary_from(rng, d)
         h = _ginibre(rng, d)
         h = (h + h.conj().T) / 2
-        scale = 10.0 ** (-3 + 3.5 * i / max(1, p["trials"] - 1))
+        scale = 10.0 ** (-3 + 3.5 * i / max(1, trials - 1))
         v = u @ subroutines.expi((scale / np.linalg.norm(h, 2)) * h)
         psi = la.random_state_from(rng, d)
         ru = np.outer(u @ psi, np.conj(u @ psi))
@@ -190,25 +173,23 @@ def _conjugation_lipschitz(params: dict, seed: SeedPath):
         dist = np.linalg.norm(u - v)
         if dist > 1e-14:
             worst = max(worst, float(gap / (2.0 * dist)))
-    return p, worst, 1.0, 1.0 + 1e-9
+    return worst, 1.0, 1.0 + 1e-9
 
 
-def _family_lipschitz(params: dict, seed: SeedPath):
-    p = _take(params, d=4, members=2, trials=50)
-    res = games.family_lipschitz_check(p["d"], p["members"], p["trials"], seed)
-    return p, res.max_ratio, 1.0, 1.0 + 1e-9
+def _family_lipschitz(seed: SeedPath, *, d=4, members=2, trials=50):
+    res = games.family_lipschitz_check(d, members, trials, seed)
+    return res.max_ratio, 1.0, 1.0 + 1e-9
 
 
 # ------------------------------------------------------- moments and twirl rates
 
 
-def _state_moment_mc(params: dict, seed: SeedPath):
-    p = _take(params, d=4, ell=2, samples=20_000)
-    got = haar.state_moment_mc(p["d"], p["ell"], p["samples"], seed)
-    dist = la.trace_distance(got, haar.state_moment_exact(p["d"], p["ell"]))
+def _state_moment_mc(seed: SeedPath, *, d=4, ell=2, samples=20_000):
+    got = haar.state_moment_mc(d, ell, samples, seed)
+    dist = la.trace_distance(got, haar.state_moment_exact(d, ell))
     # budgeted at 0.02 for 1e5 draws, scaled by the usual mc root law
-    bound = 0.02 * math.sqrt(1e5 / p["samples"])
-    return p, dist, bound, 1.0
+    bound = 0.02 * math.sqrt(1e5 / samples)
+    return dist, bound, 1.0
 
 
 def _pair_to_block(mat: np.ndarray, d_copy: int, d_partner: int, ell: int) -> np.ndarray:
@@ -222,65 +203,54 @@ def _pair_to_block(mat: np.ndarray, d_copy: int, d_partner: int, ell: int) -> np
     return la.permute_subsystems(mat, dims, perm)
 
 
-def _twirl_choi_rate(params: dict, seed: SeedPath):
-    p = _take(params, lam=2, ell=2)
-    lam, ell = p["lam"], p["ell"]
+def _twirl_choi_rate(seed: SeedPath, *, lam=2, ell=2):
     dist = haar.choi_moment_distance(2**lam, 2**lam, ell)
-    return p, float(dist), ell**2 / 2**lam, 4.0
+    return float(dist), ell**2 / 2**lam, 4.0
 
 
-def _isometry_choi_rate(params: dict, seed: SeedPath):
-    p = _take(params, lam=1, s=1, ell=2)
-    lam, s, ell = p["lam"], p["s"], p["ell"]
+def _isometry_choi_rate(seed: SeedPath, *, lam=1, s=1, ell=2):
     dist = haar.choi_moment_distance(2 ** (lam + s), 2**lam, ell)
-    return p, float(dist), ell**2 / 2 ** (lam + s), 4.0
+    return float(dist), ell**2 / 2 ** (lam + s), 4.0
 
 
-def _permutation_twirl_rate(params: dict, seed: SeedPath):
-    p = _take(params, n=2, ell=2)
-    n, ell = p["n"], p["ell"]
+def _permutation_twirl_rate(seed: SeedPath, *, n=2, ell=2):
     DEFAULT_BUDGET.check_dense_matrix(n * ell + 1, "permutation-twirl-rate")
     rho = _rand_density(seed.rng(), 2 ** (n * ell) * 2)
     exact = haar.twirl_exact(rho, 2**n, ell)
     approx = haar.twirl_permutation_approx(rho, n, ell)
     dist = la.trace_distance(exact.mat, (approx + approx.conj().T) / 2)
-    return p, dist, ell**2 / 2**n, 4.0
+    return dist, ell**2 / 2**n, 4.0
 
 
 # --------------------------------------------------------- oracle identities
 
 
-def _choi_shrinkage(params: dict, seed: SeedPath):
-    p = _take(params, n=3)
-    n = p["n"]
+def _choi_shrinkage(seed: SeedPath, *, n=3):
     member = SwapOracleFamily(seed.child("family")).dense_oracle(n).mat
     measured = np.linalg.norm(np.eye(member.shape[0]) - member) / math.sqrt(2 ** (2 * n + 1))
-    return p, abs(measured - 2 ** ((1 - n) / 2)), 1e-9, 1.0
+    return abs(measured - 2 ** ((1 - n) / 2)), 1e-9, 1.0
 
 
-def _hri_trace(params: dict, seed: SeedPath):
-    p = _take(params, n=2, stretch="n")
-    n = p["n"]
-    fam = HriOracleFamily(seed.child("family"), stretch=p["stretch"])
+def _hri_trace(seed: SeedPath, *, n=2, stretch="n"):
+    fam = HriOracleFamily(seed.child("family"), stretch=stretch)
     t = fam.t_of(n)
     expected = 2 ** (n + t + 1) - 2 ** (n + 1)
     worst = max(
         abs(float(np.real(np.trace(fam.oracle(n, m).mat))) - expected)
         for m in range(min(4, 2**n))
     )
-    return p, worst, 1e-9, 1.0
+    return worst, 1e-9, 1.0
 
 
-def _omega_transpose(params: dict, seed: SeedPath):
-    p = _take(params, trials=50)
+def _omega_transpose(seed: SeedPath, *, trials=50):
     worst = 0.0
-    for i in range(p["trials"]):
+    for i in range(trials):
         rng = seed.child("iso", i).rng()
         d_in = int(rng.integers(2, 7))
         d_out = int(rng.integers(d_in, 9))
         q, _ = np.linalg.qr(_ginibre(rng, d_out, d_in))
         worst = max(worst, la.transpose_identity_residual(q))
-    return p, worst, 1e-10, 1.0
+    return worst, 1e-10, 1.0
 
 
 def _one_call_distance(width: int, span: int, gate: np.ndarray, lam: int, seed: SeedPath) -> float:
@@ -300,9 +270,7 @@ def _one_call_distance(width: int, span: int, gate: np.ndarray, lam: int, seed: 
     return math.sqrt(max(0.0, 1.0 - ov))
 
 
-def _swap_call_closeness(params: dict, seed: SeedPath):
-    p = _take(params, lam=3, c=3, n=2, trials=5)
-    lam, c, n = p["lam"], p["c"], p["n"]
+def _swap_call_closeness(seed: SeedPath, *, lam=3, c=3, n=2, trials=5):
     if 2 * n + 1 > lam + c:
         raise ValueError(f"call on 2n+1={2 * n + 1} wires exceeds width {lam + c}")
     DEFAULT_BUDGET.check_dense_matrix(lam + c, "swap-call-closeness")
@@ -310,15 +278,13 @@ def _swap_call_closeness(params: dict, seed: SeedPath):
     gate = fam.dense_oracle(n).mat
     worst = max(
         _one_call_distance(lam + c, 2 * n + 1, gate, lam, seed.child("draw", i))
-        for i in range(p["trials"])
+        for i in range(trials)
     )
-    return p, worst, 2.0 ** ((c - n) / 2), 4.0
+    return worst, 2.0 ** ((c - n) / 2), 4.0
 
 
-def _hri_call_closeness(params: dict, seed: SeedPath):
-    p = _take(params, lam=3, c=3, n=1, stretch="n", trials=5)
-    lam, c, n = p["lam"], p["c"], p["n"]
-    fam = HriOracleFamily(seed.child("family"), stretch=p["stretch"])
+def _hri_call_closeness(seed: SeedPath, *, lam=3, c=3, n=1, stretch="n", trials=5):
+    fam = HriOracleFamily(seed.child("family"), stretch=stretch)
     t = fam.t_of(n)
     if 1 + t + n > lam + c:
         raise ValueError(f"call on 1+t+n={1 + t + n} wires exceeds width {lam + c}")
@@ -327,16 +293,15 @@ def _hri_call_closeness(params: dict, seed: SeedPath):
         _one_call_distance(
             lam + c, 1 + t + n, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i)
         )
-        for i in range(p["trials"])
+        for i in range(trials)
     )
-    return p, worst, 2.0 ** (c - t / 2), 4.0
+    return worst, 2.0 ** (c - t / 2), 4.0
 
 
-def _support_overlap(params: dict, seed: SeedPath):
-    p = _take(params, lam=2, ell=2, keys=4)
-    cand = toy_pru_candidate(p["lam"], p["keys"], seed.child("cand"))
-    weight = adversary.support_overlap(cand, ell=p["ell"])
-    return p, weight, adversary.support_chain_bound(p["lam"], 0, 0, p["ell"]), 1.0
+def _support_overlap(seed: SeedPath, *, lam=2, ell=2, keys=4):
+    cand = toy_pru_candidate(lam, keys, seed.child("cand"))
+    weight = adversary.support_overlap(cand, ell=ell)
+    return weight, adversary.support_chain_bound(lam, 0, 0, ell), 1.0
 
 
 # ------------------------------------------------------------- spectral caps
@@ -352,30 +317,26 @@ def _perturbed_unitary(seed: SeedPath, d: int, p_exp: int):
     return u @ subroutines.expi(delta * h) * (1.0 - delta)
 
 
-def _sv_tail_mass(params: dict, seed: SeedPath):
-    p = _take(params, n=3, trials=5)
-    n = p["n"]
+def _sv_tail_mass(seed: SeedPath, *, n=3, trials=5):
     DEFAULT_BUDGET.check_dense_matrix(n + 1, "sv-tail-mass")
     p_exp = 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
-    for i in range(p["trials"]):
+    for i in range(trials):
         sub = seed.child("inst", i)
         enc = blockenc.dilation_encoding(_perturbed_unitary(sub, 2**n, p_exp))
         rho = _rand_density(sub.child("rho").rng(), 2**n)
         mass, _ = blockenc.tail_mass_bounds(enc, rho, eps, p_exp)
         worst = max(worst, 1.0 - mass)
-    return p, worst, 2.0 ** (n - p_exp + 1) + 2.0**n * eps, 1.0
+    return worst, 2.0 ** (n - p_exp + 1) + 2.0**n * eps, 1.0
 
 
-def _kernel_leakage(params: dict, seed: SeedPath):
-    p = _take(params, n=3, trials=5)
-    n = p["n"]
+def _kernel_leakage(seed: SeedPath, *, n=3, trials=5):
     DEFAULT_BUDGET.check_dense_matrix(n + 1, "kernel-leakage")
     d, p_exp = 2**n, 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
-    for i in range(p["trials"]):
+    for i in range(trials):
         rng = seed.child("inst", i).rng()
         u = la.random_unitary_from(rng, d)
         w = la.random_unitary_from(rng, d)
@@ -388,28 +349,25 @@ def _kernel_leakage(params: dict, seed: SeedPath):
             blockenc.dilation_encoding(a), w[:, -1], eps, p_exp
         )
         worst = max(worst, leak)
-    return p, worst, 2.0 ** (-p_exp) / eps, 1.0
+    return worst, 2.0 ** (-p_exp) / eps, 1.0
 
 
 # -------------------------------------------------------------- game checks
 
 
-def _haar_concentration(params: dict, seed: SeedPath):
-    p = _take(params, d=8, trials=200, delta=0.3)
-    res = games.haar_concentration_check(p["d"], p["trials"], p["delta"], seed)
-    return p, res.exceed_fraction, res.bound, 1.0
+def _haar_concentration(seed: SeedPath, *, d=8, trials=200, delta=0.3):
+    res = games.haar_concentration_check(d, trials, delta, seed)
+    return res.exceed_fraction, res.bound, 1.0
 
 
-def _prfsg_mean(params: dict, seed: SeedPath):
-    p = _take(params, lam=2, trials=200)
-    res = games.prfsg_game(p["lam"], p["trials"], seed)
-    return p, abs(res.mean_advantage), res.mean_bound, 1.0
+def _prfsg_mean(seed: SeedPath, *, lam=2, trials=200):
+    res = games.prfsg_game(lam, trials, seed)
+    return abs(res.mean_advantage), res.mean_bound, 1.0
 
 
-def _prfsg_tail(params: dict, seed: SeedPath):
-    p = _take(params, lam=2, trials=200)
-    res = games.prfsg_game(p["lam"], p["trials"], seed)
-    return p, res.tail_fraction, res.tail_bound, 1.0
+def _prfsg_tail(seed: SeedPath, *, lam=2, trials=200):
+    res = games.prfsg_game(lam, trials, seed)
+    return res.tail_fraction, res.tail_bound, 1.0
 
 
 CHECKS = {
@@ -436,13 +394,20 @@ CHECKS = {
 }
 
 
-def lemma_check(lemma_id: str, params: dict | None = None, seed: SeedPath | None = None) -> LemmaCheckResult:
-    """Run one named check and wrap the comparison into a result row."""
+def _resolve_check(lemma_id: str, params: dict):
+    """A check and its parameters: those given, filled from its keyword defaults and typed."""
     if lemma_id not in CHECKS:
         raise ValueError(f"unknown check {lemma_id!r}; known: {', '.join(sorted(CHECKS))}")
+    fn = CHECKS[lemma_id]
+    return fn, _take(params, **fn.__kwdefaults__)
+
+
+def lemma_check(lemma_id: str, params: dict | None = None, seed: SeedPath | None = None) -> LemmaCheckResult:
+    """Run one named check and wrap the comparison into a result row."""
+    fn, resolved = _resolve_check(lemma_id, dict(params or {}))
     seed = seed if seed is not None else SeedPath(0)
     t0 = time.perf_counter()
-    resolved, lhs, bound, calibration = CHECKS[lemma_id](dict(params or {}), seed)
+    lhs, bound, calibration = fn(seed, **resolved)
     ratio = lhs / bound
     return LemmaCheckResult(
         lemma_id=lemma_id,
@@ -475,16 +440,17 @@ _READS = {
     "suite-all": (),
 }
 _SETTINGS = ("lam", "ell", "s", "c", "p", "trials", "seed", "backend", "tomography_mode")
-_CHOICES = {"backend": ("ideal", "poly"), "tomography_mode": ("exact", "sampled")}
+_CHOICES = {"backend": adversary.BACKENDS, "tomography_mode": adversary.TOMOGRAPHY_MODES}
 
 # the checks a prfsg-game run reports
 _GAME_CHECKS = ("prfsg-mean-advantage", "prfsg-tail")
 
 
 def _setting(name: str, value):
-    """A run setting as typed: a backend or tomography mode by name, the rest integers."""
+    """A run setting as typed: a backend or tomography mode by name, the rest
+    integers, bounded as the parameters of the same name are."""
     if name not in _CHOICES:
-        return _integer(name, value)
+        return _take({name: value}, **{name: 0})[name]
     if value not in _CHOICES[name]:
         raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
     return value
@@ -495,7 +461,9 @@ class ExperimentConfig:
     """One harness invocation; None means the item's own default applies.
 
     The settings, and the values of a swept setting, are typed here once:
-    integers by `_integer`, backend and tomography mode by name.
+    integers by `_take`, backend and tomography mode by name. A value given
+    twice faults, and so does any run the config describes whose check or
+    toy parameters do not resolve, before the first run starts.
     """
 
     kind: str = "lemma"
@@ -538,25 +506,25 @@ class ExperimentConfig:
         unread = sorted(given - set(_READS[self.kind]) - {"seed"})
         if unread:
             raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
+        # the seed always has a value, so sweeping it overrides nothing
+        named = [f for f in _SETTINGS if f != "seed" and getattr(self, f) is not None]
+        named += list(self.extra) + ([self.sweep[0]] if self.sweep is not None else [])
+        twice = sorted({n for n in named if named.count(n) > 1})
+        if twice:
+            raise ValueError(f"{', '.join(twice)} given twice")
+        if self.sweep is not None:
+            # each swept config resolves its own run as it is built
+            param, values = self.sweep
+            for value in values:
+                _with_sweep_value(self, param, value)
+        elif self.kind.startswith("attack-"):
+            _toy_params(self.kind.removeprefix("attack-"), self)
+        elif self.kind in ("lemma", "prfsg-game"):
+            for cid in _check_ids(self):
+                _resolve_check(cid, _lemma_params(self))
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lemma_ids": list(self.lemma_ids),
-            "lam": self.lam,
-            "ell": self.ell,
-            "s": self.s,
-            "c": self.c,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "backend": self.backend,
-            "tomography_mode": self.tomography_mode,
-            "out_path": self.out_path,
-            "fmt": self.fmt,
-            "sweep": None if self.sweep is None else [self.sweep[0], list(self.sweep[1])],
-            "extra": dict(self.extra),
-        }
+        return {k: _listed(v) for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -564,6 +532,11 @@ class ExperimentConfig:
         if d.get("sweep") is not None:
             d["sweep"] = (d["sweep"][0], tuple(d["sweep"][1]))
         return cls(**d)
+
+
+def _listed(value):
+    """Tuples, nested ones too, as the lists json writes them as."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -636,7 +609,12 @@ def _lemma_params(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
+def _check_ids(cfg: ExperimentConfig) -> tuple:
+    return cfg.lemma_ids if cfg.kind == "lemma" else _GAME_CHECKS
+
+
+def _toy_params(kind: str, cfg: ExperimentConfig) -> tuple:
+    """lam, s, c, keys and calls of an attack's toy candidate, defaults filled and typed."""
     lam = cfg.lam if cfg.lam is not None else 2
     s = cfg.s if cfg.s is not None else 1
     c = cfg.c if cfg.c is not None else 0
@@ -645,7 +623,11 @@ def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
     # listing it here makes every other key a fault
     stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
     p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, **stretch)
-    keys, calls = p["keys"], p["calls"]
+    return lam, s, c, p["keys"], p["calls"]
+
+
+def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
+    lam, s, c, keys, calls = _toy_params(kind, cfg)
     seed = root.child("cand")
     if kind == "pru":
         cand = toy_pru_candidate(lam, keys, seed, c=c, swap_calls=calls)
@@ -721,8 +703,7 @@ def _run_single(cfg: ExperimentConfig) -> list:
     root = SeedPath(cfg.seed)
     if cfg.kind in ("lemma", "prfsg-game"):
         params = _lemma_params(cfg)
-        ids = cfg.lemma_ids if cfg.kind == "lemma" else _GAME_CHECKS
-        return [lemma_check(cid, params, root.child(cid)) for cid in ids]
+        return [lemma_check(cid, params, root.child(cid)) for cid in _check_ids(cfg)]
     if cfg.kind.startswith("attack-"):
         return [_run_attack(cfg.kind.removeprefix("attack-"), cfg, root)]
     return _run_suite(cfg.kind.removeprefix("suite-"), cfg, root)

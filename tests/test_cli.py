@@ -97,6 +97,28 @@ def test_non_integer_settings_exit_2_before_running(argv, filed, tmp_path, capsy
 
 
 @pytest.mark.parametrize("argv", [
+    ["lemma", "holder-product", "--sweep", "d=4,0"],
+    ["attack", "pru", "--sweep", "p=20,1"],
+    ["attack", "pru", "--sweep", "lambda=2,0"],
+    ["attack", "pru", "--sweep", "keys=2,0"],
+    ["lemma", "haar-concentration", "--sweep", "delta=0.3,2"],
+    ["attack", "pri-vs-hri", "--sweep", "a=1,0.5"],
+    ["lemma", "holder-product", "--lambda", "3"],
+    # a value given twice
+    ["lemma", "twirl-choi-rate", "--lambda", "3", "--param", "lam=4"],
+    ["attack", "pru", "--p", "10", "--sweep", "p=20,30"],
+])
+def test_every_run_resolves_before_the_first_starts(argv, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran although one of its runs does not resolve")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["prfsg-game", "--ell", "3", "--c", "2"],
     ["attack", "pru", "--trials", "7", "--s", "3"],
     ["attack", "pri-vs-hri", "--s", "2"],

@@ -1,5 +1,6 @@
 """Checks, experiment configs, reports, and their serialization."""
 import dataclasses
+import inspect
 import json
 import math
 import threading
@@ -129,6 +130,8 @@ def test_config_validation_and_normalization():
     cfg = ExperimentConfig(kind="lemma", lam=3.0, sweep=("seed", [1.0, 2]))
     assert type(cfg.lam) is int and cfg.lam == 3
     assert cfg.sweep == ("seed", (1, 2)) and all(type(v) is int for v in cfg.sweep[1])
+    # the seed always holds a value, so a set seed may still be swept
+    assert ExperimentConfig(kind="attack-pru", seed=3, sweep=("seed", [1, 2])).seed == 3
     for bad in (
         {"kind": "bogus"},
         {"fmt": "yaml"},
@@ -147,6 +150,16 @@ def test_config_validation_and_normalization():
         {"ell": True},
         {"sweep": ("lam", [2, 2.5])},
         {"kind": "attack-pru", "sweep": ("backend", ["ideal", "fancy"])},
+        {"lemma_ids": ("no-such-check",)},
+        # every run resolves before the first starts, swept values included
+        {"lemma_ids": ("holder-product",), "sweep": ("d", [4, 0])},
+        {"kind": "attack-pru", "sweep": ("keys", [2, 0])},
+        {"kind": "attack-pru", "sweep": ("p", [20, 1])},
+        {"kind": "attack-pri-vs-hri", "extra": {"a": 0.5}},
+        # a value given twice
+        {"lemma_ids": ("twirl-choi-rate",), "lam": 3, "extra": {"lam": 4}},
+        {"lemma_ids": ("holder-product",), "extra": {"d": 4}, "sweep": ("d", [6])},
+        {"kind": "attack-pru", "p": 10, "sweep": ("p", [20, 30])},
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
@@ -238,7 +251,14 @@ def test_serial_suite_checks_equal_the_pooled_reference(monkeypatch, seed):
 def test_suite_profiles_reference_known_checks_only():
     for profile in harness._SUITE_OVERRIDES.values():
         assert set(profile) <= set(CHECKS)
+        for cid, params in profile.items():
+            harness._take(params, **CHECKS[cid].__kwdefaults__)
     assert set(harness._SUITE_ATTACKS) == set(harness._SUITE_OVERRIDES) == {"fast", "all"}
+    # a check's signature is its parameter list: the seed, then keywords with defaults
+    for fn in CHECKS.values():
+        seed, *rest = inspect.signature(fn).parameters.values()
+        assert seed.name == "seed" and seed.kind is seed.POSITIONAL_OR_KEYWORD
+        assert rest and all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in rest)
 
 
 def test_sweep_runs_once_per_value_in_order():
