@@ -33,8 +33,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .blockenc import compact_register
-from .budget import DEFAULT_BUDGET, Budget
-from .haar import reference_overlap_matrix, sample_haar_unitary
+from .haar import _check_perm_pairs, reference_overlap_matrix, sample_haar_unitary
 from .linalg import ATOL_TRACE, choi_vectors, schatten_norm
 from .oracles import Candidate, candidate_channel, rewrite_surrogate
 from .seeds import SeedPath, as_generator
@@ -43,7 +42,7 @@ from .tomography import (
     process_tomography_exact,
     process_tomography_sampled,
 )
-from . import blockenc, subroutines
+from . import blockenc, budget, subroutines
 
 # hybrid-bound calibration: worst observed distance/term ratio across the
 # unit runs stays under 2, doubled for slack
@@ -112,7 +111,6 @@ def tomograph_called_blocks(
     eps: float = 0.0,
     eta: float = 0.0,
     seed: SeedPath = SeedPath(0),
-    budget: Budget = DEFAULT_BUDGET,
 ) -> TomographySet:
     """Run process tomography on each distinct block called at size <= d_cutoff.
 
@@ -130,30 +128,23 @@ def tomograph_called_blocks(
                 continue
             if hri is None:
                 raise ValueError("candidate queries the rotation family but none was given")
-            gate = hri.oracle(n, m, budget).mat
+            gate = hri.oracle(n, m).mat
             tomo_seed = seed.child("tomo-rot", n).child("m", m)
         else:
             if key > d_cutoff:
                 continue
             if swap is None:
                 raise ValueError("candidate queries the swap family but none was given")
-            gate = swap.dense_oracle(key, budget).mat
+            gate = swap.dense_oracle(key).mat
             tomo_seed = seed.child("tomo-swap", key)
-        res = _tomograph_gate(gate, mode, eps, eta, tomo_seed, budget)
+        if mode == "exact":
+            res = process_tomography_exact(lambda v: gate @ v, gate.shape[0])
+        else:
+            res = process_tomography_sampled(lambda v: gate @ v, gate.shape[0], eps, eta, tomo_seed)
         estimates[key] = res.estimate
         errors[key] = phase_aligned_distance(res.estimate, gate, 2)
         queries += res.queries
     return TomographySet(estimates, errors, queries)
-
-
-def _tomograph_gate(
-    gate: np.ndarray, mode: str, eps: float, eta: float, seed: SeedPath, budget: Budget
-):
-    if mode == "exact":
-        return process_tomography_exact(lambda v: gate @ v, gate.shape[0])
-    return process_tomography_sampled(
-        lambda v: gate @ v, gate.shape[0], eps, eta, seed, budget=budget
-    )
 
 
 # ------------------------------------------------------------------ surrogates
@@ -216,9 +207,7 @@ class ChoiFactor:
         return ChoiFactor(self.vecs[:, index * per : (index + 1) * per], 1)
 
 
-def keyed_choi_vectors(
-    cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> ChoiFactor:
+def keyed_choi_vectors(cand, swap=None, hri=None, *, ell: int) -> ChoiFactor:
     """Choi vectors of the ell-fold Kraus operators of every key, as columns.
 
     Each key contributes 2^(c ell) operators; the keyed Choi state is the
@@ -226,39 +215,36 @@ def keyed_choi_vectors(
     returned here carries everything the dense state and its support need.
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
-    budget.check_factor(qubits, len(cand.keys) * 2 ** (cand.ancilla_c * ell), "keyed state vectors")
-    kraus = np.stack([candidate_channel(cand, k, swap, hri, budget) for k in cand.keys])
+    cols = len(cand.keys) * 2 ** (cand.ancilla_c * ell)
+    budget.DEFAULT_BUDGET.check_factor(qubits, cols, "keyed state vectors")
+    kraus = np.stack([candidate_channel(cand, k, swap, hri) for k in cand.keys])
     return ChoiFactor(choi_vectors(kraus, ell), len(cand.keys))
 
 
 # ------------------------------------------------------------------ support overlap
 
 
-def _reference_weights(
-    vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, ell: int, budget: Budget
-) -> np.ndarray:
+def _reference_weights(vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, ell: int) -> np.ndarray:
     """Weight the fully averaged reference puts on each direction vecs @ coeffs[:, i].
 
     The directions are combinations of Choi vectors of ell-fold operators,
     so the reference overlap matrix gives <u|rho2|u> on its diagonal; the
     reference itself is never materialized.
     """
-    h = reference_overlap_matrix(vecs @ coeffs, 2**lam, 2 ** (lam + s), ell, budget)
+    h = reference_overlap_matrix(vecs @ coeffs, 2**lam, 2 ** (lam + s), ell)
     return np.real(np.diag(h))
 
 
-def support_overlap(
-    cand, swap=None, hri=None, *, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> float:
+def support_overlap(cand, swap=None, hri=None, *, ell: int) -> float:
     """Exact weight the averaged reference puts on the keyed support.
 
     Tr[Q rho2] with Q the projector onto the span of the keyed Choi
     vectors, summed over the orthonormal basis of that span that the attack
     takes of the surrogate state (`_surrogate_support`, rank cut included).
     """
-    keyed = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
+    keyed = keyed_choi_vectors(cand, swap, hri, ell=ell)
     _, coeffs = _surrogate_support(keyed)
-    return float(np.sum(_reference_weights(keyed.vecs, coeffs, cand.lam, cand.stretch_s, ell, budget)))
+    return float(np.sum(_reference_weights(keyed.vecs, coeffs, cand.lam, cand.stretch_s, ell)))
 
 
 def support_chain_bound(lam: int, s: int, c: int, ell: int) -> float:
@@ -384,20 +370,26 @@ def _hybrid_distance(keyed: ChoiFactor, sur: ChoiFactor) -> float:
         return schatten_norm((a @ a.conj().T) / keyed.n_keys - (b @ b.conj().T) / sur.n_keys, 1)
 
 
-def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
+def check_attack_size(lam: int, s: int, c: int, keys: int, ell: int, backend: str) -> None:
+    """Refuse an attack whose Choi factors, pair weights or polynomial exceed the budget."""
+    qubits = (2 * lam + s) * ell
+    # the threshold polynomial's degree is about 2^(qubits+2), certified at ~20k points
+    if backend == "poly":
+        budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "poly backend")
+    budget.DEFAULT_BUDGET.check_factor(qubits, keys * 2 ** (c * ell), "keyed state vectors")
+    _check_perm_pairs(ell)
+
+
+def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
     t0 = time.perf_counter()
     with subroutines.capture() as crossings:
         lam, s, c = cand.lam, cand.stretch_s, cand.ancilla_c
         ell = cfg.ell_override if cfg.ell_override is not None else default_copies(len(cand.keys))
+        check_attack_size(lam, s, c, len(cand.keys), ell, cfg.backend)
         t_queries = cand.query_count
         n_qubits = (2 * lam + s) * ell
         bk = cfg.backend
         poly_backend = bk == "poly"
-        if poly_backend:
-            # the threshold polynomial's degree is about 2^(n+2), and certifying it
-            # evaluates that many terms at each of ~20k grid points: hold it to
-            # the dense ceiling
-            budget.check_dense_matrix(n_qubits, "poly backend")
 
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)
         eps_claimed = 0.0 if t_queries == 0 else 1.0 / (ell * t_queries * cfg.p)
@@ -410,12 +402,11 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
             eps=eps_claimed,
             eta=eps_claimed,
             seed=cfg.seed.child("tomo"),
-            budget=budget,
         )
         sf = build_surrogates(cand, tomo, d_cut)
 
-        keyed = keyed_choi_vectors(cand, swap, hri, ell=ell, budget=budget)
-        sur = keyed_choi_vectors(sf.candidate, ell=ell, budget=budget)
+        keyed = keyed_choi_vectors(cand, swap, hri, ell=ell)
+        sur = keyed_choi_vectors(sf.candidate, ell=ell)
         values, coeffs = _surrogate_support(sur)
 
         hybrid = _hybrid_distance(keyed, sur)
@@ -434,7 +425,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
 
         p_self = accept(_factor_weights(sur, coeffs, sur))
         p_keyed = accept(_factor_weights(sur, coeffs, keyed))
-        p_haar = accept(_reference_weights(sur.vecs, coeffs, lam, s, ell, budget))
+        p_haar = accept(_reference_weights(sur.vecs, coeffs, lam, s, ell))
         advantage = abs(p_keyed - p_haar)
         floor = p_self - hybrid / 2.0 - p_haar
 
@@ -487,37 +478,25 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge, budget) -> AttackReport:
 
 
 def attack_pru(
-    cand: Candidate,
-    swap=None,
-    cfg: AttackConfig = AttackConfig(),
-    challenge=None,
-    budget: Budget = DEFAULT_BUDGET,
+    cand: Candidate, swap=None, cfg: AttackConfig = AttackConfig(), challenge=None
 ) -> AttackReport:
     """Keyed-unitary attack: learn small swap blocks, project, threshold."""
-    return _run_attack("pru", cand, swap, None, cfg, challenge, budget)
+    return _run_attack("pru", cand, swap, None, cfg, challenge)
 
 
 def attack_pri(
-    cand: Candidate,
-    swap=None,
-    cfg: AttackConfig = AttackConfig(),
-    challenge=None,
-    budget: Budget = DEFAULT_BUDGET,
+    cand: Candidate, swap=None, cfg: AttackConfig = AttackConfig(), challenge=None
 ) -> AttackReport:
     """Keyed-isometry attack; the averaged reference carries the pad register."""
-    return _run_attack("pri", cand, swap, None, cfg, challenge, budget)
+    return _run_attack("pri", cand, swap, None, cfg, challenge)
 
 
 def attack_pri_vs_hri(
-    cand,
-    hri=None,
-    cfg: AttackConfig = AttackConfig(),
-    challenge=None,
-    budget: Budget = DEFAULT_BUDGET,
+    cand, hri=None, cfg: AttackConfig = AttackConfig(), challenge=None
 ) -> AttackReport:
     """Attack against candidates built over the hidden-rotation family.
 
     The cutoff exponent is stretched by 1/a and the deletion denominator
     uses t(d) in place of d; everything else matches the isometry attack.
     """
-    return _run_attack("hri", cand, None, hri, cfg, challenge, budget)
+    return _run_attack("hri", cand, None, hri, cfg, challenge)

@@ -1,7 +1,8 @@
 """Size guards for desk-scale runs.
 
-Every routine that allocates an exponentially sized object checks against a
-Budget first and raises SizingError instead of thrashing the machine.
+Every routine that allocates an exponentially sized object first checks it
+against DEFAULT_BUDGET, the one limit, read when the guard runs, and raises
+SizingError instead of thrashing the machine. Tests swap it with monkeypatch.
 """
 from __future__ import annotations
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import subroutines
+from . import budget, subroutines
 from .linalg import schatten_norm
 from .haar import sample_haar_unitary
 from .oracles import SwapOracleFamily
@@ -42,6 +42,7 @@ def prfsg_game(lam: int, n_draws: int, seed: SeedPath) -> PrfsgGameResult:
     (t_queries = 2) and accepts when the challenge state lies in their span.
     The advantage subtracts the rank/dim baseline a Haar state would give.
     """
+    budget.DEFAULT_BUDGET.check_factor(2 * lam, 2**lam, "game key states")
     n = 2 * lam
     dim = 2**n
     n_keys = 2**lam

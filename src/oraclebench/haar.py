@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget, SizingError
+from . import budget
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -66,17 +66,15 @@ def sample_haar_state(d: int, seed) -> PureState:
     return PureState(random_state_from(as_generator(seed), d))
 
 
-def state_moment_exact(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+def state_moment_exact(d: int, ell: int) -> DensityMatrix:
     """ell-th moment of a Haar state: symmetric projector over its dimension."""
     dim_sym = math.comb(d + ell - 1, ell)
-    return DensityMatrix(sym_projector(d, ell, budget) / dim_sym)
+    return DensityMatrix(sym_projector(d, ell) / dim_sym)
 
 
-def state_moment_mc(
-    d: int, ell: int, samples: int, seed, budget: Budget = DEFAULT_BUDGET
-) -> DensityMatrix:
+def state_moment_mc(d: int, ell: int, samples: int, seed) -> DensityMatrix:
     n = d**ell
-    budget.check_dense_matrix(math.ceil(math.log2(n)), "state moment estimate")
+    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "state moment estimate")
     rng = as_generator(seed)
     acc = np.zeros((n, n), dtype=np.complex128)
     done = 0
@@ -95,18 +93,19 @@ def state_moment_mc(
 # ------------------------------------------------------------------ exact twirl
 
 
-def _check_perm_pairs(ell: int, budget: Budget) -> None:
+def _check_perm_pairs(ell: int) -> None:
     """Weights over pairs of permutations form an ell! x ell! matrix: size it as a dense one."""
-    budget.check_dense_matrix(math.ceil(math.log2(math.factorial(ell))), "permutation pair weights")
+    qubits = math.ceil(math.log2(math.factorial(ell)))
+    budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "permutation pair weights")
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_pinv(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
+def _gram_pinv(d: int, ell: int) -> np.ndarray:
     """Pseudo-inverse of the permutation Gram matrix, entries d^(cycles of sigma^-1 pi).
 
-    Read-only, since every caller shares the cached array.
+    Read-only, since every caller shares the cached array. Callers size it
+    with _check_perm_pairs first: the cache holds the weights, not the limit.
     """
-    _check_perm_pairs(ell, budget)
     perms = all_perms(ell)
     gram = np.array(
         [[float(d) ** perm_cycles(perm_compose(perm_inverse(p), q)) for q in perms] for p in perms]
@@ -114,14 +113,14 @@ def _gram_pinv(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
     return _freeze(np.linalg.pinv(gram, rcond=1e-12))
 
 
-def _perm_sum(mat: np.ndarray, d: int, ell: int, weights: np.ndarray, budget: Budget) -> np.ndarray:
+def _perm_sum(mat: np.ndarray, d: int, ell: int, weights: np.ndarray) -> np.ndarray:
     """sum over pi, sigma of weights[pi, sigma] R_pi (x) Tr_A[(R_sigma^dag (x) I) mat].
 
     A is the leading register of dim d^ell, permuted as ell registers of dim
     d; whatever trails it is a bystander.
     """
     dim = mat.shape[0]
-    budget.check_dense_matrix(math.ceil(math.log2(dim)), "permutation sum")
+    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(dim)), "permutation sum")
     a = d**ell
     r, rem = divmod(dim, a)
     if rem:
@@ -138,7 +137,7 @@ def _perm_sum(mat: np.ndarray, d: int, ell: int, weights: np.ndarray, budget: Bu
     return out.reshape(dim, dim)
 
 
-def twirl_exact(rho, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+def twirl_exact(rho, d: int, ell: int) -> DensityMatrix:
     """Average of (U^(x ell) (x) I) rho (.)^dag over the Haar measure on U(d).
 
     Parameters
@@ -148,30 +147,29 @@ def twirl_exact(rho, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> Densi
     d, ell : int
         Local dimension and number of twirled copies.
     """
-    return DensityMatrix(_perm_sum(_as_mat(rho), d, ell, _gram_pinv(d, ell, budget), budget))
+    _check_perm_pairs(ell)
+    return DensityMatrix(_perm_sum(_as_mat(rho), d, ell, _gram_pinv(d, ell)))
 
 
 # ------------------------------------------------------------------ Choi references
 
 
-def haar_choi(lam: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+def haar_choi(lam: int, ell: int) -> DensityMatrix:
     """Exact twirl of ell copies of one half of a maximally entangled register.
 
     The state lives on [A_1 .. A_ell | A'] with each A_i of lam qubits and the
     partner register A' of lam*ell qubits: the isometry reference with no pad.
     """
-    return haar_isometry_choi(lam, 0, ell, budget)
+    return haar_isometry_choi(lam, 0, ell)
 
 
-def haar_isometry_choi(
-    lam: int, s: int, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> DensityMatrix:
+def haar_isometry_choi(lam: int, s: int, ell: int) -> DensityMatrix:
     """Same reference with each copy padded by s fresh zero qubits before twirling.
 
     Registers: [B_1 A_1 .. B_ell A_ell | A'], the twirl acting on the ell
     blocks of (s + lam) qubits.
     """
-    budget.check_dense_matrix((2 * lam + s) * ell, "averaged isometry reference state")
+    budget.DEFAULT_BUDGET.check_dense_matrix((2 * lam + s) * ell, "averaged isometry reference state")
     a_in = 2**lam
     omega = omega_vector(a_in**ell)
     padded = np.zeros((2**s, a_in) * ell + (a_in**ell,), dtype=np.complex128)
@@ -180,7 +178,12 @@ def haar_isometry_choi(
     vec = padded.reshape(-1)
     rho = np.outer(vec, vec.conj())
     d = 2 ** (lam + s)
-    return DensityMatrix(_perm_sum(rho, d, ell, _gram_pinv(d, ell, budget), budget))
+    return DensityMatrix(_perm_sum(rho, d, ell, _gram_pinv(d, ell)))
+
+
+def _check_moment_ell(ell: int) -> None:
+    if ell > MAX_MOMENT_ELL:
+        raise budget.SizingError(f"ell={ell} exceeds the partition-sum limit {MAX_MOMENT_ELL}")
 
 
 def _partitions(n: int, largest: int):
@@ -227,8 +230,7 @@ def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
     """
     if d_in < 1 or d_out < d_in or ell < 1:
         raise ValueError(f"need 1 <= d_in <= d_out and ell >= 1, got {d_out=}, {d_in=}, {ell=}")
-    if ell > MAX_MOMENT_ELL:
-        raise SizingError(f"ell={ell} exceeds the partition-sum limit {MAX_MOMENT_ELL}")
+    _check_moment_ell(ell)
     n_sym = math.comb(d_out * d_in + ell - 1, ell)
     total = Fraction(0)
     for mu in _partitions(ell, ell):
@@ -237,9 +239,7 @@ def choi_moment_distance(d_out: int, d_in: int, ell: int) -> Fraction:
     return total / 2
 
 
-def reference_overlap_matrix(
-    vecs: np.ndarray, d_in: int, d_out: int, ell: int, budget: Budget = DEFAULT_BUDGET
-) -> np.ndarray:
+def reference_overlap_matrix(vecs: np.ndarray, d_in: int, d_out: int, ell: int) -> np.ndarray:
     """Overlaps v_i^dag rho2 v_j against the fully averaged Choi reference.
 
     The columns v_i of vecs are Choi vectors of ell-fold operators of shape
@@ -255,8 +255,9 @@ def reference_overlap_matrix(
     materialized beyond two arrays the size of vecs. Exact, including the
     low-dimension Gram corrections.
     """
+    _check_perm_pairs(ell)
     perms = all_perms(ell)
-    w = _gram_pinv(d_out, ell, budget)[0]
+    w = _gram_pinv(d_out, ell)[0]
     rows = [perm_target_indices(perm_inverse(p), d_out, ell) for p in perms]
     cols = [perm_target_indices(perm_inverse(p), d_in, ell) for p in perms]
     v3 = vecs.reshape(d_out**ell, d_in**ell, -1)
@@ -275,6 +276,6 @@ def twirl_permutation_approx(rho, n: int, ell: int) -> np.ndarray:
     Sum over pi of 2^(-n ell) R_pi (x) Tr_A[(R_pi^dag (x) I) rho]. Accurate
     once 2^n is large against ell^2; returned raw since it need not be PSD.
     """
-    _check_perm_pairs(ell, DEFAULT_BUDGET)
+    _check_perm_pairs(ell)
     weights = np.eye(math.factorial(ell)) / 2 ** (n * ell)
-    return _perm_sum(_as_mat(rho), 2**n, ell, weights, DEFAULT_BUDGET)
+    return _perm_sum(_as_mat(rho), 2**n, ell, weights)

@@ -30,10 +30,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, adversary, blockenc, games, haar, subroutines
+from . import __version__, adversary, blockenc, budget, games, haar, subroutines
 from . import linalg as la
 from .adversary import AttackConfig, AttackReport
-from .budget import DEFAULT_BUDGET
 from .oracles import HriOracleFamily, SwapOracleFamily
 from .seeds import SeedPath
 from .toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
@@ -214,7 +213,6 @@ def _isometry_choi_rate(seed: SeedPath, *, lam=1, s=1, ell=2):
 
 
 def _permutation_twirl_rate(seed: SeedPath, *, n=2, ell=2):
-    DEFAULT_BUDGET.check_dense_matrix(n * ell + 1, "permutation-twirl-rate")
     rho = _rand_density(seed.rng(), 2 ** (n * ell) * 2)
     exact = haar.twirl_exact(rho, 2**n, ell)
     approx = haar.twirl_permutation_approx(rho, n, ell)
@@ -271,9 +269,6 @@ def _one_call_distance(width: int, span: int, gate: np.ndarray, lam: int, seed: 
 
 
 def _swap_call_closeness(seed: SeedPath, *, lam=3, c=3, n=2, trials=5):
-    if 2 * n + 1 > lam + c:
-        raise ValueError(f"call on 2n+1={2 * n + 1} wires exceeds width {lam + c}")
-    DEFAULT_BUDGET.check_dense_matrix(lam + c, "swap-call-closeness")
     fam = SwapOracleFamily(seed.child("family"))
     gate = fam.dense_oracle(n).mat
     worst = max(
@@ -286,9 +281,6 @@ def _swap_call_closeness(seed: SeedPath, *, lam=3, c=3, n=2, trials=5):
 def _hri_call_closeness(seed: SeedPath, *, lam=3, c=3, n=1, stretch="n", trials=5):
     fam = HriOracleFamily(seed.child("family"), stretch=stretch)
     t = fam.t_of(n)
-    if 1 + t + n > lam + c:
-        raise ValueError(f"call on 1+t+n={1 + t + n} wires exceeds width {lam + c}")
-    DEFAULT_BUDGET.check_dense_matrix(lam + c, "hri-call-closeness")
     worst = max(
         _one_call_distance(
             lam + c, 1 + t + n, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i)
@@ -318,7 +310,6 @@ def _perturbed_unitary(seed: SeedPath, d: int, p_exp: int):
 
 
 def _sv_tail_mass(seed: SeedPath, *, n=3, trials=5):
-    DEFAULT_BUDGET.check_dense_matrix(n + 1, "sv-tail-mass")
     p_exp = 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
@@ -332,7 +323,6 @@ def _sv_tail_mass(seed: SeedPath, *, n=3, trials=5):
 
 
 def _kernel_leakage(seed: SeedPath, *, n=3, trials=5):
-    DEFAULT_BUDGET.check_dense_matrix(n + 1, "kernel-leakage")
     d, p_exp = 2**n, 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
@@ -394,12 +384,57 @@ CHECKS = {
 }
 
 
+def _call_width(wires: int, lam: int, c: int) -> int:
+    if wires > lam + c:
+        raise ValueError(f"call on {wires} wires exceeds width {lam + c}")
+    return lam + c
+
+
+def _rotation_wires(n: int, stretch: str) -> int:
+    return 1 + HriOracleFamily(SeedPath(0), stretch=stretch).t_of(n) + n
+
+
+def _permutation_twirl_size(n: int, ell: int) -> None:
+    budget.DEFAULT_BUDGET.check_dense_matrix(n * ell + 1, "permutation-twirl-rate")
+    haar._check_perm_pairs(ell)
+
+
+def _game_size(lam: int, trials: int) -> None:
+    budget.DEFAULT_BUDGET.check_factor(2 * lam, 2**lam, "game key states")
+
+
+# each check's premises, from its resolved parameters: an entry raises on a failed
+# premise or an oversized object, and may return the qubits of the largest dense
+# matrix the check builds for _resolve_check to size, all before any run starts
+_PREMISES = {
+    "state-moment-mc": lambda d, ell, **_: math.ceil(math.log2(d**ell)),
+    "twirl-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
+    "isometry-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
+    "permutation-twirl-rate": _permutation_twirl_size,
+    "choi-shrinkage": lambda n: 2 * n + 1,
+    "hri-trace": lambda n, stretch: _rotation_wires(n, stretch),
+    "swap-call-closeness": lambda lam, c, n, **_: _call_width(2 * n + 1, lam, c),
+    "hri-call-closeness": lambda lam, c, n, stretch, **_: _call_width(
+        _rotation_wires(n, stretch), lam, c
+    ),
+    "support-overlap": lambda lam, ell, keys: adversary.check_attack_size(lam, 0, 0, keys, ell, "ideal"),
+    "sv-tail-mass": lambda n, **_: n + 1,
+    "kernel-leakage": lambda n, **_: n + 1,
+    "prfsg-mean-advantage": _game_size,
+    "prfsg-tail": _game_size,
+}
+
+
 def _resolve_check(lemma_id: str, params: dict):
-    """A check and its parameters: those given, filled from its keyword defaults and typed."""
+    """A check and its parameters, filled from its keyword defaults, typed and held to its premises."""
     if lemma_id not in CHECKS:
         raise ValueError(f"unknown check {lemma_id!r}; known: {', '.join(sorted(CHECKS))}")
     fn = CHECKS[lemma_id]
-    return fn, _take(params, **fn.__kwdefaults__)
+    resolved = _take(params, **fn.__kwdefaults__)
+    qubits = _PREMISES[lemma_id](**resolved) if lemma_id in _PREMISES else None
+    if qubits is not None:
+        budget.DEFAULT_BUDGET.check_dense_matrix(qubits, lemma_id)
+    return fn, resolved
 
 
 def lemma_check(lemma_id: str, params: dict | None = None, seed: SeedPath | None = None) -> LemmaCheckResult:
@@ -554,13 +589,7 @@ def result_passed(res) -> bool:
 
 
 def _versions() -> dict:
-    import scipy  # the package alone, for its version; the library calls none of it
-    return {
-        "schema": 1,
-        "package": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
+    return {"schema": 1, "package": __version__, "numpy": np.__version__}
 
 
 def report_to_dict(report: Report) -> dict:
@@ -614,15 +643,16 @@ def _check_ids(cfg: ExperimentConfig) -> tuple:
 
 
 def _toy_params(kind: str, cfg: ExperimentConfig) -> tuple:
-    """lam, s, c, keys and calls of an attack's toy candidate, defaults filled and typed."""
+    """lam, s, c, keys and calls of an attack's toy candidate, typed, once the attack is sized."""
     lam = cfg.lam if cfg.lam is not None else 2
-    s = cfg.s if cfg.s is not None else 1
+    s = (cfg.s if cfg.s is not None else 1) if kind == "pri" else 0
     c = cfg.c if cfg.c is not None else 0
-    width = lam + c + (s if kind == "pri" else 0)
     # `a` stretches only the rotation attack's cutoff and is read by _run_attack;
     # listing it here makes every other key a fault
     stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
-    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if width >= 3 else 0, **stretch)
+    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if lam + s + c >= 3 else 0, **stretch)
+    ell = cfg.ell if cfg.ell is not None else adversary.default_copies(p["keys"])
+    adversary.check_attack_size(lam, s, c, p["keys"], ell, cfg.backend or AttackConfig.backend)
     return lam, s, c, p["keys"], p["calls"]
 
 

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
+from . import budget
 
 ATOL_UNITARY = 1e-9
 ATOL_HERMITIAN = 1e-9
@@ -267,23 +267,23 @@ def perm_target_indices(pi, d: int, ell: int) -> np.ndarray:
     return out
 
 
-def permutation_operator(pi, d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
+def permutation_operator(pi, d: int, ell: int) -> np.ndarray:
     """Operator permuting ell registers of dim d: |x_1 .. x_ell> -> |x_{pi^-1(1)} ..>."""
     n = d**ell
-    budget.check_dense_matrix(math.ceil(math.log2(n)), "permutation operator")
+    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "permutation operator")
     targets = perm_target_indices(pi, d, ell)
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[targets, np.arange(n)] = 1.0
     return mat
 
 
-def sym_projector(d: int, ell: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
+def sym_projector(d: int, ell: int) -> np.ndarray:
     """Projector onto the symmetric subspace of (C^d)^(x ell)."""
     n = d**ell
-    budget.check_dense_matrix(math.ceil(math.log2(n)), "symmetric projector")
+    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "symmetric projector")
     out = np.zeros((n, n), dtype=np.complex128)
     for pi in all_perms(ell):
-        out += permutation_operator(pi, d, ell, budget)
+        out += permutation_operator(pi, d, ell)
     return out / math.factorial(ell)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
+from . import budget
 from .linalg import PureState, UnitaryMatrix, apply_on_wires, as_complex_array
 from .seeds import SeedPath
 from . import haar
@@ -74,9 +74,9 @@ class SwapOracleFamily:
     def block_unitary(self, n: int, m: int) -> UnitaryMatrix:
         return swap_unitary(n, self.state(n, m))
 
-    def dense_oracle(self, n: int, budget: Budget = DEFAULT_BUDGET) -> UnitaryMatrix:
+    def dense_oracle(self, n: int) -> UnitaryMatrix:
         """Full member on 2n+1 qubits, block diagonal over the index register."""
-        budget.check_dense_matrix(2 * n + 1, "dense oracle")
+        budget.DEFAULT_BUDGET.check_dense_matrix(2 * n + 1, "dense oracle")
         block = 2 ** (n + 1)
         out = np.zeros((2**n * block, 2**n * block), dtype=np.complex128)
         for m in range(2**n):
@@ -110,9 +110,9 @@ class HriOracleFamily:
             )
         return self._unitaries[key]
 
-    def oracle(self, n: int, m: int, budget: Budget = DEFAULT_BUDGET) -> UnitaryMatrix:
+    def oracle(self, n: int, m: int) -> UnitaryMatrix:
         t = self.t_of(n)
-        budget.check_dense_matrix(1 + t + n, "hidden-rotation oracle")
+        budget.DEFAULT_BUDGET.check_dense_matrix(1 + t + n, "hidden-rotation oracle")
         return hri_unitary(t, n, self.haar_unitary(n, m))
 
 def hri_unitary(t: int, n: int, u: UnitaryMatrix) -> UnitaryMatrix:
@@ -246,13 +246,10 @@ class OracleCircuit:
 
 
 def circuit_unitary(
-    circ: OracleCircuit,
-    swap: SwapOracleFamily | None = None,
-    hri: HriOracleFamily | None = None,
-    budget: Budget = DEFAULT_BUDGET,
+    circ: OracleCircuit, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
 ) -> UnitaryMatrix:
     """The circuit's matrix: each step applied once, to the identity's columns as one batch."""
-    budget.check_dense_matrix(circ.total_qubits, "circuit unitary")
+    budget.DEFAULT_BUDGET.check_dense_matrix(circ.total_qubits, "circuit unitary")
     n_q = circ.total_qubits
     mat = np.eye(2**n_q, dtype=np.complex128)
     for step in circ.steps:
@@ -270,7 +267,7 @@ def circuit_unitary(
                 raise ValueError(
                     f"rotation call on n={step.n} needs {1 + t + step.n} wires"
                 )
-            gate = hri.oracle(step.n, step.m, budget).mat
+            gate = hri.oracle(step.n, step.m).mat
             mat = apply_on_wires(mat, gate, step.wires, n_q)
     return UnitaryMatrix(mat)
 
@@ -342,11 +339,7 @@ class Candidate:
 
 
 def candidate_channel(
-    cand,
-    key,
-    swap: SwapOracleFamily | None = None,
-    hri: HriOracleFamily | None = None,
-    budget: Budget = DEFAULT_BUDGET,
+    cand, key, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
 ) -> np.ndarray:
     """One key's Kraus operators, stacked: shape (2^c, 2^(s+lam), 2^lam).
 
@@ -354,7 +347,7 @@ def candidate_channel(
     work in zeros to outputs with the work register in |j>. Its rows put the
     pad qubits ahead of the payload, the copy order of the averaged references.
     """
-    u = circuit_unitary(cand.circuits[key], swap=swap, hri=hri, budget=budget).mat
+    u = circuit_unitary(cand.circuits[key], swap=swap, hri=hri).mat
     d_in, d_pad, d_work = 2**cand.lam, 2**cand.stretch_s, 2**cand.ancilla_c
     # rows [payload, pad, work], columns [input, pad and work]
     u5 = u.reshape(d_in, d_pad, d_work, d_in, d_pad * d_work)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, Budget
+from . import budget
 from .linalg import _freeze, as_complex_array
 from .seeds import as_generator
 from . import subroutines
@@ -159,13 +159,7 @@ def _sampled_densities(psi: np.ndarray, shots: int, rng) -> np.ndarray:
 
 
 def process_tomography_sampled(
-    apply_fn,
-    dim: int,
-    eps: float,
-    eta: float,
-    seed,
-    c_tom: float = C_TOM,
-    budget: Budget = DEFAULT_BUDGET,
+    apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM
 ) -> TomographyResult:
     """Estimate a unitary to spectral error eps (up to phase) from shot counts.
 
@@ -173,7 +167,8 @@ def process_tomography_sampled(
     then up to dim pairs (2 dim states) at a time, so a chunk holds O(dim^3)
     numbers against the dim^4 of the correlation matrix.
     """
-    budget.check_dense_matrix(math.ceil(math.log2(dim * dim)), "sampled tomography correlation")
+    qubits = math.ceil(math.log2(dim * dim))
+    budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "sampled tomography correlation")
     rng = as_generator(seed)
     shots = shot_count(dim, eps, eta, c_tom)
     # column-correlation blocks C[j, k] = u_j u_k^dag, as blocks[j, :, k, :], from

@@ -31,7 +31,7 @@ from oraclebench.blockenc import (
     encode_density,
     svd_discriminate,
 )
-from oraclebench.budget import DEFAULT_BUDGET, Budget
+from oraclebench import budget
 from oraclebench.harness import lemma_check
 from oraclebench.linalg import (
     DensityMatrix,
@@ -87,23 +87,24 @@ def subsystem_perm_matrix(dims: list[int], perm: list[int]) -> np.ndarray:
     return mat
 
 
-def block_encoding_unitary(be: BlockEncoding, budget: Budget = DEFAULT_BUDGET) -> UnitaryMatrix:
+def block_encoding_unitary(be: BlockEncoding) -> UnitaryMatrix:
     """The full unitary of a block encoding; a purification builds W^dag (swap A A') W."""
     if be.unitary_mat is not None:
         return UnitaryMatrix(be.unitary_mat)
     n_q = be.block_dim.bit_length() - 1
     m_q = be.ancilla_qubits - n_q
     total = be.ancilla_qubits + n_q
-    budget.check_dense_matrix(total, "block-encoding unitary")
+    budget.DEFAULT_BUDGET.check_dense_matrix(total, "block-encoding unitary")
     w = complete_to_unitary(be.purification)
     eye_a = np.eye(be.block_dim)
     swap = subsystem_perm_matrix([2**m_q, be.block_dim, be.block_dim], [0, 2, 1])
     return UnitaryMatrix(np.kron(w.conj().T, eye_a) @ swap @ np.kron(w, eye_a))
 
 
-def choi_density(factor: ChoiFactor, budget: Budget = DEFAULT_BUDGET) -> DensityMatrix:
+def choi_density(factor: ChoiFactor) -> DensityMatrix:
     """The dense state vecs vecs^dag / n_keys of a Choi factor."""
-    budget.check_dense_matrix(factor.vecs.shape[0].bit_length() - 1, "dense Choi state")
+    qubits = factor.vecs.shape[0].bit_length() - 1
+    budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "dense Choi state")
     return DensityMatrix((factor.vecs @ factor.vecs.conj().T) / factor.n_keys)
 
 
@@ -137,11 +138,9 @@ def distinguisher(
     return res.accept, res.accept_prob
 
 
-def per_column_circuit_unitary(
-    circ: OracleCircuit, swap=None, hri=None, budget: Budget = DEFAULT_BUDGET
-) -> UnitaryMatrix:
+def per_column_circuit_unitary(circ: OracleCircuit, swap=None, hri=None) -> UnitaryMatrix:
     """A circuit's unitary built column by column: every step on one basis state at a time."""
-    budget.check_dense_matrix(circ.total_qubits, "circuit unitary")
+    budget.DEFAULT_BUDGET.check_dense_matrix(circ.total_qubits, "circuit unitary")
     dim = 2**circ.total_qubits
     cols = np.empty((dim, dim), dtype=np.complex128)
     for j in range(dim):
@@ -153,7 +152,7 @@ def per_column_circuit_unitary(
             elif isinstance(step, OracleCall):
                 vec = apply_swap_call(swap, vec, step.n, step.wires, circ.total_qubits)
             else:
-                gate = hri.oracle(step.n, step.m, budget).mat
+                gate = hri.oracle(step.n, step.m).mat
                 vec = apply_on_wires(vec, gate, step.wires, circ.total_qubits)
         cols[:, j] = PureState(vec).amplitudes
     return UnitaryMatrix(cols)

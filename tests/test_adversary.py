@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
-from oraclebench import blockenc
+from oraclebench import blockenc, budget
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vectors, schatten_norm
@@ -178,15 +178,13 @@ def test_missing_tomography_faults():
         adv.build_surrogates(cand, empty, 3)
 
 
-def test_sampled_tomography_is_held_to_the_callers_budget():
+def test_sampled_tomography_is_held_to_the_callers_budget(monkeypatch):
     # an n=1 swap block is an 8 x 8 gate, so its column correlation is 2^6 x 2^6
     swap = SwapOracleFamily(SEED.child("swap", 8))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("tomo-budget"), c=2, swap_calls=1)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=5))
     with pytest.raises(SizingError, match="sampled tomography correlation"):
-        adv.tomograph_called_blocks(
-            cand, swap, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5,
-            budget=Budget(max_dense_matrix_qubits=5),
-        )
+        adv.tomograph_called_blocks(cand, swap, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5)
 
 
 def test_surrogate_family_rejects_oracle_calls():

@@ -134,24 +134,46 @@ def test_flags_the_experiment_does_not_read_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_premise_and_sizing_faults_exit_2(capsys):
-    assert cli_main(["lemma", "swap-call-closeness", "--lambda", "1", "--c", "1"]) == 2
-    assert cli_main(["lemma", "choi-shrinkage", "--param", "n=9"]) == 2
-    assert cli_main(["attack", "pru", "--ell", "9"]) == 2
-    assert cli_main(["attack", "pri", "--lambda", "3", "--backend", "poly"]) == 2
-    assert "sizing:" in capsys.readouterr().err
-    # lambda 5 with one work qubit: a 2^22 x 16 keyed factor, four times the budget
-    assert cli_main(["attack", "pri", "--lambda", "5", "--c", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "sizing:" in err and "2^22 x 16 factor" in err
-    assert cli_main(["lemma", "twirl-choi-rate", "--ell", "41"]) == 2
-    assert "sizing:" in capsys.readouterr().err
-    # small factors, but 8! x 8! permutation pair weights behind the reference overlaps
-    for args in (["attack", "pru", "--lambda", "1", "--ell", "8"],
-                 ["lemma", "support-overlap", "--lambda", "1", "--ell", "8"]):
-        assert cli_main(args) == 2
+def _refuse_every_run(monkeypatch):
+    def not_run(*_):
+        raise AssertionError("a run started although the config holds one that is refused")
+
+    monkeypatch.setattr(harness, "lemma_check", not_run)
+    monkeypatch.setattr(harness, "_run_attack", not_run)
+
+
+def test_premise_and_sizing_faults_exit_2(capsys, monkeypatch):
+    # each fault is refused when the config resolves, before any run: alone,
+    # and as the second value of a sweep whose first value runs
+    _refuse_every_run(monkeypatch)
+    for argv, says in [
+        (["lemma", "swap-call-closeness", "--lambda", "1", "--c", "1"], "error: call on"),
+        (["lemma", "swap-call-closeness", "--c", "1", "--trials", "1", "--sweep", "lambda=4,1"],
+         "error: call on"),
+        (["lemma", "choi-shrinkage", "--param", "n=9"], "sizing:"),
+        (["lemma", "choi-shrinkage", "--sweep", "n=3,9"], "sizing:"),
+        (["attack", "pru", "--ell", "9"], "sizing:"),
+        (["attack", "pru", "--sweep", "ell=1,9"], "sizing:"),
+        (["attack", "pri", "--lambda", "3", "--backend", "poly"], "sizing: poly backend"),
+        (["attack", "pri", "--backend", "poly", "--sweep", "lambda=1,3"], "sizing: poly backend"),
+        # lambda 5 with one work qubit: a 2^22 x 16 keyed factor, four times the budget
+        (["attack", "pri", "--lambda", "5", "--c", "1"], "2^22 x 16 factor"),
+        (["attack", "pri", "--c", "1", "--sweep", "lambda=2,5"], "2^22 x 16 factor"),
+        (["lemma", "twirl-choi-rate", "--ell", "41"], "sizing:"),
+        (["lemma", "twirl-choi-rate", "--sweep", "ell=2,41"], "sizing:"),
+        # small factors, but 8! x 8! permutation pair weights behind the reference overlaps
+        (["attack", "pru", "--lambda", "1", "--ell", "8"], "permutation pair weights"),
+        (["attack", "pru", "--lambda", "1", "--sweep", "ell=2,8"], "permutation pair weights"),
+        (["lemma", "support-overlap", "--lambda", "1", "--ell", "8"], "permutation pair weights"),
+        (["lemma", "support-overlap", "--lambda", "1", "--sweep", "ell=2,8"],
+         "permutation pair weights"),
+        # 2^9 key states of dim 2^18 in every draw
+        (["prfsg-game", "--lambda", "9"], "sizing: game key states"),
+        (["prfsg-game", "--trials", "5", "--sweep", "lambda=2,9"], "sizing: game key states"),
+    ]:
+        assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert "sizing:" in err and "permutation pair weights" in err
+        assert says in err and "Traceback" not in err, (argv, err)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +184,12 @@ def test_premise_and_sizing_faults_exit_2(capsys):
         ["kernel-leakage", "--param", "n=12"],
         ["swap-call-closeness", "--lambda", "10", "--c", "3"],
         ["hri-call-closeness", "--lambda", "10", "--c", "3"],
+        # the same sizes as the second value of a sweep whose first value runs
+        ["permutation-twirl-rate", "--sweep", "n=2,6"],
+        ["sv-tail-mass", "--sweep", "n=3,12"],
+        ["kernel-leakage", "--sweep", "n=3,12"],
+        ["swap-call-closeness", "--c", "3", "--sweep", "lambda=3,10"],
+        ["hri-call-closeness", "--c", "3", "--sweep", "lambda=3,10"],
     ],
 )
 def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypatch):
@@ -171,6 +199,7 @@ def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypa
 
     monkeypatch.setattr(harness, "_ginibre", draw)
     monkeypatch.setattr(harness.la, "random_unitary_from", draw)
+    _refuse_every_run(monkeypatch)
     assert cli_main(["lemma", *args]) == 2
     assert "sizing:" in capsys.readouterr().err
 
@@ -314,9 +343,8 @@ def test_cli_import_leaves_scipy_fft_unloaded():
     ["attack", "pru", "--c", "1", "--backend", "poly", "--tomo", "sampled"],
 ])
 def test_runs_leave_scipy_linalg_and_special_unloaded(argv):
-    # only the report's version field imports scipy, and the package alone
-    loaded = _scipy_modules_after(f"from oraclebench.cli import cli_main; assert cli_main({argv!r}) == 0")
-    assert not [m for m in loaded if m.startswith(("scipy.linalg", "scipy.special"))], loaded
+    # a whole run, its report included, loads no scipy module at all
+    assert _scipy_modules_after(f"from oraclebench.cli import cli_main; assert cli_main({argv!r}) == 0") == []
 
 
 def test_suite_fast_all_green(capsys):

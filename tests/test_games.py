@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from oraclebench import games
+from oraclebench import budget, games
+from oraclebench.budget import Budget, SizingError
 from oraclebench.oracles import SwapOracleFamily
 from oraclebench.seeds import SeedPath
 
@@ -21,6 +23,15 @@ def test_prfsg_game_is_deterministic():
     r1 = games.prfsg_game(2, 5, SEED.child("det"))
     r2 = games.prfsg_game(2, 5, SEED.child("det"))
     assert np.array_equal(r1.advantages, r2.advantages)
+
+
+def test_prfsg_game_is_sized_by_its_key_states(monkeypatch):
+    # lambda = 3 holds 8 key states of dim 2^6 per draw, 512 amplitudes, past
+    # the 64 a 3-qubit budget allows; lambda = 2 holds 4 of dim 2^4, 64
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=3))
+    with pytest.raises(SizingError, match="2\\^6 x 8 factor"):
+        games.prfsg_game(3, 1, SEED.child("size"))
+    assert games.prfsg_game(2, 1, SEED.child("size")).n_draws == 1
 
 
 def test_prfsg_advantage_matches_independent_projector_route():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oraclebench import haar, linalg as la
+from oraclebench import budget, haar, linalg as la
 from oraclebench.budget import Budget, SizingError
 from oraclebench.seeds import SeedPath
 
@@ -62,16 +62,18 @@ def test_state_moment_mc_matches_exact():
     assert la.trace_distance(got, haar.state_moment_exact(2, 2)) < 0.05
 
 
-def test_state_moments_refuse_past_a_passed_budget():
+def test_state_moments_refuse_past_a_passed_budget(monkeypatch):
     # d^ell = 9 rows needs ceil(log2 9) = 4 qubits of dense matrix
-    tight, roomy = Budget(max_dense_matrix_qubits=3), Budget(max_dense_matrix_qubits=4)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=3))
     with pytest.raises(SizingError, match="state moment estimate"):
-        haar.state_moment_mc(3, 2, 10, SEED.child("mc"), tight)
+        haar.state_moment_mc(3, 2, 10, SEED.child("mc"))
     with pytest.raises(SizingError, match="symmetric projector"):
-        haar.state_moment_exact(3, 2, tight)
-    assert haar.state_moment_mc(3, 2, 10, SEED.child("mc"), roomy).dim == 9
-    assert haar.state_moment_exact(3, 2, roomy).dim == 9
+        haar.state_moment_exact(3, 2)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=4))
+    assert haar.state_moment_mc(3, 2, 10, SEED.child("mc")).dim == 9
+    assert haar.state_moment_exact(3, 2).dim == 9
     # the default budget still builds the 4096-row moment the c04 fixture uses
+    monkeypatch.undo()
     assert haar.state_moment_exact(64, 2).dim == 4096
 
 
@@ -122,12 +124,12 @@ def test_twirl_mc_deterministic():
     assert np.array_equal(a.mat, b.mat)
 
 
-def test_twirl_budget_guard():
-    tiny = Budget(max_dense_matrix_qubits=3)
+def test_twirl_budget_guard(monkeypatch):
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=3))
     rng = np.random.default_rng(6)
     rho = rand_density(rng, 16)
     with pytest.raises(SizingError):
-        haar.twirl_exact(rho, 4, 2, budget=tiny)
+        haar.twirl_exact(rho, 4, 2)
 
 
 def test_permutation_sums_match_dense_permutation_operators():
@@ -156,6 +158,17 @@ def test_gram_pinv_is_cached_and_read_only():
     g = haar._gram_pinv(2, 3)
     assert g is haar._gram_pinv(2, 3)
     assert not g.flags.writeable
+
+
+def test_pair_weights_are_sized_on_a_cache_hit(monkeypatch):
+    # the 6 x 6 weights of ell = 3 are cached under the default budget, then
+    # every route that reads them is held to a 2-qubit one
+    haar._gram_pinv(2, 3)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=2))
+    with pytest.raises(SizingError, match="permutation pair weights"):
+        haar.reference_overlap_matrix(np.zeros((4**3, 1), dtype=complex), 2, 2, 3)
+    with pytest.raises(SizingError, match="permutation pair weights"):
+        haar.twirl_exact(np.eye(8) / 8, 2, 3)
 
 
 def test_references_past_the_dense_budget_are_refused():
@@ -274,17 +287,16 @@ def test_reference_overlap_matrix_matches_dense_sandwich():
         assert np.max(np.abs(dense - h)) <= 1e-12
 
 
-def test_permutation_pair_weights_are_sized_before_building():
+def test_permutation_pair_weights_are_sized_before_building(monkeypatch):
     # ell = 7 needs 5040 x 5040 pair weights, past the default 2^12 rows; at
     # ell = 3 the 6 x 6 weights are past a 2-qubit budget
     with pytest.raises(SizingError, match="permutation pair weights"):
         haar.reference_overlap_matrix(np.zeros((4**7, 1), dtype=complex), 2, 2, 7)
     with pytest.raises(SizingError, match="permutation pair weights"):
         haar.twirl_permutation_approx(np.eye(2**7) / 2**7, 1, 7)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=2))
     with pytest.raises(SizingError, match="permutation pair weights"):
-        haar.reference_overlap_matrix(
-            np.zeros((4**3, 1), dtype=complex), 2, 2, 3, Budget(max_dense_matrix_qubits=2)
-        )
+        haar.reference_overlap_matrix(np.zeros((4**3, 1), dtype=complex), 2, 2, 3)
 
 
 def test_reference_overlap_identity_values():

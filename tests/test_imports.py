@@ -1,5 +1,6 @@
-"""Every name the library and the study scripts import is used, and every
-library definition has a caller outside the unit tests."""
+"""Every name the library and the study scripts import is used, every
+library definition has a caller outside the unit tests, and the size budget
+is read where it is checked."""
 import ast
 import re
 from pathlib import Path
@@ -77,3 +78,19 @@ def test_every_library_definition_has_a_caller_outside_the_unit_tests():
                     and member.name not in attrs
                 ]
     assert uncalled == []
+
+
+def test_the_budget_is_read_where_it_is_checked():
+    # no function takes a budget to pass along, and no module binds the default
+    # at import, where swapping `budget.DEFAULT_BUDGET` would not reach it
+    threaded, bound = [], []
+    for path in sorted((ROOT / "src" / "oraclebench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                if "budget" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    threaded.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+            elif isinstance(node, ast.ImportFrom) and "DEFAULT_BUDGET" in [a.name for a in node.names]:
+                bound.append(path.stem)
+    assert threaded == []
+    assert bound == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclebench.budget import Budget, SizingError
-from oraclebench import linalg as la
+from oraclebench import budget, linalg as la
 
 import dense_reference as ref
 
@@ -241,15 +241,15 @@ def test_perm_cycles():
     assert la.perm_cycles((1, 2, 0)) == 1
 
 
-def test_permutation_operator_size_guard():
+def test_permutation_operator_size_guard(monkeypatch):
     with pytest.raises(SizingError):
         la.permutation_operator(tuple(range(2)), 2**7, 2)
-    tight = Budget(max_dense_matrix_qubits=3)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=3))
     with pytest.raises(SizingError, match="permutation operator"):
-        la.permutation_operator((1, 0), 3, 2, tight)
+        la.permutation_operator((1, 0), 3, 2)
     with pytest.raises(SizingError, match="symmetric projector"):
-        la.sym_projector(3, 2, tight)
-    assert la.permutation_operator((1, 0, 2), 2, 3, tight).shape == (8, 8)
+        la.sym_projector(3, 2)
+    assert la.permutation_operator((1, 0, 2), 2, 3).shape == (8, 8)
 
 
 def test_sym_projector_values():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oraclebench import haar, linalg as la, oracles as orc, toys
+from oraclebench import budget, haar, linalg as la, oracles as orc, toys
 from oraclebench.budget import Budget, SizingError
 from oraclebench.seeds import SeedPath
 
@@ -47,10 +47,11 @@ def test_swap_block_trace_is_dim_minus_two():
         assert np.isclose(np.trace(dense).real, 2 ** (2 * n + 1) - 2 ** (n + 1), atol=1e-9)
 
 
-def test_dense_oracle_budget_guard():
+def test_dense_oracle_budget_guard(monkeypatch):
     fam = fresh_family("guard")
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=5))
     with pytest.raises(SizingError):
-        fam.dense_oracle(3, budget=Budget(max_dense_matrix_qubits=5))
+        fam.dense_oracle(3)
 
 
 def test_family_lazy_sampling_and_determinism():
