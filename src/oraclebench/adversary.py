@@ -338,18 +338,19 @@ def _factor_weights(sur: ChoiFactor, coeffs: np.ndarray, x: ChoiFactor) -> np.nd
     return np.sum(np.abs(amp) ** 2, axis=1) / x.n_keys
 
 
-def _acceptance(values, weights, theta: float, poly) -> float:
+def _acceptance(values, weights, theta: float, gains) -> float:
     """Threshold-test acceptance of a challenge from its support weights.
 
-    Ideal: the weight on directions of singular value >= theta. Polynomial:
-    sum_i p(s_i)^2 d_i over the support, plus p(0)^2 times the challenge's
-    weight off the support, where every singular value is zero; challenges
-    are states, so that weight is 1 - sum_i d_i.
+    Ideal (gains None): the weight on directions of singular value >= theta.
+    Polynomial: gains holds p(s_i)^2 for each support value, then p(0)^2; the
+    acceptance is sum_i p(s_i)^2 d_i over the support, plus p(0)^2 times the
+    challenge's weight off the support, where every singular value is zero;
+    challenges are states, so that weight is 1 - sum_i d_i.
     """
-    if poly is None:
+    if gains is None:
         prob = np.sum(weights[values >= theta])
     else:
-        prob = np.sum(poly(values) ** 2 * weights) + poly(0.0) ** 2 * (1.0 - np.sum(weights))
+        prob = np.sum(gains[:-1] * weights) + gains[-1] * (1.0 - np.sum(weights))
     return float(np.clip(prob, 0.0, 1.0))
 
 
@@ -389,7 +390,6 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         t_queries = cand.query_count
         n_qubits = (2 * lam + s) * ell
         bk = cfg.backend
-        poly_backend = bk == "poly"
 
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)
         eps_claimed = 0.0 if t_queries == 0 else 1.0 / (ell * t_queries * cfg.p)
@@ -418,10 +418,12 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
 
         # the distinguisher's window (2^-3n, 2^-2n) and eta = 2^-lam
         a, b = 2.0 ** (-3 * n_qubits), 2.0 ** (-2 * n_qubits)
-        poly = blockenc.threshold_poly(a, b, 2.0 ** (-lam) / 2.0) if poly_backend else None
+        # one Clenshaw pass of the degree ~2^(n+2) polynomial serves every challenge
+        poly = blockenc.threshold_poly(a, b, 2.0 ** (-lam) / 2.0) if bk == "poly" else None
+        gains = None if poly is None else poly(np.append(values, 0.0)) ** 2
 
         def accept(weights):
-            return _acceptance(values, weights, (a + b) / 2.0, poly)
+            return _acceptance(values, weights, (a + b) / 2.0, gains)
 
         p_self = accept(_factor_weights(sur, coeffs, sur))
         p_keyed = accept(_factor_weights(sur, coeffs, keyed))

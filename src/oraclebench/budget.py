@@ -39,5 +39,11 @@ class Budget:
                 f"{4**self.max_dense_matrix_qubits} entries"
             )
 
+    def chunks(self, n_items: int, entries: int) -> list[range]:
+        """Split range(n_items) into consecutive chunks of at least one item each,
+        so that a stack of `entries` entries per item holds no more entries than a factor may."""
+        step = max(1, 4**self.max_dense_matrix_qubits // entries)
+        return [range(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
+
 
 DEFAULT_BUDGET = Budget()

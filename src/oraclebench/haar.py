@@ -40,6 +40,9 @@ from .linalg import (
     _as_mat,
     _freeze,
     all_perms,
+    check_unitary,
+    ginibre,
+    haar_from_ginibre,
     omega_vector,
     perm_compose,
     perm_cycles,
@@ -47,6 +50,7 @@ from .linalg import (
     perm_target_indices,
     random_state_from,
     random_unitary_from,
+    register_qubits,
     sym_projector,
 )
 from .seeds import as_generator
@@ -61,6 +65,13 @@ def sample_haar_unitary(d: int, seed) -> UnitaryMatrix:
     return UnitaryMatrix(random_unitary_from(as_generator(seed), d))
 
 
+def sample_haar_unitaries(d: int, seeds) -> np.ndarray:
+    """A validated (len(seeds), d, d) stack: per seed the unitary `sample_haar_unitary` draws."""
+    u = haar_from_ginibre(np.stack([ginibre(as_generator(s), d) for s in seeds]))
+    check_unitary(u)
+    return u
+
+
 def sample_haar_state(d: int, seed) -> PureState:
     """Haar-distributed pure state: normalized complex Gaussian vector."""
     return PureState(random_state_from(as_generator(seed), d))
@@ -73,8 +84,8 @@ def state_moment_exact(d: int, ell: int) -> DensityMatrix:
 
 
 def state_moment_mc(d: int, ell: int, samples: int, seed) -> DensityMatrix:
+    budget.DEFAULT_BUDGET.check_dense_matrix(register_qubits(d, ell), "state moment estimate")
     n = d**ell
-    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "state moment estimate")
     rng = as_generator(seed)
     acc = np.zeros((n, n), dtype=np.complex128)
     done = 0

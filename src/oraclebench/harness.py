@@ -101,13 +101,8 @@ def _take(params: dict, **defaults):
     return out
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
 def _rand_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = _ginibre(rng, d)
+    g = la.ginibre(rng, d)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -142,7 +137,7 @@ def _holder_product(seed: SeedPath, *, d=6, trials=40):
     worst = 0.0
     for i in range(trials):
         rng = seed.child("inst", i).rng()
-        a, b = _ginibre(rng, d), _ginibre(rng, d)
+        a, b = la.ginibre(rng, d), la.ginibre(rng, d)
         sp = (1.0, 2.0, np.inf)[i % 3]
         num = la.schatten_norm(a @ b, sp)
         den = la.schatten_norm(a, sp) * la.schatten_norm(b, np.inf)
@@ -156,23 +151,22 @@ def _two_query_lipschitz(seed: SeedPath, *, d=8, trials=100):
 
 
 def _conjugation_lipschitz(seed: SeedPath, *, d=8, trials=100):
-    worst = 0.0
-    for i in range(trials):
-        sub = seed.child("pair", i)
-        rng = sub.rng()
-        u = la.random_unitary_from(rng, d)
-        h = _ginibre(rng, d)
-        h = (h + h.conj().T) / 2
-        scale = 10.0 ** (-3 + 3.5 * i / max(1, trials - 1))
-        v = u @ subroutines.expi((scale / np.linalg.norm(h, 2)) * h)
-        psi = la.random_state_from(rng, d)
-        ru = np.outer(u @ psi, np.conj(u @ psi))
-        rv = np.outer(v @ psi, np.conj(v @ psi))
-        gap = np.linalg.norm(ru - rv)
-        dist = np.linalg.norm(u - v)
-        if dist > 1e-14:
-            worst = max(worst, float(gap / (2.0 * dist)))
-    return worst, 1.0, 1.0 + 1e-9
+    def gap_dist(pairs):
+        draws = []
+        for i in pairs:
+            rng = seed.child("pair", i).rng()
+            draws.append((la.ginibre(rng, d), la.ginibre(rng, d), la.random_state_from(rng, d)))
+        zs, hs, psis = (np.stack(x) for x in zip(*draws))
+        u = la.haar_from_ginibre(zs)
+        h = (hs + np.swapaxes(hs.conj(), -1, -2)) / 2
+        scales = np.array([10.0 ** (-3 + 3.5 * i / max(1, trials - 1)) for i in pairs])
+        v = u @ subroutines.expi((scales / np.linalg.norm(h, 2, axis=(-2, -1)))[:, None, None] * h)
+        x, y = u @ psis[..., None], v @ psis[..., None]
+        ru, rv = x * x.conj().transpose(0, 2, 1), y * y.conj().transpose(0, 2, 1)
+        return np.linalg.norm(ru - rv, axis=(-2, -1)), np.linalg.norm(u - v, axis=(-2, -1))
+
+    # one call of U on a fixed state; the ratio is against 2 ||U - V||_F
+    return games.lipschitz_pairs(trials, 1, 2.0, d * d, gap_dist).max_ratio, 1.0, 1.0 + 1e-9
 
 
 def _family_lipschitz(seed: SeedPath, *, d=4, members=2, trials=50):
@@ -246,7 +240,7 @@ def _omega_transpose(seed: SeedPath, *, trials=50):
         rng = seed.child("iso", i).rng()
         d_in = int(rng.integers(2, 7))
         d_out = int(rng.integers(d_in, 9))
-        q, _ = np.linalg.qr(_ginibre(rng, d_out, d_in))
+        q, _ = np.linalg.qr(la.ginibre(rng, d_out, d_in))
         worst = max(worst, la.transpose_identity_residual(q))
     return worst, 1e-10, 1.0
 
@@ -302,7 +296,7 @@ def _support_overlap(seed: SeedPath, *, lam=2, ell=2, keys=4):
 def _perturbed_unitary(seed: SeedPath, d: int, p_exp: int):
     rng = seed.rng()
     u = la.random_unitary_from(rng, d)
-    h = _ginibre(rng, d)
+    h = la.ginibre(rng, d)
     h = (h + h.conj().T) / 2
     h /= np.linalg.norm(h, 2)
     delta = 2.0 ** (-p_exp - 1)
@@ -333,7 +327,7 @@ def _kernel_leakage(seed: SeedPath, *, n=3, trials=5):
         sv = np.sort(rng.uniform(0.3, 0.9, size=d))[::-1]
         sv[-1] = 0.0
         m = u @ np.diag(sv) @ w.conj().T
-        e = _ginibre(rng, d)
+        e = la.ginibre(rng, d)
         a = m + 2.0 ** (-p_exp - 1) * (e / np.linalg.norm(e, 2))
         leak, _ = blockenc.kernel_leakage_bounds(
             blockenc.dilation_encoding(a), w[:, -1], eps, p_exp
@@ -407,7 +401,7 @@ def _game_size(lam: int, trials: int) -> None:
 # premise or an oversized object, and may return the qubits of the largest dense
 # matrix the check builds for _resolve_check to size, all before any run starts
 _PREMISES = {
-    "state-moment-mc": lambda d, ell, **_: math.ceil(math.log2(d**ell)),
+    "state-moment-mc": lambda d, ell, **_: la.register_qubits(d, ell),
     "twirl-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
     "isometry-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
     "permutation-twirl-rate": _permutation_twirl_size,

@@ -39,6 +39,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_state_norms(vecs: np.ndarray) -> None:
+    """Raise unless every vector of a (..., n) stack has norm 1 within ATOL_STATE_NORM."""
+    if not np.all(np.abs(np.linalg.norm(vecs, axis=-1) - 1.0) <= ATOL_STATE_NORM):
+        raise ValueError(f"state vector norm deviates from 1 beyond {ATOL_STATE_NORM}")
+
+
+def check_unitary(m: np.ndarray) -> None:
+    """Raise unless ||U^dag U - I||_2 <= ATOL_UNITARY for every matrix of a (..., d, d) stack."""
+    defect = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    # the Frobenius norm of the whole stack bounds each spectral norm, so it is a cheap accept
+    if np.linalg.norm(defect) > ATOL_UNITARY:
+        if np.max(np.linalg.norm(defect, 2, axis=(-2, -1))) > ATOL_UNITARY:
+            raise ValueError("matrix is not unitary within 1e-9")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of any nonzero dimension."""
@@ -49,9 +64,7 @@ class PureState:
         vec = as_complex_array(self.amplitudes, "state vector")
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("state vector must be a nonempty 1-d array")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > ATOL_STATE_NORM:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {ATOL_STATE_NORM}")
+        check_state_norms(vec)
         object.__setattr__(self, "amplitudes", _freeze(vec))
 
     @property
@@ -69,11 +82,7 @@ class UnitaryMatrix:
         m = as_complex_array(self.mat, "unitary")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
-        defect = m.conj().T @ m - np.eye(m.shape[0])
-        # Frobenius upper-bounds the spectral norm, so it is a cheap accept
-        if np.linalg.norm(defect) > ATOL_UNITARY:
-            if np.linalg.norm(defect, 2) > ATOL_UNITARY:
-                raise ValueError("matrix is not unitary within 1e-9")
+        check_unitary(m)
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
@@ -267,10 +276,17 @@ def perm_target_indices(pi, d: int, ell: int) -> np.ndarray:
     return out
 
 
+def register_qubits(d: int, ell: int) -> int:
+    """ceil(log2(d^ell)), the qubits of ell registers of dim d. Past the budget the lower
+    bound ell floor(log2 d) stands in, so an absurd ell is refused without the power."""
+    low = ell * (d.bit_length() - 1)
+    return low if low > budget.DEFAULT_BUDGET.max_dense_matrix_qubits else math.ceil(math.log2(d**ell))
+
+
 def permutation_operator(pi, d: int, ell: int) -> np.ndarray:
     """Operator permuting ell registers of dim d: |x_1 .. x_ell> -> |x_{pi^-1(1)} ..>."""
+    budget.DEFAULT_BUDGET.check_dense_matrix(register_qubits(d, ell), "permutation operator")
     n = d**ell
-    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "permutation operator")
     targets = perm_target_indices(pi, d, ell)
     mat = np.zeros((n, n), dtype=np.complex128)
     mat[targets, np.arange(n)] = 1.0
@@ -279,8 +295,8 @@ def permutation_operator(pi, d: int, ell: int) -> np.ndarray:
 
 def sym_projector(d: int, ell: int) -> np.ndarray:
     """Projector onto the symmetric subspace of (C^d)^(x ell)."""
+    budget.DEFAULT_BUDGET.check_dense_matrix(register_qubits(d, ell), "symmetric projector")
     n = d**ell
-    budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(n)), "symmetric projector")
     out = np.zeros((n, n), dtype=np.complex128)
     for pi in all_perms(ell):
         out += permutation_operator(pi, d, ell)
@@ -324,13 +340,23 @@ def gentle_residual(measure_op, rho) -> tuple[DensityMatrix, float]:
     return residual, trace_distance(residual, r)
 
 
+def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
+    """Complex Gaussian matrix, real and imaginary parts standard normal, real drawn first."""
+    cols = rows if cols is None else cols
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from `ginibre` draws of shape (..., d, d): QR of z / sqrt(2), R's diagonal
+    made positive. LAPACK factors each matrix alone, so a stack equals its draws one at a time."""
+    q, r = np.linalg.qr(z / math.sqrt(2))
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[..., None, :]
+
+
 def random_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar unitary via Ginibre + QR with the phase convention fixed."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_from_ginibre(ginibre(rng, d))
 
 
 def random_state_from(rng: np.random.Generator, d: int) -> np.ndarray:

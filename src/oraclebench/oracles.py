@@ -61,14 +61,16 @@ class SwapOracleFamily:
     seed: SeedPath
     _states: dict = field(default_factory=dict, repr=False)
 
+    def state_seed(self, n: int, m: int) -> SeedPath:
+        """The seed psi_{n,m} is drawn from."""
+        return self.seed.child("n", n).child("m", m)
+
     def state(self, n: int, m: int) -> PureState:
         if not 0 <= m < 2**n:
             raise ValueError(f"index m={m} out of range for n={n}")
         key = (n, m)
         if key not in self._states:
-            self._states[key] = haar.sample_haar_state(
-                2**n, self.seed.child("n", n).child("m", m)
-            )
+            self._states[key] = haar.sample_haar_state(2**n, self.state_seed(n, m))
         return self._states[key]
 
     def block_unitary(self, n: int, m: int) -> UnitaryMatrix:

@@ -164,7 +164,8 @@ def serial_if_small(rows: int):
 
 
 def expi(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for Hermitian H by `np.linalg.eigh`; one OpenBLAS thread up to SERIAL_MAX_ROWS rows."""
-    with serial_if_small(h.shape[0]):
+    """exp(iH) for Hermitian H, or each H of a (..., d, d) stack, by `np.linalg.eigh`;
+    one OpenBLAS thread up to SERIAL_MAX_ROWS rows."""
+    with serial_if_small(h.shape[-1]):
         w, v = np.linalg.eigh(h)
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -10,8 +10,9 @@ off its Stinespring unitary and their Choi vectors built by a chain of
 `np.kron` products, the threshold polynomial built by `chebinterpolate` and
 certified on the full grid at every degree, the checks run on a thread pool
 instead of one after another (with exp(iH) taken outside the one-thread
-BLAS guard), and sampled process tomography one
-measurement setting at a time with a full `eigh`.
+BLAS guard), sampled process tomography one
+measurement setting at a time with a full `eigh`, and the Monte Carlo
+checks the library runs as stacks run one trial at a time.
 """
 from __future__ import annotations
 
@@ -31,7 +32,9 @@ from oraclebench.blockenc import (
     encode_density,
     svd_discriminate,
 )
-from oraclebench import budget
+from oraclebench import budget, subroutines
+from oraclebench.games import ConcentrationResult, LipschitzCheckResult
+from oraclebench.haar import sample_haar_unitary
 from oraclebench.harness import lemma_check
 from oraclebench.linalg import (
     DensityMatrix,
@@ -39,9 +42,11 @@ from oraclebench.linalg import (
     UnitaryMatrix,
     _as_mat,
     apply_on_wires,
+    random_state_from,
     random_unitary_from,
+    schatten_norm,
 )
-from oraclebench.oracles import FixedGate, OracleCall, OracleCircuit, apply_swap_call
+from oraclebench.oracles import FixedGate, OracleCall, OracleCircuit, SwapOracleFamily, apply_swap_call
 from oraclebench.seeds import SeedPath, as_generator
 from oraclebench.tomography import C_TOM, TomographyResult, canonical_phase, nearest_unitary, shot_count
 
@@ -225,9 +230,9 @@ def threshold_poly_ladder(a: float, b: float, eta: float) -> ThresholdPoly:
 
 
 def expi_unguarded(h: np.ndarray) -> np.ndarray:
-    """`subroutines.expi`'s eigh route on however many OpenBLAS threads are set."""
+    """`subroutines.expi`'s eigh route, stacks included, on however many OpenBLAS threads are set."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def pooled_checks(ids, params: dict, root: SeedPath) -> list:
@@ -296,3 +301,121 @@ def sampled_tomography(apply_fn, dim: int, eps: float, eta: float, seed, c_tom: 
     gram = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
     queries = n_inputs * (1 + dim * (dim - 1)) * shots
     return TomographyResult(canonical_phase(nearest_unitary(m)), "sampled", queries, gram, shots)
+
+
+# --------------------------------------------- Monte Carlo checks, one trial at a time
+
+
+def prfsg_advantages_per_draw(lam: int, n_draws: int, seed: SeedPath) -> np.ndarray:
+    """`games.prfsg_game`'s advantages, one draw and one validated key state at a time."""
+    n = 2 * lam
+    n_keys = 2**lam
+    t_queries = 2
+    advs = np.empty(n_draws)
+    for i in range(n_draws):
+        fam = SwapOracleFamily(seed.child("draw", i))
+        states = [fam.state(n, k << lam).amplitudes for k in range(n_keys)]
+        basis, _ = np.linalg.qr(np.stack(states[:t_queries], axis=1))
+        overlaps = basis.conj().T @ np.stack(states, axis=1)
+        accept = np.sum(np.abs(overlaps) ** 2, axis=0)
+        advs[i] = float(np.mean(accept)) - t_queries / 2**n
+    return advs
+
+
+def _two_query_prob(u: np.ndarray, a: np.ndarray) -> float:
+    d = u.shape[0]
+    e0 = np.zeros(d, dtype=np.complex128)
+    e0[0] = 1.0
+    return float(abs(e0.conj() @ (u @ (a @ (u @ e0)))) ** 2)
+
+
+def _perturbed_pair(d: int, scale: float, seed: SeedPath):
+    u = sample_haar_unitary(d, seed.child("u")).mat
+    rng = seed.child("h").rng()
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (h + h.conj().T) / 2
+    h *= scale / np.linalg.norm(h, 2)
+    return u, u @ subroutines.expi(h)
+
+
+def two_query_lipschitz_per_pair(d: int, n_pairs: int, seed: SeedPath) -> LipschitzCheckResult:
+    """`games.two_query_lipschitz_check`, one pair at a time."""
+    t_queries = 2
+    const = 2.0 * t_queries
+    a = sample_haar_unitary(d, seed.child("fixed")).mat
+    max_ratio, violations = 0.0, 0
+    for i in range(n_pairs):
+        scale = 10 ** (-3 + 3.5 * (i / max(1, n_pairs - 1)))
+        u, v = _perturbed_pair(d, scale, seed.child("pair", i))
+        dist = float(np.linalg.norm(u - v))
+        if dist < 1e-14:
+            continue
+        gap = abs(_two_query_prob(u, a) - _two_query_prob(v, a))
+        ratio = gap / (const * dist)
+        max_ratio = max(max_ratio, ratio)
+        violations += ratio > 1 + 1e-9
+    return LipschitzCheckResult(n_pairs, t_queries, const, max_ratio, violations)
+
+
+def family_lipschitz_per_pair(d: int, n_members: int, n_pairs: int, seed: SeedPath) -> LipschitzCheckResult:
+    """`games.family_lipschitz_check`, one pair and one member at a time."""
+    t_queries = 2 * n_members
+    const = 8.0 * t_queries
+    a = sample_haar_unitary(d, seed.child("fixed")).mat
+
+    def prob(members) -> float:
+        vec = np.zeros(d, dtype=np.complex128)
+        vec[0] = 1.0
+        for t in range(t_queries):
+            vec = members[t % n_members] @ (a @ vec)
+        return float(abs(vec[0]) ** 2)
+
+    max_ratio, violations = 0.0, 0
+    for i in range(n_pairs):
+        scale = 10 ** (-3 + 3.5 * (i / max(1, n_pairs - 1)))
+        us, vs = [], []
+        for m in range(n_members):
+            u, v = _perturbed_pair(d, scale, seed.child("pair", i).child("m", m))
+            us.append(u)
+            vs.append(v)
+        dist = math.sqrt(sum(schatten_norm(u - v, np.inf) ** 2 for u, v in zip(us, vs)))
+        if dist < 1e-14:
+            continue
+        gap = abs(prob(us) - prob(vs))
+        ratio = gap / (const * dist)
+        max_ratio = max(max_ratio, ratio)
+        violations += ratio > 1 + 1e-9
+    return LipschitzCheckResult(n_pairs, t_queries, const, max_ratio, violations)
+
+
+def haar_concentration_per_draw(d: int, n_draws: int, delta: float, seed: SeedPath) -> ConcentrationResult:
+    """`games.haar_concentration_check`, one validated unitary at a time."""
+    lipschitz = 4.0
+    a = sample_haar_unitary(d, seed.child("fixed")).mat
+    vals = np.array(
+        [_two_query_prob(sample_haar_unitary(d, seed.child("dr", i)).mat, a) for i in range(n_draws)]
+    )
+    mean = float(np.mean(vals))
+    exceed = float(np.mean(np.abs(vals - mean) >= delta))
+    bound = 10 * math.exp(-(d - 2) * delta**2 / (24 * lipschitz**2))
+    return ConcentrationResult(mean, exceed, bound)
+
+
+def conjugation_lipschitz_per_pair(seed: SeedPath, d: int, trials: int) -> float:
+    """`harness._conjugation_lipschitz`'s worst ratio, one pair at a time."""
+    worst = 0.0
+    for i in range(trials):
+        rng = seed.child("pair", i).rng()
+        u = random_unitary_from(rng, d)
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (h + h.conj().T) / 2
+        scale = 10.0 ** (-3 + 3.5 * i / max(1, trials - 1))
+        v = u @ subroutines.expi((scale / np.linalg.norm(h, 2)) * h)
+        psi = random_state_from(rng, d)
+        ru = np.outer(u @ psi, np.conj(u @ psi))
+        rv = np.outer(v @ psi, np.conj(v @ psi))
+        gap = np.linalg.norm(ru - rv)
+        dist = np.linalg.norm(u - v)
+        if dist > 1e-14:
+            worst = max(worst, float(gap / (2.0 * dist)))
+    return worst

@@ -478,3 +478,20 @@ def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, blas
     assert 0.0 < adv._hybrid_distance(keyed, sur) <= 2.0
     assert seen == [dict.fromkeys(blas_counts(), threads)] * 2
     assert blas_counts() == dict.fromkeys(blas_counts(), 2)
+
+
+def test_the_threshold_polynomial_is_evaluated_once_per_attack(monkeypatch):
+    # one Clenshaw pass over the support values and 0 serves self, keyed, Haar
+    # and the challenge; a degree-1024 pass costs milliseconds
+    sizes = []
+    call = blockenc.ThresholdPoly.__call__
+
+    def spy(self, x):
+        sizes.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(blockenc.ThresholdPoly, "__call__", spy)
+    cand = toy_pru_candidate(2, 4, SEED.child("once"))
+    rep = adv.attack_pru(cand, cfg=adv.AttackConfig(backend="poly", seed=SEED.child("once-cfg")), challenge=("haar",))
+    assert rep.challenge_prob is not None
+    assert len(sizes) == 1 and sizes[0] > 1

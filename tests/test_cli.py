@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,7 +198,7 @@ def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypa
     def draw(*_):
         raise AssertionError("drew a random matrix before the size check")
 
-    monkeypatch.setattr(harness, "_ginibre", draw)
+    monkeypatch.setattr(harness.la, "ginibre", draw)
     monkeypatch.setattr(harness.la, "random_unitary_from", draw)
     _refuse_every_run(monkeypatch)
     assert cli_main(["lemma", *args]) == 2
@@ -207,6 +208,14 @@ def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypa
 def test_oversized_moment_estimate_is_refused_before_allocating(capsys):
     # d=128, ell=2 would be a 2^14 x 2^14 accumulator, 4 GB
     assert cli_main(["lemma", "state-moment-mc", "--param", "d=128"]) == 2
+    assert "sizing:" in capsys.readouterr().err
+
+
+def test_an_absurd_moment_order_is_refused_before_the_power(capsys):
+    # 3^(10^7) has about 1.6e7 bits; the refusal must not compute it
+    t0 = time.perf_counter()
+    assert cli_main(["lemma", "state-moment-mc", "--param", "d=3", "--ell", "10000000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert "sizing:" in capsys.readouterr().err
 
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oraclebench import budget, games
+import dense_reference as ref
+from oraclebench import budget, games, harness
 from oraclebench.budget import Budget, SizingError
 from oraclebench.oracles import SwapOracleFamily
 from oraclebench.seeds import SeedPath
@@ -75,3 +76,60 @@ def test_haar_concentration_bound_holds():
     assert res.exceed_fraction <= res.bound
     assert 0.0 <= res.mean_value <= 1.0
     assert res.bound > 0
+
+
+def _rel(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if got != want else 0.0
+
+
+# the suite-fast trial counts, then those of acceptance criteria c14 and c15
+@pytest.mark.parametrize("draws,pairs,members_pairs,conc,conj", [(50, 40, 25, 100, 40), (200, 100, 100, 200, 100)])
+@pytest.mark.parametrize("seed", [*range(10), 1009])
+def test_stacked_checks_equal_their_per_trial_references(seed, draws, pairs, members_pairs, conc, conj):
+    root = SeedPath(seed)
+    game = games.prfsg_game(2, draws, root.child("game"))
+    want = ref.prfsg_advantages_per_draw(2, draws, root.child("game"))
+    assert np.max(np.abs(game.advantages - want) / np.abs(want)) <= 1e-12
+    assert game.tail_fraction == float(np.mean(want >= game.tail_threshold))
+    for got, want in [
+        (games.two_query_lipschitz_check(8, pairs, root.child("two")),
+         ref.two_query_lipschitz_per_pair(8, pairs, root.child("two"))),
+        (games.family_lipschitz_check(4, 2, members_pairs, root.child("fam")),
+         ref.family_lipschitz_per_pair(4, 2, members_pairs, root.child("fam"))),
+    ]:
+        assert got.violations == want.violations
+        assert _rel(got.max_ratio, want.max_ratio) <= 1e-12
+    got = games.haar_concentration_check(8, conc, 0.3, root.child("conc"))
+    want = ref.haar_concentration_per_draw(8, conc, 0.3, root.child("conc"))
+    assert got.exceed_fraction == want.exceed_fraction
+    assert _rel(got.mean_value, want.mean_value) <= 1e-12
+    worst, _, _ = harness._conjugation_lipschitz(root.child("conj"), d=8, trials=conj)
+    assert _rel(worst, ref.conjugation_lipschitz_per_pair(root.child("conj"), 8, conj)) <= 1e-12
+
+
+# each check at 9 trials, under the tightest budget that still admits it: a game
+# draw holds 4 states of dim 16, 64 entries, a family pair 2 members of 4 x 4
+_CHUNKED = [
+    (3, lambda s: games.prfsg_game(2, 9, s).advantages.tolist()),
+    (2, lambda s: games.two_query_lipschitz_check(8, 9, s)),
+    (2, lambda s: games.family_lipschitz_check(4, 2, 9, s)),
+    (2, lambda s: games.haar_concentration_check(8, 9, 0.3, s)),
+    (2, lambda s: harness._conjugation_lipschitz(s, d=8, trials=9)),
+]
+
+
+@pytest.mark.parametrize("qubits,check", _CHUNKED)
+def test_a_checks_value_does_not_depend_on_its_chunks(monkeypatch, qubits, check):
+    whole = check(SEED.child("chunks"))
+    sizes = []
+    chunks = Budget.chunks
+
+    def spy(self, n_items, entries):
+        out = chunks(self, n_items, entries)
+        sizes.extend(len(r) for r in out)
+        return out
+
+    monkeypatch.setattr(Budget, "chunks", spy)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=qubits))
+    assert check(SEED.child("chunks")) == whole
+    assert sizes == [1] * 9

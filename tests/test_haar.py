@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,35 @@ def test_state_moments_refuse_past_a_passed_budget(monkeypatch):
     # the default budget still builds the 4096-row moment the c04 fixture uses
     monkeypatch.undo()
     assert haar.state_moment_exact(64, 2).dim == 4096
+
+
+def test_register_qubits_equal_the_exact_power(monkeypatch):
+    # ceil(log2(d^ell)) wherever the count is within the budget, and past it where it is not
+    limit = budget.DEFAULT_BUDGET.max_dense_matrix_qubits
+    for d in range(2, 10):
+        for ell in range(1, 13):
+            want, got = math.ceil(math.log2(d**ell)), la.register_qubits(d, ell)
+            assert got == want or (got > limit and want > limit)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=64))
+    for d in range(2, 10):
+        for ell in range(1, 13):
+            assert la.register_qubits(d, ell) == math.ceil(math.log2(d**ell))
+
+
+def test_stacked_haar_draws_equal_single_draws():
+    seeds = [SEED.child("stack", i) for i in range(5)]
+    stack = haar.sample_haar_unitaries(4, seeds)
+    for u, s in zip(stack, seeds):
+        assert np.array_equal(u, haar.sample_haar_unitary(4, s).mat)
+    bad = stack.copy()
+    bad[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        la.check_unitary(bad)
+    states = np.stack([la.random_state_from(s.rng(), 4) for s in seeds])
+    la.check_state_norms(states)
+    states[2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="norm deviates"):
+        la.check_state_norms(states)
 
 
 def test_twirl_single_copy_is_depolarizing():

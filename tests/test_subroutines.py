@@ -120,6 +120,24 @@ def test_expi_runs_small_matrices_on_one_blas_thread(monkeypatch, blas_counts, r
     assert blas_counts() == {"numpy": 2}
 
 
+def test_expi_takes_each_matrix_of_a_stack_on_one_blas_thread(monkeypatch, blas_counts):
+    # 300 matrices of 8 rows: the thread decision reads the rows, not the count
+    hs = np.stack([_hermitian(8, i) for i in range(300)])
+    each = [subroutines.expi(h) for h in hs]
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(mat):
+        seen.append(blas_counts()["numpy"])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    got = subroutines.expi(hs)
+    assert seen == [1]
+    assert all(np.array_equal(g, e) for g, e in zip(got, each))
+    assert np.array_equal(expi_unguarded(hs), got)
+
+
 # the checks exponentiate at d <= 8 by default; a 256-row eigh on two threads rounds
 # differently from one, which is why the pooled reference runs unguarded
 @pytest.mark.parametrize("rows", [2, 8, 64, 512])
