@@ -83,7 +83,9 @@ def _rel(got: float, want: float) -> float:
 
 
 # the suite-fast trial counts, then those of acceptance criteria c14 and c15
-@pytest.mark.parametrize("draws,pairs,members_pairs,conc,conj", [(50, 40, 25, 100, 40), (200, 100, 100, 200, 100)])
+@pytest.mark.parametrize(
+    "draws,pairs,members_pairs,conc,conj", [(50, 40, 25, 100, 40), (200, 100, 100, 200, 100)]
+)
 @pytest.mark.parametrize("seed", [*range(10), 1009])
 def test_stacked_checks_equal_their_per_trial_references(seed, draws, pairs, members_pairs, conc, conj):
     root = SeedPath(seed)
@@ -107,8 +109,9 @@ def test_stacked_checks_equal_their_per_trial_references(seed, draws, pairs, mem
     assert _rel(worst, ref.conjugation_lipschitz_per_pair(root.child("conj"), 8, conj)) <= 1e-12
 
 
-# each check at 9 trials, under the tightest budget that still admits it: a game
-# draw holds 4 states of dim 16, 64 entries, a family pair 2 members of 4 x 4
+# each check at 9 trials, under a budget small enough for one-trial chunks that
+# still admits the check: a game draw holds 4 states of dim 16, 64 entries; an
+# 8 x 8 trial 64 and a family pair 2 x 4 x 4 = 32 exceed the 16 of 2 qubits
 _CHUNKED = [
     (3, lambda s: games.prfsg_game(2, 9, s).advantages.tolist()),
     (2, lambda s: games.two_query_lipschitz_check(8, 9, s)),
