@@ -111,38 +111,45 @@ def _rand_density(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _gentle_measurement(seed: SeedPath, *, d=8, trials=30):
-    worst = 0.0
-    for i in range(trials):
-        sub = seed.child("inst", i)
-        rng = sub.rng()
-        if i % 2 == 0:
-            # rank d-2 projector on a pure state sits exactly at the bound
-            basis = la.random_unitary_from(rng, d)
-            m = basis[:, : d - 2] @ basis[:, : d - 2].conj().T
-            psi = la.random_state_from(rng, d)
-            rho = np.outer(psi, psi.conj())
-        else:
-            basis = la.random_unitary_from(rng, d)
-            m = (basis * rng.uniform(0.2, 1.0, size=d)) @ basis.conj().T
-            rho = _rand_density(rng, d)
-        eps = 1.0 - float(np.real(np.trace(m @ rho)))
-        if eps < 1e-12 or eps > 0.95:
-            continue
-        _, dist = la.gentle_residual(m, rho)
-        worst = max(worst, dist / math.sqrt(eps))
-    return worst, 1.0, 1.0 + 1e-9
+    # even trials: a rank d-2 projector on a pure state, which sits exactly at the bound;
+    # odd trials: an operator of spectrum in [0.2, 1] on a mixed state
+    def ratios(idx) -> np.ndarray:
+        zs, weights, rhos = [], [], []
+        for i in idx:
+            rng = seed.child("inst", i).rng()
+            zs.append(la.ginibre(rng, d))
+            if i % 2 == 0:
+                weights.append(np.repeat([1.0, 0.0], [d - 2, 2]))
+                psi = la.random_state_from(rng, d)
+                rhos.append(np.outer(psi, psi.conj()))
+            else:
+                weights.append(rng.uniform(0.2, 1.0, size=d))
+                rhos.append(_rand_density(rng, d))
+        basis = la.haar_from_ginibre(np.stack(zs))
+        m = (basis * np.stack(weights)[:, None, :]) @ basis.conj().swapaxes(-1, -2)
+        rho = np.stack(rhos)
+        eps = 1.0 - np.real(np.trace(m @ rho, axis1=-2, axis2=-1))
+        keep = (eps >= 1e-12) & (eps <= 0.95)
+        _, dist = la.gentle_residual(m[keep], rho[keep])
+        return dist / np.sqrt(eps[keep])
+
+    return float(np.max(games._stacked(trials, d * d, ratios), initial=0.0)), 1.0, 1.0 + 1e-9
 
 
 def _holder_product(seed: SeedPath, *, d=6, trials=40):
-    worst = 0.0
-    for i in range(trials):
-        rng = seed.child("inst", i).rng()
-        a, b = la.ginibre(rng, d), la.ginibre(rng, d)
-        sp = (1.0, 2.0, np.inf)[i % 3]
-        num = la.schatten_norm(a @ b, sp)
-        den = la.schatten_norm(a, sp) * la.schatten_norm(b, np.inf)
-        worst = max(worst, num / den)
-    return worst, 1.0, 1.0 + 1e-9
+    # trial i compares Schatten norms of order (1, 2, inf)[i % 3]
+    def ratios(idx) -> np.ndarray:
+        rngs = [seed.child("inst", i).rng() for i in idx]
+        a, b = (np.stack(x) for x in zip(*[(la.ginibre(rng, d), la.ginibre(rng, d)) for rng in rngs]))
+        order = np.array(idx) % 3
+        out = []
+        for k, sp in enumerate((1.0, 2.0, np.inf)):
+            ak, bk = a[order == k], b[order == k]
+            den = la.schatten_norm(ak, sp) * la.schatten_norm(bk, np.inf)
+            out.append(la.schatten_norm(ak @ bk, sp) / den)
+        return np.concatenate(out)
+
+    return float(np.max(games._stacked(trials, 2 * d * d, ratios), initial=0.0)), 1.0, 1.0 + 1e-9
 
 
 def _two_query_lipschitz(seed: SeedPath, *, d=8, trials=100):
@@ -245,42 +252,41 @@ def _omega_transpose(seed: SeedPath, *, trials=50):
     return worst, 1e-10, 1.0
 
 
-def _one_call_distance(width: int, span: int, gate: np.ndarray, lam: int, seed: SeedPath) -> float:
-    """Trace distance a single embedded oracle call makes inside a random
-    circuit holding half of a maximally entangled pair."""
-    rng = seed.rng()
-    u = la.random_unitary_from(rng, 2**width)
-    v = la.random_unitary_from(seed.child("v").rng(), 2**width)
-    embedded = np.kron(gate, np.eye(2 ** (width - span)))
-    base = np.kron(np.eye(2**(width - lam), 1)[:, 0], la.omega_vector(2**lam))
-    # circuit register leads, partner register trails: apply via one reshape
-    def act(mat):
-        return (mat @ base.reshape(2**width, 2**lam)).reshape(-1)
-    psi = act(u @ embedded @ v)
-    phi = act(u @ v)
-    ov = abs(np.vdot(phi, psi)) ** 2
-    return math.sqrt(max(0.0, 1.0 - ov))
+def _one_call_distance(width: int, lam: int, trials: int, gate_of, seed: SeedPath) -> float:
+    """Largest trace distance a single embedded oracle call makes inside a random circuit
+    holding half of a maximally entangled pair, over the trials.
+
+    Trial i runs U E V on `width` qubits, E the gate `gate_of(i)` on the leading
+    wires, with V drawn from seed.child("draw", i).child("v"). The pair's
+    circuit half enters as B = [I; 0] / sqrt(2^lam), so the states U E V B and
+    U V B overlap in tr(B^dag V^dag E V B): U cancels and is not drawn, and only
+    the first 2^lam columns of V enter, so only they are orthonormalised. V's
+    whole Ginibre matrix is still drawn, so those columns are the ones a full
+    draw gives.
+    """
+    k = 2**lam
+
+    def dists(idx) -> np.ndarray:
+        z = np.stack([la.ginibre(seed.child("draw", i).child("v").rng(), 2**width)[:, :k] for i in idx])
+        vb = la.haar_from_ginibre(z)
+        gates = np.stack([gate_of(i) for i in idx])
+        evb = (gates @ vb.reshape(len(idx), gates.shape[-1], -1)).reshape(vb.shape)
+        ov = np.abs(np.sum(vb.conj() * evb, axis=(-2, -1)) / k) ** 2
+        return np.sqrt(np.maximum(0.0, 1.0 - ov))
+
+    return float(np.max(games._stacked(trials, 4**width, dists)))
 
 
 def _swap_call_closeness(seed: SeedPath, *, lam=3, c=3, n=2, trials=5):
-    fam = SwapOracleFamily(seed.child("family"))
-    gate = fam.dense_oracle(n).mat
-    worst = max(
-        _one_call_distance(lam + c, 2 * n + 1, gate, lam, seed.child("draw", i))
-        for i in range(trials)
-    )
+    gate = SwapOracleFamily(seed.child("family")).dense_oracle(n).mat
+    worst = _one_call_distance(lam + c, lam, trials, lambda i: gate, seed)
     return worst, 2.0 ** ((c - n) / 2), 4.0
 
 
 def _hri_call_closeness(seed: SeedPath, *, lam=3, c=3, n=1, stretch="n", trials=5):
     fam = HriOracleFamily(seed.child("family"), stretch=stretch)
     t = fam.t_of(n)
-    worst = max(
-        _one_call_distance(
-            lam + c, 1 + t + n, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i)
-        )
-        for i in range(trials)
-    )
+    worst = _one_call_distance(lam + c, lam, trials, lambda i: fam.oracle(n, i % 2**n).mat, seed)
     return worst, 2.0 ** (c - t / 2), 4.0
 
 

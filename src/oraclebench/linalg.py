@@ -20,8 +20,8 @@ ATOL_TRACE = 1e-8
 ATOL_STATE_NORM = 1e-9
 EIG_FLOOR = -1e-9
 
-# full PSD validation by eigh is quadratic in memory and cubic in time;
-# above this dim the constructor falls back to cheap necessary checks
+# full PSD validation by eigh is quadratic in memory and cubic in time; above
+# this dim only the diagonal is checked for positivity, a necessary condition
 _EIG_VALIDATE_MAX_DIM = 1024
 
 ComplexMatrix = np.ndarray
@@ -29,7 +29,8 @@ ComplexMatrix = np.ndarray
 
 def as_complex_array(a, name: str = "array") -> np.ndarray:
     arr = np.array(a, dtype=np.complex128, copy=True)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    # a complex entry is finite only when both of its parts are
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -52,6 +53,37 @@ def check_unitary(m: np.ndarray) -> None:
     if np.linalg.norm(defect) > ATOL_UNITARY:
         if np.max(np.linalg.norm(defect, 2, axis=(-2, -1))) > ATOL_UNITARY:
             raise ValueError("matrix is not unitary within 1e-9")
+
+
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Raise unless every matrix of a (..., d, d) stack is a density matrix within tolerance.
+
+    Each must be Hermitian within ATOL_HERMITIAN, of trace 1 within ATOL_TRACE
+    and of eigenvalues at least EIG_FLOOR. Returns the stack with every
+    spectrum that dips below 0 clipped to 0, in a copy. Above
+    _EIG_VALIDATE_MAX_DIM dims only the diagonal is checked for positivity.
+    """
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_HERMITIAN:
+        raise ValueError("density matrix is not Hermitian within 1e-9")
+    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    off = tr[np.abs(tr - 1.0) > ATOL_TRACE]
+    if off.size:
+        raise ValueError(f"density matrix trace {complex(off[0])} deviates from 1 beyond {ATOL_TRACE}")
+    d = m.shape[-1]
+    if d > _EIG_VALIDATE_MAX_DIM:
+        if np.min(np.diagonal(m, axis1=-2, axis2=-1).real, initial=0.0) < EIG_FLOOR:
+            raise ValueError("density matrix has a negative diagonal entry beyond tolerance")
+        return m
+    low = np.linalg.eigvalsh(m)[..., 0].reshape(-1)
+    if np.min(low, initial=0.0) < EIG_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {np.min(low)} below {EIG_FLOOR}")
+    neg = low < 0.0
+    if np.any(neg):
+        m = m.copy()
+        flat = m.reshape(-1, d, d)
+        w, v = np.linalg.eigh(flat[neg])
+        flat[neg] = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return m
 
 
 @dataclass(frozen=True)
@@ -92,7 +124,9 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD (eigenvalues >= -1e-9, clipped), unit trace within 1e-8."""
+    """Hermitian within 1e-9, unit trace within 1e-8, PSD with eigenvalues >= -1e-9 (clipped
+    to 0), checked at construction by `check_density`. Above 1024 dims only the diagonal is
+    checked for positivity."""
 
     mat: np.ndarray
 
@@ -100,22 +134,7 @@ class DensityMatrix:
         m = as_complex_array(self.mat, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_HERMITIAN:
-            raise ValueError("density matrix is not Hermitian within 1e-9")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL_TRACE:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {ATOL_TRACE}")
-        if m.shape[0] <= _EIG_VALIDATE_MAX_DIM:
-            w = np.linalg.eigvalsh(m)
-            if w[0] < EIG_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue {w[0]} below {EIG_FLOOR}")
-            if w[0] < 0.0:
-                w, v = np.linalg.eigh(m)
-                m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        else:
-            if np.min(m.diagonal().real) < EIG_FLOOR:
-                raise ValueError("density matrix has a negative diagonal entry beyond tolerance")
-        object.__setattr__(self, "mat", _freeze(m))
+        object.__setattr__(self, "mat", _freeze(check_density(m)))
 
     @property
     def dim(self) -> int:
@@ -160,28 +179,38 @@ def apply_on_wires(vec: np.ndarray, gate: np.ndarray, wires, n_qubits: int) -> n
     return np.ascontiguousarray(t).reshape(vec.shape)
 
 
-def schatten_norm(mat, p) -> float:
+def schatten_norm(mat, p):
+    """Schatten p-norm of a matrix, a float, or of each matrix of a (..., m, n) stack, an array."""
     m = _as_mat(mat)
     if p == 2:
-        return float(np.linalg.norm(m))
-    s = np.linalg.svd(m, compute_uv=False)
-    if p == 1:
-        return float(np.sum(s))
-    if p in (np.inf, "inf"):
-        return float(s[0]) if s.size else 0.0
-    p = float(p)
-    if p < 1:
-        raise ValueError("schatten norm needs p >= 1")
-    return float(np.sum(s**p) ** (1.0 / p))
+        out = np.linalg.norm(m, axis=(-2, -1))
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+        if p == 1:
+            out = np.sum(s, axis=-1)
+        elif p in (np.inf, "inf"):
+            out = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+        else:
+            p = float(p)
+            if p < 1:
+                raise ValueError("schatten norm needs p >= 1")
+            out = np.sum(s**p, axis=-1) ** (1.0 / p)
+    return float(out) if out.ndim == 0 else out
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference; inputs must be Hermitian."""
-    diff = _as_mat(a) - _as_mat(b)
-    if np.max(np.abs(diff - diff.conj().T)) > 1e-7:
+def trace_distance(a, b):
+    """Half the trace norm of a - b for Hermitian a and b of one square shape, a float;
+    for (..., d, d) stacks, an array of one distance per pair of matrices."""
+    x, y = _as_mat(a), _as_mat(b)
+    if x.shape != y.shape or x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"trace_distance expects square matrices of one shape, got {x.shape} and {y.shape}")
+    diff = x - y
+    del x, y  # release the operands' copies before the eigensolver's workspace is taken
+    if np.max(np.abs(diff - diff.conj().swapaxes(-1, -2)), initial=0.0) > 1e-7:
         raise ValueError("trace_distance expects Hermitian operands")
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(w)))
+    w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
+    out = 0.5 * np.sum(np.abs(w), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def omega_vector(d: int) -> np.ndarray:
@@ -324,20 +353,23 @@ def diamond_distance_unitary(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-def gentle_residual(measure_op, rho) -> tuple[DensityMatrix, float]:
-    """Post-measurement state sqrt(M) rho sqrt(M) / Tr[M rho] and its distance to rho."""
+def gentle_residual(measure_op, rho):
+    """Post-measurement state sqrt(M) rho sqrt(M) / Tr[M rho] and its trace distance to rho.
+
+    Takes one pair of d x d matrices or two (..., d, d) stacks, pair by pair.
+    Every residual is validated and clipped as a DensityMatrix is.
+    """
     m = _as_mat(measure_op)
     r = _as_mat(rho)
-    p = float(np.real(np.trace(m @ r)))
-    if p <= 1e-12:
+    p = np.real(np.trace(m @ r, axis1=-2, axis2=-1))
+    if np.any(p <= 1e-12):
         raise ValueError("measurement outcome has zero probability on this state")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w[0] < -1e-8 or w[-1] > 1 + 1e-8:
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    if np.any(w[..., 0] < -1e-8) or np.any(w[..., -1] > 1 + 1e-8):
         raise ValueError("measurement operator must satisfy 0 <= M <= I")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    res = root @ r @ root / p
-    residual = DensityMatrix(res)
-    return residual, trace_distance(residual, r)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    res = check_density(as_complex_array(root @ r @ root / p[..., None, None], "density matrix"))
+    return res, trace_distance(res, r)
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
@@ -348,7 +380,8 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from `ginibre` draws of shape (..., d, d): QR of z / sqrt(2), R's diagonal
-    made positive. LAPACK factors each matrix alone, so a stack equals its draws one at a time."""
+    made positive. LAPACK factors each matrix alone, so a stack equals its draws one at a time.
+    The first k columns of the draws, (..., d, k), give those unitaries' first k columns to rounding."""
     q, r = np.linalg.qr(z / math.sqrt(2))
     ph = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (ph / np.abs(ph))[..., None, :]

@@ -11,8 +11,9 @@ off its Stinespring unitary and their Choi vectors built by a chain of
 certified on the full grid at every degree, the checks run on a thread pool
 instead of one after another (with exp(iH) taken outside the one-thread
 BLAS guard), sampled process tomography one
-measurement setting at a time with a full `eigh`, and the Monte Carlo
-checks the library runs as stacks run one trial at a time.
+measurement setting at a time with a full `eigh`, the Monte Carlo
+checks the library runs as stacks run one trial at a time, and the one-call
+closeness built from both full circuit unitaries and a dense `np.kron` of the call.
 """
 from __future__ import annotations
 
@@ -35,18 +36,28 @@ from oraclebench.blockenc import (
 from oraclebench import budget, subroutines
 from oraclebench.games import ConcentrationResult, LipschitzCheckResult
 from oraclebench.haar import sample_haar_unitary
-from oraclebench.harness import lemma_check
+from oraclebench.harness import _rand_density, lemma_check
 from oraclebench.linalg import (
     DensityMatrix,
     PureState,
     UnitaryMatrix,
     _as_mat,
     apply_on_wires,
+    ginibre,
+    omega_vector,
     random_state_from,
     random_unitary_from,
     schatten_norm,
+    trace_distance,
 )
-from oraclebench.oracles import FixedGate, OracleCall, OracleCircuit, SwapOracleFamily, apply_swap_call
+from oraclebench.oracles import (
+    FixedGate,
+    HriOracleFamily,
+    OracleCall,
+    OracleCircuit,
+    SwapOracleFamily,
+    apply_swap_call,
+)
 from oraclebench.seeds import SeedPath, as_generator
 from oraclebench.tomography import C_TOM, TomographyResult, canonical_phase, nearest_unitary, shot_count
 
@@ -419,3 +430,89 @@ def conjugation_lipschitz_per_pair(seed: SeedPath, d: int, trials: int) -> float
         if dist > 1e-14:
             worst = max(worst, float(gap / (2.0 * dist)))
     return worst
+
+
+def gentle_residual_single(measure_op, rho) -> tuple[DensityMatrix, float]:
+    """`linalg.gentle_residual` on one pair, the residual validated as a `DensityMatrix`."""
+    m = _as_mat(measure_op)
+    r = _as_mat(rho)
+    p = float(np.real(np.trace(m @ r)))
+    if p <= 1e-12:
+        raise ValueError("measurement outcome has zero probability on this state")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    if w[0] < -1e-8 or w[-1] > 1 + 1e-8:
+        raise ValueError("measurement operator must satisfy 0 <= M <= I")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    residual = DensityMatrix(root @ r @ root / p)
+    return residual, trace_distance(residual, r)
+
+
+def gentle_measurement_per_trial(seed: SeedPath, d: int, trials: int) -> float:
+    """`harness._gentle_measurement`'s worst ratio, one trial at a time."""
+    worst = 0.0
+    for i in range(trials):
+        rng = seed.child("inst", i).rng()
+        if i % 2 == 0:
+            basis = random_unitary_from(rng, d)
+            m = basis[:, : d - 2] @ basis[:, : d - 2].conj().T
+            psi = random_state_from(rng, d)
+            rho = np.outer(psi, psi.conj())
+        else:
+            basis = random_unitary_from(rng, d)
+            m = (basis * rng.uniform(0.2, 1.0, size=d)) @ basis.conj().T
+            rho = _rand_density(rng, d)
+        eps = 1.0 - float(np.real(np.trace(m @ rho)))
+        if eps < 1e-12 or eps > 0.95:
+            continue
+        _, dist = gentle_residual_single(m, rho)
+        worst = max(worst, dist / math.sqrt(eps))
+    return worst
+
+
+def holder_product_per_trial(seed: SeedPath, d: int, trials: int) -> float:
+    """`harness._holder_product`'s worst ratio, one trial and one norm at a time."""
+    worst = 0.0
+    for i in range(trials):
+        rng = seed.child("inst", i).rng()
+        a, b = ginibre(rng, d), ginibre(rng, d)
+        sp = (1.0, 2.0, np.inf)[i % 3]
+        num = schatten_norm(a @ b, sp)
+        den = schatten_norm(a, sp) * schatten_norm(b, np.inf)
+        worst = max(worst, num / den)
+    return worst
+
+
+def one_call_distance_dense(width: int, span: int, gate: np.ndarray, lam: int, seed: SeedPath) -> float:
+    """`harness._one_call_distance` for one trial, from both full unitaries U and V and the call
+    embedded by a dense `np.kron`."""
+    rng = seed.rng()
+    u = random_unitary_from(rng, 2**width)
+    v = random_unitary_from(seed.child("v").rng(), 2**width)
+    embedded = np.kron(gate, np.eye(2 ** (width - span)))
+    base = np.kron(np.eye(2 ** (width - lam), 1)[:, 0], omega_vector(2**lam))
+
+    def act(mat):
+        return (mat @ base.reshape(2**width, 2**lam)).reshape(-1)
+
+    psi = act(u @ embedded @ v)
+    phi = act(u @ v)
+    ov = abs(np.vdot(phi, psi)) ** 2
+    return math.sqrt(max(0.0, 1.0 - ov))
+
+
+def swap_call_closeness_per_trial(seed: SeedPath, lam: int, c: int, n: int, trials: int) -> float:
+    """`harness._swap_call_closeness`'s worst distance, one dense trial at a time."""
+    gate = SwapOracleFamily(seed.child("family")).dense_oracle(n).mat
+    return max(
+        one_call_distance_dense(lam + c, 2 * n + 1, gate, lam, seed.child("draw", i)) for i in range(trials)
+    )
+
+
+def hri_call_closeness_per_trial(seed: SeedPath, lam: int, c: int, n: int, stretch: str, trials: int) -> float:
+    """`harness._hri_call_closeness`'s worst distance, one dense trial at a time."""
+    fam = HriOracleFamily(seed.child("family"), stretch=stretch)
+    span = 1 + fam.t_of(n) + n
+    return max(
+        one_call_distance_dense(lam + c, span, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i))
+        for i in range(trials)
+    )

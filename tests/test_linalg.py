@@ -41,6 +41,9 @@ def test_pure_state_validation():
         la.PureState(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         la.PureState(np.array([np.nan, 0.0]))
+    # a NaN only in the imaginary part is caught too
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        la.PureState(np.array([complex(1.0, np.nan), 0.0]))
 
 
 def test_pure_state_dim_is_any_size():
@@ -67,6 +70,19 @@ def test_density_validation_and_clipping():
     assert np.linalg.eigvalsh(dm.mat)[0] >= 0.0
     with pytest.raises(ValueError):
         la.DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
+
+
+def test_a_density_stack_is_checked_and_clipped_matrix_by_matrix():
+    rng = rng_of(5)
+    stack = np.stack([rand_density(rng, 3), np.diag([1.0 + 5e-10, -5e-10, 0.0]), rand_density(rng, 3)])
+    got = la.check_density(stack)
+    for g, m in zip(got, stack):
+        assert np.array_equal(g, la.DensityMatrix(m).mat)
+    assert np.linalg.eigvalsh(stack[1])[0] < 0.0  # the input is left as it was
+    # one faulty matrix faults the stack, whatever its place
+    for bad in (np.diag([1.1, -0.1, 0.0]), np.eye(3), np.triu(np.ones((3, 3))) / 3):
+        with pytest.raises(ValueError):
+            la.check_density(np.stack([stack[0], bad.astype(complex)]))
 
 
 def test_permute_subsystems_and_matrix_agree():
@@ -153,8 +169,21 @@ def test_trace_distance_pure_state_formula():
         assert np.isclose(got, math.sqrt(1 - ov2), atol=1e-10)
 
 
+def test_trace_distance_refuses_operands_of_other_shapes():
+    for a, b in [
+        (np.eye(4) / 4, np.full(4, 0.25)),
+        (np.full(4, 0.25), np.full(4, 0.25)),
+        (np.eye(4) / 4, np.eye(2) / 2),
+        (np.ones((2, 4)) / 8, np.ones((2, 4)) / 8),
+        (np.eye(2) / 2, np.stack([np.eye(2) / 2] * 3)),
+    ]:
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            la.trace_distance(a, b)
+
+
 def test_trace_distance_equals_best_projector_gap():
     rng = rng_of(11)
+    pairs = []
     for _ in range(10):
         r, s = rand_density(rng, 4), rand_density(rng, 4)
         td = la.trace_distance(r, s)
@@ -167,6 +196,10 @@ def test_trace_distance_equals_best_projector_gap():
             u = la.random_unitary_from(rng, 4)[:, :2]
             p = u @ u.conj().T
             assert np.real(np.trace(p @ (r - s))) <= td + 1e-10
+        pairs.append((r, s, td))
+    # on stacks, one distance per pair of matrices
+    rs, ss, tds = zip(*pairs)
+    assert np.array_equal(la.trace_distance(np.stack(rs), np.stack(ss)), np.array(tds))
 
 
 # ---------------------------------------------------------------- entangled pairs
@@ -286,7 +319,7 @@ def test_gentle_residual_identity_and_bound():
     rho = rand_density(rng, 4)
     res, dist = la.gentle_residual(np.eye(4), rho)
     assert dist < 1e-10
-    assert np.allclose(res.mat, rho, atol=1e-10)
+    assert np.allclose(res, rho, atol=1e-10)
 
     # near-certain projective outcome disturbs at most sqrt(eps)
     for seed in range(20):
