@@ -7,6 +7,7 @@ Flag precedence is flags over config file over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,7 +78,10 @@ def _shared_flags() -> argparse.ArgumentParser:
     return shared
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: it depends only on the static
+    check, backend and tomography tables, and parsing leaves it unchanged."""
     shared = _shared_flags()
     top = argparse.ArgumentParser(
         prog="oraclebench",

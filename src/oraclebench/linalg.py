@@ -20,8 +20,8 @@ ATOL_TRACE = 1e-8
 ATOL_STATE_NORM = 1e-9
 EIG_FLOOR = -1e-9
 
-# full PSD validation by eigh is quadratic in memory and cubic in time; above
-# this dim only the diagonal is checked for positivity, a necessary condition
+# the largest block whose eigenvalues a positivity check computes: a larger component
+# of a density matrix's nonzero pattern is checked by one Cholesky factorisation instead
 _EIG_VALIDATE_MAX_DIM = 1024
 
 ComplexMatrix = np.ndarray
@@ -55,13 +55,87 @@ def check_unitary(m: np.ndarray) -> None:
             raise ValueError("matrix is not unitary within 1e-9")
 
 
+def _component_blocks(m: np.ndarray) -> list[np.ndarray] | None:
+    """The connected components of a square matrix's nonzero pattern, made symmetric: one
+    (blocks, size) array of ascending row indices per component size, sizes ascending.
+    None when the pattern is dense: at least a quarter of the entries are nonzero (the
+    search's index arrays grow with them), or one component holds more than half the rows.
+
+    Each sweep gives every row the smallest label among its neighbours and then that
+    label's own label, in O(nnz); once no label moves, each component carries the
+    index of one of its rows. Orbit blocks of a few rows settle in a few sweeps.
+    """
+    n = m.shape[0]
+    mask = m != 0
+    if np.count_nonzero(mask) >= n * n // 4:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    size = np.bincount(label, minlength=n)[label]
+    if size.max() > n // 2:
+        return None
+    order = np.lexsort((label, size))
+    rows_per_size = np.bincount(size)
+    groups, lo = [], 0
+    for s in np.flatnonzero(rows_per_size):
+        groups.append(order[lo : lo + rows_per_size[s]].reshape(-1, s))
+        lo += rows_per_size[s]
+    return groups
+
+
+def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a (..., d, d) stack.
+
+    A stack takes one stacked `np.linalg.eigvalsh`. A matrix is solved block by block,
+    one stacked call per component size of its nonzero pattern, and densely when that
+    pattern is dense. Each block keeps its rows in order, so the blocks read the lower
+    triangle the dense call reads, and the spectra agree to rounding.
+    """
+    groups = _component_blocks(m) if m.ndim == 2 else None
+    if groups is None:
+        return np.linalg.eigvalsh(m)
+    blocks = (m[idx[:, :, None], idx[:, None, :]] for idx in groups)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).reshape(-1) for b in blocks]))
+
+
+def _check_positive(m: np.ndarray) -> None:
+    """Raise unless a d x d matrix, d above _EIG_VALIDATE_MAX_DIM, has eigenvalues at least
+    EIG_FLOOR: by the eigenvalues of each component of up to that many rows, and by a
+    Cholesky factorisation of m + |EIG_FLOOR| I on each larger one."""
+    d = m.shape[0]
+    for idx in _component_blocks(m) or [np.arange(d)[None]]:
+        size = idx.shape[1]
+        if size <= _EIG_VALIDATE_MAX_DIM:
+            low = np.min(hermitian_eigvalsh(m[idx[:, :, None], idx[:, None, :]])[:, 0])
+            if low < EIG_FLOOR:
+                raise ValueError(f"density matrix has eigenvalue {low} below {EIG_FLOOR}")
+            continue
+        budget.DEFAULT_BUDGET.check_dense_matrix(math.ceil(math.log2(size)), "positivity check")
+        for rows in idx:
+            shifted = m[np.ix_(rows, rows)]
+            shifted[np.diag_indices(size)] -= EIG_FLOOR
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"density matrix has an eigenvalue below {EIG_FLOOR}") from None
+
+
 def check_density(m: np.ndarray) -> np.ndarray:
     """Raise unless every matrix of a (..., d, d) stack is a density matrix within tolerance.
 
     Each must be Hermitian within ATOL_HERMITIAN, of trace 1 within ATOL_TRACE
     and of eigenvalues at least EIG_FLOOR. Returns the stack with every
     spectrum that dips below 0 clipped to 0, in a copy. Above
-    _EIG_VALIDATE_MAX_DIM dims only the diagonal is checked for positivity.
+    _EIG_VALIDATE_MAX_DIM dims every eigenvalue is still checked, by
+    `_check_positive`, but nothing is clipped.
     """
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_HERMITIAN:
         raise ValueError("density matrix is not Hermitian within 1e-9")
@@ -71,10 +145,10 @@ def check_density(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"density matrix trace {complex(off[0])} deviates from 1 beyond {ATOL_TRACE}")
     d = m.shape[-1]
     if d > _EIG_VALIDATE_MAX_DIM:
-        if np.min(np.diagonal(m, axis1=-2, axis2=-1).real, initial=0.0) < EIG_FLOOR:
-            raise ValueError("density matrix has a negative diagonal entry beyond tolerance")
+        for mat in m.reshape(-1, d, d):
+            _check_positive(mat)
         return m
-    low = np.linalg.eigvalsh(m)[..., 0].reshape(-1)
+    low = hermitian_eigvalsh(m)[..., 0].reshape(-1)
     if np.min(low, initial=0.0) < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {np.min(low)} below {EIG_FLOOR}")
     neg = low < 0.0
@@ -124,9 +198,9 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian within 1e-9, unit trace within 1e-8, PSD with eigenvalues >= -1e-9 (clipped
-    to 0), checked at construction by `check_density`. Above 1024 dims only the diagonal is
-    checked for positivity."""
+    """Hermitian within 1e-9, unit trace within 1e-8, PSD with eigenvalues >= -1e-9, checked
+    at construction by `check_density`. Up to 1024 dims eigenvalues in [-1e-9, 0) are clipped
+    to 0; above, every eigenvalue is checked block by block, and none is clipped."""
 
     mat: np.ndarray
 
@@ -208,7 +282,7 @@ def trace_distance(a, b):
     del x, y  # release the operands' copies before the eigensolver's workspace is taken
     if np.max(np.abs(diff - diff.conj().swapaxes(-1, -2)), initial=0.0) > 1e-7:
         raise ValueError("trace_distance expects Hermitian operands")
-    w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
+    w = hermitian_eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
     out = 0.5 * np.sum(np.abs(w), axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -248,13 +322,17 @@ def transpose_identity_residual(a: np.ndarray) -> float:
 
     Applying A to one half of the input-side entangled pair equals, up to
     the sqrt(d_out/d_in) weight change, applying A^T to the partner half of
-    the output-side pair. Both sides are built explicitly; the return value
-    is the norm of their difference and should be zero to rounding.
+    the output-side pair. Both sides are built explicitly, A (x) I and
+    I (x) A^T each as one broadcast multiply with the operands in np.kron's
+    order, so their entries equal the kron products'; the return value is
+    the norm of their difference and should be zero to rounding.
     """
     mat = np.asarray(a, dtype=complex)
     d_out, d_in = mat.shape
-    lhs = np.kron(mat, np.eye(d_in)) @ omega_vector(d_in)
-    rhs = np.kron(np.eye(d_out), mat.T) @ omega_vector(d_out)
+    left = (mat[:, None, :, None] * np.eye(d_in)[None, :, None, :]).reshape(d_out * d_in, d_in * d_in)
+    right = (np.eye(d_out)[:, None, :, None] * mat.T[None, :, None, :]).reshape(d_out * d_in, d_out * d_out)
+    lhs = left @ omega_vector(d_in)
+    rhs = right @ omega_vector(d_out)
     return float(np.linalg.norm(lhs - math.sqrt(d_out / d_in) * rhs))
 
 

@@ -12,8 +12,10 @@ certified on the full grid at every degree, the checks run on a thread pool
 instead of one after another (with exp(iH) taken outside the one-thread
 BLAS guard), sampled process tomography one
 measurement setting at a time with a full `eigh`, the Monte Carlo
-checks the library runs as stacks run one trial at a time, and the one-call
-closeness built from both full circuit unitaries and a dense `np.kron` of the call.
+checks the library runs as stacks run one trial at a time, the one-call
+closeness built from both full circuit unitaries and a dense `np.kron` of the call,
+the trace distance and density check by one dense `eigvalsh` of the whole matrix
+rather than block by block, and the ricochet residual from two `np.kron` builds.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from oraclebench.games import ConcentrationResult, LipschitzCheckResult
 from oraclebench.haar import sample_haar_unitary
 from oraclebench.harness import _rand_density, lemma_check
 from oraclebench.linalg import (
+    EIG_FLOOR,
     DensityMatrix,
     PureState,
     UnitaryMatrix,
@@ -516,3 +519,30 @@ def hri_call_closeness_per_trial(seed: SeedPath, lam: int, c: int, n: int, stret
         one_call_distance_dense(lam + c, span, fam.oracle(n, i % 2**n).mat, lam, seed.child("draw", i))
         for i in range(trials)
     )
+
+
+def trace_distance_dense(a, b) -> float:
+    """Half the trace norm of a - b from one dense `eigvalsh` of the whole difference."""
+    diff = _as_mat(a) - _as_mat(b)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
+
+
+def check_density_dense(m: np.ndarray) -> np.ndarray:
+    """`linalg.check_density` on one matrix of at most 1024 dims, from one dense `eigvalsh`
+    of the whole matrix: raise below EIG_FLOOR, clip a spectrum that dips below 0."""
+    w = np.linalg.eigvalsh(m)
+    if w[0] < EIG_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {w[0]} below {EIG_FLOOR}")
+    if w[0] >= 0.0:
+        return m
+    w, v = np.linalg.eigh(m)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def transpose_identity_residual_kron(a: np.ndarray) -> float:
+    """`linalg.transpose_identity_residual` with both sides built by `np.kron`."""
+    mat = np.asarray(a, dtype=complex)
+    d_out, d_in = mat.shape
+    lhs = np.kron(mat, np.eye(d_in)) @ omega_vector(d_in)
+    rhs = np.kron(np.eye(d_out), mat.T) @ omega_vector(d_out)
+    return float(np.linalg.norm(lhs - math.sqrt(d_out / d_in) * rhs))

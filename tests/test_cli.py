@@ -7,7 +7,7 @@ import time
 import pytest
 
 from oraclebench import harness
-from oraclebench.cli import cli_main
+from oraclebench.cli import build_parser, cli_main
 
 
 def test_lemma_subcommand_prints_one_row(capsys):
@@ -323,6 +323,35 @@ def test_sweep_takes_the_flag_names(tmp_path, capsys, argv, field, swept):
     assert swept(report["results"]) == values
     lines = (tmp_path / "r.sweep.csv").read_text().strip().splitlines()
     assert lines[0] == f"{field},value"
+
+
+def test_repeated_calls_share_one_parser_and_no_state(tmp_path, capsys):
+    # the parser is built once per process; nothing one call parses reaches the next
+    assert build_parser() is build_parser()
+    path = tmp_path / "r.json"
+    argv = ["lemma", "permutation-twirl-rate", "--seed", "4", "--out", str(path)]
+
+    def read():
+        report = harness.strip_timing(harness.report_from_dict(json.loads(path.read_text())))
+        return json.dumps(harness.report_to_dict(report), sort_keys=True)
+
+    def run(*extra):
+        assert cli_main(argv + list(extra)) == 0
+        return read()
+
+    assert json.loads(run("--param", "n=3"))["config"]["extra"] == {"n": 3}
+    first = run()
+    assert json.loads(first)["config"]["extra"] == {}
+    assert cli_main(["lemma", "no-such-check"]) == 2
+    assert cli_main(["lemma", "permutation-twirl-rate", "--trials", "x"]) == 2
+    again = run()
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "oraclebench.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh = read()
+    assert first == again == fresh
 
 
 def test_module_entry_point_runs():

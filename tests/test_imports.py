@@ -1,6 +1,6 @@
 """Every name the library and the study scripts import is used, every
-library definition has a caller outside the unit tests, and the size budget
-is read where it is checked."""
+library definition has a caller outside the unit tests, the size budget
+is read where it is checked, and Hermitian spectra take one route."""
 import ast
 import re
 from pathlib import Path
@@ -94,3 +94,22 @@ def test_the_budget_is_read_where_it_is_checked():
                 bound.append(path.stem)
     assert threaded == []
     assert bound == []
+
+
+def test_hermitian_spectra_take_one_route():
+    # `np.linalg.eigvalsh` is called from `linalg.hermitian_eigvalsh` alone, so every
+    # Hermitian spectrum is solved block by block where its nonzero pattern allows
+    callers = []
+    for path in sorted((ROOT / "src" / "oraclebench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    scopes.setdefault(id(node), fn.name)
+        callers += [
+            f"{path.stem}.{scopes.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
+        ]
+    assert set(callers) == {"linalg.hermitian_eigvalsh"}

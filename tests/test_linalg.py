@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclebench.budget import Budget, SizingError
-from oraclebench import budget, linalg as la
+from oraclebench import budget, haar, harness, linalg as la
 
 import dense_reference as ref
 
@@ -202,6 +202,119 @@ def test_trace_distance_equals_best_projector_gap():
     assert np.array_equal(la.trace_distance(np.stack(rs), np.stack(ss)), np.array(tds))
 
 
+# ---------------------------------------------------------------- block spectra
+
+
+def permuted_blocks(rng, blocks: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of `blocks`, its rows and columns shuffled together."""
+    n = sum(b.shape[0] for b in blocks)
+    m = np.zeros((n, n), dtype=complex)
+    lo = 0
+    for b in blocks:
+        m[lo : lo + len(b), lo : lo + len(b)] = b
+        lo += len(b)
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)]
+
+
+def random_blocks(rng, n: int, largest: int) -> list[np.ndarray]:
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, largest + 1)), n - sum(sizes)))
+    return [rand_herm(rng, k) / math.sqrt(k) for k in sizes]
+
+
+@pytest.mark.parametrize("n,largest", [(64, 4), (300, 8), (1024, 4), (2048, 40)])
+def test_block_spectra_equal_the_dense_call_on_permuted_block_diagonal_matrices(n, largest):
+    rng = rng_of(n)
+    blocks = random_blocks(rng, n, largest)
+    m = permuted_blocks(rng, blocks)
+    # the search finds the blocks, so the spectrum comes block by block
+    assert sum(len(g) for g in la._component_blocks(m)) == len(blocks)
+    dense = np.linalg.eigvalsh(m)
+    assert np.max(np.abs(la.hermitian_eigvalsh(m) - dense)) <= 1e-12
+    dist = 0.5 * np.sum(np.abs(dense))
+    assert abs(la.trace_distance(m, np.zeros_like(m)) - dist) <= 1e-12 * dist
+
+
+def test_block_spectra_of_dense_matrices_take_the_dense_call():
+    rng = rng_of(40)
+    chain = np.diag(np.ones(199), 1) + np.diag(np.ones(199), -1)  # sparse, one component
+    for m in (rand_herm(rng, 64), rand_density(rng, 200), chain.astype(complex)):
+        assert la._component_blocks(m) is None
+        assert np.array_equal(la.hermitian_eigvalsh(m), np.linalg.eigvalsh(m))
+    # a stack keeps the one stacked call
+    stack = np.stack([rand_herm(rng, 8) for _ in range(5)])
+    assert np.array_equal(la.hermitian_eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+
+def test_block_spectra_of_the_1024_dim_choi_rate_states():
+    ref_state = haar.haar_isometry_choi(2, 1, 2).mat
+    mom = harness._pair_to_block(haar.state_moment_exact(32, 2).mat, 8, 4, 2)
+    assert la._component_blocks(mom) is not None
+    for m in (ref_state, mom, ref_state - mom):
+        assert np.max(np.abs(la.hermitian_eigvalsh(m) - np.linalg.eigvalsh(m))) <= 1e-12
+    dist = la.trace_distance(ref_state, mom)
+    assert abs(dist - ref.trace_distance_dense(ref_state, mom)) <= 1e-12
+    assert abs(dist - float(haar.choi_moment_distance(8, 4, 2))) <= 1e-12
+
+
+def with_spectrum(rng, w: np.ndarray) -> np.ndarray:
+    """A dense Hermitian matrix of spectrum w: diag(w) conjugated by one Householder
+    reflection whose vector weighs a quarter on row 0, so the diagonal stays non-negative
+    when w[0] alone is a small negative number."""
+    v = rng.standard_normal(len(w)) + 1j * rng.standard_normal(len(w))
+    v *= math.sqrt(0.75) / np.linalg.norm(v[1:])
+    v[0] = 0.5
+    h = np.eye(len(w)) - 2 * np.outer(v, v.conj())
+    m = h @ (w[:, None] * h)
+    return (m + m.conj().T) / 2
+
+
+def test_a_dense_state_above_1024_dims_is_checked_in_full(monkeypatch):
+    rng = rng_of(41)
+    n = 2048
+    rest = rng.random(n - 1)
+    for low, refused in ((-1e-6, True), (-5e-10, False)):
+        m = with_spectrum(rng, np.concatenate([[low], rest * (1 - low) / rest.sum()]))
+        assert la._component_blocks(m) is None
+        assert np.min(np.diagonal(m).real) >= 0.0  # the diagonal alone does not show it
+        if refused:
+            with pytest.raises(ValueError, match="eigenvalue"):
+                la.DensityMatrix(m)
+        else:
+            assert np.array_equal(la.DensityMatrix(m).mat, m)  # nothing is clipped above 1024
+    # the Cholesky factorisation copies the matrix, so it is sized like one
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=10))
+    with pytest.raises(SizingError, match="positivity check"):
+        la.check_density(m)
+
+
+def test_a_block_sparse_state_above_1024_dims_is_checked_block_by_block(monkeypatch):
+    rng = rng_of(42)
+    blocks = [rand_density(rng, 4) for _ in range(511)]
+    bad = with_spectrum(rng, np.array([-1e-6, 0.3, 0.3, 0.4 + 1e-6]))
+    m = permuted_blocks(rng, [b / 512 for b in blocks + [bad]])
+    assert m.shape == (2048, 2048) and np.min(np.diagonal(m).real) >= 0.0
+    with pytest.raises(ValueError, match="eigenvalue"):
+        la.DensityMatrix(m)
+    good = permuted_blocks(rng, [b / 512 for b in blocks + [rand_density(rng, 4)]])
+    # no block needs the Cholesky factorisation, so a budget below the matrix passes it
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=10))
+    assert np.array_equal(la.DensityMatrix(good).mat, good)
+
+
+def test_block_spectra_clip_a_small_negative_eigenvalue_as_the_dense_check_does():
+    rng = rng_of(43)
+    bad = with_spectrum(rng, np.array([-5e-10, 0.3, 0.3, 0.4 + 5e-10]))
+    m = permuted_blocks(rng, [b / 16 for b in [rand_density(rng, 4) for _ in range(15)] + [bad]])
+    assert la._component_blocks(m) is not None and np.linalg.eigvalsh(m)[0] < 0.0
+    clipped = la.check_density(m)
+    assert np.array_equal(clipped, ref.check_density_dense(m)) and not np.array_equal(clipped, m)
+    for dense in (rand_density(rng, 64), rand_density(rng, 5)):
+        assert np.array_equal(la.check_density(dense), ref.check_density_dense(dense))
+
+
 # ---------------------------------------------------------------- entangled pairs
 
 
@@ -379,6 +492,13 @@ def test_transpose_identity_exact_for_random_isometries():
         u = la.random_unitary_from(rng, 2**n_out)
         iso = u[:, : 2**n_in]
         assert la.transpose_identity_residual(iso) <= 1e-10
+
+
+def test_transpose_identity_residual_equals_the_kron_route():
+    rng = rng_of(32)
+    for _ in range(200):
+        a = la.ginibre(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        assert la.transpose_identity_residual(a) == ref.transpose_identity_residual_kron(a)
 
 
 def test_transpose_identity_square_and_rectangular_shapes():
