@@ -6,6 +6,7 @@ SizingError instead of thrashing the machine. Tests swap it with monkeypatch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,10 +33,13 @@ class Budget:
             )
 
     def check_factor(self, qubits: int, cols: int, what: str) -> None:
-        """A 2^qubits x cols factor may hold as many entries as the largest dense matrix."""
-        if cols * 2**qubits > 4**self.max_dense_matrix_qubits:
+        """A 2^qubits x cols factor may hold as many entries as the largest dense matrix. The
+        budget is shifted down by qubits, so an absurd cols * 2^qubits is never formed."""
+        if cols > 4**self.max_dense_matrix_qubits >> qubits:
+            # an absurd count has too many digits to print, so past 2^64 it is a power of two
+            count = cols if cols < 2**64 else f"2^{math.log2(cols):.10g}"
             raise SizingError(
-                f"{what} materializes a 2^{qubits} x {cols} factor, budget allows "
+                f"{what} materializes a 2^{qubits} x {count} factor, budget allows "
                 f"{4**self.max_dense_matrix_qubits} entries"
             )
 

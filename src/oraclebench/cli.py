@@ -7,6 +7,7 @@ Flag precedence is flags over config file over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -17,10 +18,24 @@ from .adversary import BACKENDS, TOMOGRAPHY_MODES
 from .budget import SizingError
 from .harness import ExperimentConfig, LemmaCheckResult
 
-_CONFIG_KEYS = {
-    "lam", "ell", "s", "c", "p", "trials", "seed", "backend", "tomo",
-    "out", "format", "params", "sweep",
+# the settings: every ExperimentConfig field but the kind and the check ids, each the
+# dest of one flag and the value of one config-file key, named as the field unless
+# this table names the key otherwise
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind", "lemma_ids"}
+_FILE_FIELDS = {"tomo": "tomography_mode", "out": "out_path", "format": "fmt", "params": "extra"}
+_FILE_KEYS = _FIELDS - set(_FILE_FIELDS.values()) | set(_FILE_FIELDS)
+# each structured config-file value's shape, as a test and in words
+_FILE_SHAPES = {
+    "params": (lambda v: isinstance(v, dict), "an object"),
+    "out": (lambda v: isinstance(v, str), "a string"),
+    "sweep": (lambda v: isinstance(v, str) or (isinstance(v, list) and list(map(type, v)) == [str, list]),
+              'a "PARAM=V1,.." string or a [PARAM, [V1, ..]] pair'),
 }
+
+
+def _variants(command: str) -> list:
+    """What completes a command's experiment kind: the attack targets, the suite profiles."""
+    return [k.removeprefix(f"{command}-") for k in harness._READS if k.startswith(f"{command}-")]
 
 
 def _parse_value(text: str):
@@ -42,15 +57,33 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-# flag names that differ from the ExperimentConfig field they set
-_FLAG_FIELDS = {"lambda": "lam", "tomo": "tomography_mode"}
+# sweep names that differ from the ExperimentConfig field they sweep
+_SWEEP_FIELDS = {"lambda": "lam", "tomo": "tomography_mode"}
 
 
-def _parse_sweep(text: str) -> tuple:
-    key, sep, vals = text.partition("=")
-    if not sep or not vals:
-        raise ValueError(f"--sweep expects PARAM=V1,V2,.., got {text!r}")
-    return _FLAG_FIELDS.get(key, key), tuple(_parse_value(v) for v in vals.split(","))
+def _parse_sweep(sweep) -> tuple:
+    """A PARAM=V1,V2,.. string or a [PARAM, [V1, V2, ..]] pair as (field, values)."""
+    if isinstance(sweep, str):
+        key, sep, vals = sweep.partition("=")
+        if not sep or not vals:
+            raise ValueError(f"--sweep expects PARAM=V1,V2,.., got {sweep!r}")
+        sweep = key, [_parse_value(v) for v in vals.split(",")]
+    return _SWEEP_FIELDS.get(sweep[0], sweep[0]), tuple(sweep[1])
+
+
+def _read_config(path: str) -> dict:
+    """A config file's settings by field name, its shapes checked and its null values dropped."""
+    with open(path) as fh:
+        filed = json.load(fh)
+    if not isinstance(filed, dict):
+        raise ValueError(f"a config file must hold a JSON object, got {json.dumps(filed)[:40]}")
+    unknown = sorted(set(filed) - _FILE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    for key, (fits, shape) in _FILE_SHAPES.items():
+        if filed.get(key) is not None and not fits(filed[key]):
+            raise ValueError(f"config key {key} must be {shape}, got {filed[key]!r}")
+    return {_FILE_FIELDS.get(k, k): v for k, v in filed.items() if v is not None}
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -65,14 +98,14 @@ def _shared_flags() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
     g.add_argument("--backend", choices=BACKENDS, default=None,
                    help="threshold backend for the distinguisher")
-    g.add_argument("--tomo", choices=TOMOGRAPHY_MODES, default=None,
+    g.add_argument("--tomo", dest="tomography_mode", choices=TOMOGRAPHY_MODES, default=None,
                    help="process tomography mode")
-    g.add_argument("--param", action="append", metavar="K=V", default=None,
+    g.add_argument("--param", dest="extra", action="append", metavar="K=V", default=None,
                    help="extra check or attack parameter, repeatable")
     g.add_argument("--sweep", metavar="PARAM=V1,V2,..", default=None,
                    help="rerun the experiment per value, emit an x,y companion csv")
-    g.add_argument("--out", default=None, help="report path")
-    g.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None,
+    g.add_argument("--out", dest="out_path", metavar="OUT", default=None, help="report path")
+    g.add_argument("--format", dest="fmt", choices=harness.REPORT_FORMATS, default=None,
                    help="report format (default json)")
     g.add_argument("--config", default=None, help="json file of defaults for these flags")
     return shared
@@ -93,68 +126,31 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("lemma_id", metavar="ID", choices=sorted(harness.CHECKS),
                     help="check id, one of: " + ", ".join(sorted(harness.CHECKS)))
     pa = sub.add_parser("attack", parents=[shared], help="run one attack preset on a toy candidate")
-    pa.add_argument("target", choices=["pru", "pri", "pri-vs-hri"])
+    pa.add_argument("target", choices=_variants("attack"))
     sub.add_parser("prfsg-game", parents=[shared], help="play the keyed state game, report mean and tail")
     ps = sub.add_parser("suite", parents=[shared], help="run every check plus the attack presets")
-    ps.add_argument("profile", nargs="?", choices=["all", "fast"], default="all")
+    ps.add_argument("profile", nargs="?", choices=_variants("suite"), default="all")
     return top
 
 
-def _merge(flag, filed, fallback):
-    if flag is not None:
-        return flag
-    if filed is not None:
-        return filed
-    return fallback
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    filed = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            filed = json.load(fh)
-        unknown = sorted(set(filed) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-    if args.command == "lemma":
-        kind, ids = "lemma", (args.lemma_id,)
-    elif args.command == "attack":
-        kind, ids = f"attack-{args.target}", ()
-    elif args.command == "prfsg-game":
-        kind, ids = "prfsg-game", ()
-    else:
-        kind, ids = f"suite-{args.profile}", ()
-    params = dict(filed.get("params") or {})
-    params.update(_parse_params(args.param))
-    sweep = args.sweep if args.sweep is not None else filed.get("sweep")
-    if isinstance(sweep, str):
-        sweep = _parse_sweep(sweep)
-    elif sweep is not None:
-        sweep = (_FLAG_FIELDS.get(sweep[0], sweep[0]), tuple(sweep[1]))
-    out = _merge(args.out, filed.get("out"), None)
-    fmt = _merge(args.fmt, filed.get("format"), None)
-    if out is None and fmt is not None:
+    settings = _read_config(args.config) if args.config is not None else {}
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    # a --param adds to the file's parameters; every other flag replaces the file's value
+    settings["extra"] = {**settings.get("extra", {}), **_parse_params(flags.pop("extra", ()))}
+    settings.update(flags)
+    if "sweep" in settings:
+        settings["sweep"] = _parse_sweep(settings["sweep"])
+    out = settings.get("out_path")
+    if out is None and "fmt" in settings:
         raise ValueError("a report format needs a report path (--out)")
     out_dir = out and os.path.dirname(os.path.abspath(out))
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"report directory {out_dir} does not exist")
-    return ExperimentConfig(
-        kind=kind,
-        lemma_ids=ids,
-        lam=_merge(args.lam, filed.get("lam"), None),
-        ell=_merge(args.ell, filed.get("ell"), None),
-        s=_merge(args.s, filed.get("s"), None),
-        c=_merge(args.c, filed.get("c"), None),
-        p=_merge(args.p, filed.get("p"), None),
-        trials=_merge(args.trials, filed.get("trials"), None),
-        seed=_merge(args.seed, filed.get("seed"), 0),
-        backend=_merge(args.backend, filed.get("backend"), None),
-        tomography_mode=_merge(args.tomo, filed.get("tomo"), None),
-        out_path=out,
-        fmt=fmt or "json",
-        sweep=sweep,
-        extra=params,
-    )
+    variant = getattr(args, "target", None) or getattr(args, "profile", None)
+    kind = f"{args.command}-{variant}" if variant else args.command
+    ids = (args.lemma_id,) if args.command == "lemma" else ()
+    return ExperimentConfig(kind=kind, lemma_ids=ids, **settings)
 
 
 def _print_report(report: harness.Report) -> int:

@@ -471,11 +471,12 @@ _READS = {
     "attack-pri": _ATTACK_FIELDS + ("s", "extra"),
     "attack-pri-vs-hri": _ATTACK_FIELDS + ("extra",),
     "prfsg-game": _LEMMA_FIELDS + ("extra",),
-    "suite-fast": (),
     "suite-all": (),
+    "suite-fast": (),
 }
 _SETTINGS = ("lam", "ell", "s", "c", "p", "trials", "seed", "backend", "tomography_mode")
 _CHOICES = {"backend": adversary.BACKENDS, "tomography_mode": adversary.TOMOGRAPHY_MODES}
+REPORT_FORMATS = ("json", "csv")
 
 # the checks a prfsg-game run reports
 _GAME_CHECKS = ("prfsg-mean-advantage", "prfsg-tail")
@@ -497,8 +498,9 @@ class ExperimentConfig:
 
     The settings, and the values of a swept setting, are typed here once:
     integers by `_take`, backend and tomography mode by name. A value given
-    twice faults, and so does any run the config describes whose check or
-    toy parameters do not resolve, before the first run starts.
+    twice faults, and so does any run the config describes, a suite's too,
+    whose check or toy parameters do not resolve: `_runs` lists them all here,
+    before the first run starts.
     """
 
     kind: str = "lemma"
@@ -520,7 +522,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _READS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.fmt not in ("json", "csv"):
+        if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {self.fmt!r}")
         for name in _SETTINGS:
             if getattr(self, name) is not None:
@@ -547,16 +549,7 @@ class ExperimentConfig:
         twice = sorted({n for n in named if named.count(n) > 1})
         if twice:
             raise ValueError(f"{', '.join(twice)} given twice")
-        if self.sweep is not None:
-            # each swept config resolves its own run as it is built
-            param, values = self.sweep
-            for value in values:
-                _with_sweep_value(self, param, value)
-        elif self.kind.startswith("attack-"):
-            _toy_params(self.kind.removeprefix("attack-"), self)
-        elif self.kind in ("lemma", "prfsg-game"):
-            for cid in _check_ids(self):
-                _resolve_check(cid, _lemma_params(self))
+        _runs(self)
 
     def as_dict(self) -> dict:
         return {k: _listed(v) for k, v in asdict(self).items()}
@@ -630,16 +623,6 @@ def strip_timing(report: Report) -> Report:
 
 
 # ------------------------------------------------------------------ running
-
-
-def _lemma_params(cfg: ExperimentConfig) -> dict:
-    out = {k: getattr(cfg, k) for k in _LEMMA_FIELDS if getattr(cfg, k) is not None}
-    out.update(cfg.extra)
-    return out
-
-
-def _check_ids(cfg: ExperimentConfig) -> tuple:
-    return cfg.lemma_ids if cfg.kind == "lemma" else _GAME_CHECKS
 
 
 def _toy_params(kind: str, cfg: ExperimentConfig) -> tuple:
@@ -719,41 +702,46 @@ _SUITE_ATTACKS = {
 }
 
 
-def _run_suite(profile: str, cfg: ExperimentConfig, root: SeedPath) -> list:
-    overrides = _SUITE_OVERRIDES[profile]
-    results = [lemma_check(cid, overrides.get(cid, {}), root.child(cid)) for cid in CHECKS]
-    for kind, tweaks in _SUITE_ATTACKS[profile]:
-        # suites pin their attack shapes; only the seed is inherited
-        sub = ExperimentConfig(kind=kind, seed=cfg.seed, **tweaks)
-        results.append(_run_attack(kind.removeprefix("attack-"), sub, root.child(kind)))
-    return results
-
-
-def _run_single(cfg: ExperimentConfig) -> list:
-    root = SeedPath(cfg.seed)
-    if cfg.kind in ("lemma", "prfsg-game"):
-        params = _lemma_params(cfg)
-        return [lemma_check(cid, params, root.child(cid)) for cid in _check_ids(cfg)]
-    if cfg.kind.startswith("attack-"):
-        return [_run_attack(cfg.kind.removeprefix("attack-"), cfg, root)]
-    return _run_suite(cfg.kind.removeprefix("suite-"), cfg, root)
-
-
 def _with_sweep_value(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
     if param in _SETTINGS:
         return replace(cfg, sweep=None, **{param: value})
     return replace(cfg, sweep=None, extra={**cfg.extra, param: value})
 
 
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def _runs(cfg: ExperimentConfig, root: SeedPath | None = None) -> list:
+    """The config's runs in order, as (function, arguments) pairs: each swept value's
+    runs in turn, a suite's checks then its attacks. Every run is resolved, typed and
+    sized as it is listed, and its function looked up then, so listing the runs
+    refuses a bad config before any of them starts."""
     if cfg.sweep is not None:
         param, values = cfg.sweep
-        results = []
-        for v in values:
-            results.extend(_run_single(_with_sweep_value(cfg, param, v)))
+        return [run for value in values for run in _runs(_with_sweep_value(cfg, param, value))]
+    root = root if root is not None else SeedPath(cfg.seed)
+    if cfg.kind.startswith("attack-"):
+        kind = cfg.kind.removeprefix("attack-")
+        _toy_params(kind, cfg)
+        return [(_run_attack, (kind, cfg, root))]
+    if cfg.kind.startswith("suite-"):
+        profile = cfg.kind.removeprefix("suite-")
+        checks = [(cid, _SUITE_OVERRIDES[profile].get(cid, {})) for cid in CHECKS]
+        attacks = _SUITE_ATTACKS[profile]
     else:
-        results = _run_single(cfg)
+        params = {k: getattr(cfg, k) for k in _LEMMA_FIELDS if getattr(cfg, k) is not None} | cfg.extra
+        ids = cfg.lemma_ids if cfg.kind == "lemma" else _GAME_CHECKS
+        checks, attacks = [(cid, params) for cid in ids], ()
+    runs = []
+    for cid, params in checks:
+        _resolve_check(cid, params)
+        runs.append((lemma_check, (cid, params, root.child(cid))))
+    for kind, tweaks in attacks:
+        # suites pin their attack shapes; only the seed is inherited
+        runs += _runs(ExperimentConfig(kind=kind, seed=cfg.seed, **tweaks), root.child(kind))
+    return runs
+
+
+def run_experiment(cfg: ExperimentConfig) -> Report:
+    t0 = time.perf_counter()
+    results = [fn(*args) for fn, args in _runs(cfg)]
     return Report(
         config=cfg,
         results=tuple(results),

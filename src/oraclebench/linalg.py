@@ -27,12 +27,15 @@ _EIG_VALIDATE_MAX_DIM = 1024
 ComplexMatrix = np.ndarray
 
 
-def as_complex_array(a, name: str = "array") -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128, copy=True)
+def _finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     # a complex entry is finite only when both of its parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def as_complex_array(a, name: str = "array") -> np.ndarray:
+    return _finite(np.array(a, dtype=np.complex128, copy=True), name)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -216,11 +219,13 @@ class DensityMatrix:
 
 
 def _as_mat(x) -> np.ndarray:
+    """The matrix of an operand that its caller only reads: a raw array is converted to
+    complex and checked finite, but not copied."""
     if isinstance(x, DensityMatrix) or isinstance(x, UnitaryMatrix):
         return x.mat
     if isinstance(x, PureState):
         return np.outer(x.amplitudes, x.amplitudes.conj())
-    return as_complex_array(x)
+    return _finite(np.asarray(x, dtype=np.complex128))
 
 
 def permute_subsystems(mat, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -279,10 +284,14 @@ def trace_distance(a, b):
     if x.shape != y.shape or x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"trace_distance expects square matrices of one shape, got {x.shape} and {y.shape}")
     diff = x - y
-    del x, y  # release the operands' copies before the eigensolver's workspace is taken
-    if np.max(np.abs(diff - diff.conj().swapaxes(-1, -2)), initial=0.0) > 1e-7:
+    del x, y
+    diff_h = diff.conj().swapaxes(-1, -2)
+    if np.max(np.abs(diff - diff_h), initial=0.0) > 1e-7:
         raise ValueError("trace_distance expects Hermitian operands")
-    w = hermitian_eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2)
+    # symmetrised in place: no third matrix is held while the eigensolver runs
+    diff += diff_h
+    diff /= 2
+    w = hermitian_eigvalsh(diff)
     out = 0.5 * np.sum(np.abs(w), axis=-1)
     return float(out) if out.ndim == 0 else out
 

@@ -219,6 +219,23 @@ def test_an_absurd_moment_order_is_refused_before_the_power(capsys):
     assert "sizing:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["attack", "pru", "--c", "1", "--ell", "15000"],
+    ["attack", "pri", "--c", "2", "--ell", "8000"],
+    ["prfsg-game", "--lambda", "20000"],
+    ["prfsg-game", "--lambda", "2000"],
+], ids=["pru-ell-15000", "pri-ell-8000", "game-lambda-20000", "game-lambda-2000"])
+def test_an_absurd_factor_is_refused_without_printing_its_count(argv, capsys):
+    # factors of 2^2000 to 2^20000 columns: a count of thousands of digits is
+    # neither formed nor printed, so the refusal is one short line
+    t0 = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("sizing:") and "Traceback" not in err
+    assert len(err) < 200, err
+
+
 def test_choi_rate_runs_past_the_dense_size_limit(tmp_path, capsys):
     # 16 qubits: the closed form needs no dense reference state
     path = tmp_path / "rate.json"
@@ -257,6 +274,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"volume": 11}))
     assert cli_main(["lemma", "holder-product", "--config", str(cfgfile)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "123",
+    '[["a"]]',
+    '{"params": [1, 2]}',
+    '{"sweep": 5}',
+    '{"sweep": ["lam"]}',
+    '{"sweep": ["lam", 5]}',
+    '{"out": 5}',
+], ids=["number", "list", "params-list", "sweep-number", "sweep-short", "sweep-values-number", "out-number"])
+def test_malformed_config_files_exit_2(text, tmp_path, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran from a malformed config file")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert cli_main(["lemma", "holder-product", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_report_directory_exits_2_before_running(tmp_path, capsys, monkeypatch):

@@ -225,6 +225,19 @@ def test_checks_run_on_the_calling_thread(monkeypatch):
     assert max(active) == before
 
 
+def test_a_suite_resolves_every_run_when_it_is_built(monkeypatch):
+    # a profile whose check parameters do not resolve is refused by the config itself,
+    # before any check runs
+    def not_run(*_):
+        raise AssertionError("a suite check ran although the suite does not resolve")
+
+    monkeypatch.setattr(harness, "lemma_check", not_run)
+    monkeypatch.setattr(harness, "_run_attack", not_run)
+    monkeypatch.setitem(harness._SUITE_OVERRIDES, "fast", {"holder-product": {"d": 0}})
+    with pytest.raises(ValueError, match="parameter d must be at least 2"):
+        ExperimentConfig(kind="suite-fast")
+
+
 def test_lemma_ids_outside_a_lemma_run_are_refused():
     with pytest.raises(ValueError, match="attack-pru does not read lemma_ids"):
         ExperimentConfig(kind="attack-pru", lemma_ids=("holder-product",))

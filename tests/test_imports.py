@@ -1,9 +1,13 @@
 """Every name the library and the study scripts import is used, every
 library definition has a caller outside the unit tests, the size budget
-is read where it is checked, and Hermitian spectra take one route."""
+is read where it is checked, Hermitian spectra take one route, and each
+setting and choice is declared in one place."""
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from oraclebench import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,3 +117,38 @@ def test_hermitian_spectra_take_one_route():
             if isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
         ]
     assert set(callers) == {"linalg.hermitian_eigvalsh"}
+
+
+def test_each_setting_has_one_flag_and_one_config_key():
+    # every ExperimentConfig field but the kind and the check ids is set by exactly
+    # one flag of every subcommand and by exactly one config-file key
+    fields = dataclasses.fields(harness.ExperimentConfig)
+    settings = sorted(f.name for f in fields if f.name not in ("kind", "lemma_ids"))
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == ["attack", "lemma", "prfsg-game", "suite"]
+    for name, parser in commands.items():
+        flagged = [a.dest for a in parser._actions if a.option_strings and a.dest in settings]
+        assert sorted(flagged) == settings, name
+    filed = [cli._FILE_FIELDS.get(key, key) for key in cli._FILE_KEYS]
+    assert sorted(filed) == settings
+    assert sorted(cli._FILE_KEYS) == sorted(
+        "lam ell s c p trials seed backend tomo out format params sweep".split()
+    )
+
+
+def test_cli_choices_come_from_the_harness_tables():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+
+    def choices(command, dest):
+        (action,) = [a for a in commands[command]._actions if a.dest == dest]
+        return list(action.choices)
+
+    kinds = list(harness._READS)
+    attacks = [k.removeprefix("attack-") for k in kinds if k.startswith("attack-")]
+    assert choices("attack", "target") == attacks
+    assert sorted(choices("suite", "profile")) == sorted(harness._SUITE_ATTACKS) == sorted(
+        harness._SUITE_OVERRIDES
+    )
+    assert {f"suite-{p}" for p in harness._SUITE_ATTACKS} <= set(kinds)
+    assert choices("lemma", "fmt") == list(harness.REPORT_FORMATS)
+    assert sorted(choices("lemma", "lemma_id")) == sorted(harness.CHECKS)
