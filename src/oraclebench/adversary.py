@@ -215,8 +215,7 @@ def keyed_choi_vectors(cand, swap=None, hri=None, *, ell: int) -> ChoiFactor:
     returned here carries everything the dense state and its support need.
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
-    cols = len(cand.keys) * 2 ** (cand.ancilla_c * ell)
-    budget.DEFAULT_BUDGET.check_factor(qubits, cols, "keyed state vectors")
+    budget.DEFAULT_BUDGET.check_factor(qubits, len(cand.keys), "keyed state vectors", cand.ancilla_c * ell)
     kraus = np.stack([candidate_channel(cand, k, swap, hri) for k in cand.keys])
     return ChoiFactor(choi_vectors(kraus, ell), len(cand.keys))
 
@@ -377,7 +376,7 @@ def check_attack_size(lam: int, s: int, c: int, keys: int, ell: int, backend: st
     # the threshold polynomial's degree is about 2^(qubits+2), certified at ~20k points
     if backend == "poly":
         budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "poly backend")
-    budget.DEFAULT_BUDGET.check_factor(qubits, keys * 2 ** (c * ell), "keyed state vectors")
+    budget.DEFAULT_BUDGET.check_factor(qubits, keys, "keyed state vectors", c * ell)
     _check_perm_pairs(ell)
 
 

@@ -32,12 +32,13 @@ class Budget:
                 f"budget allows {self.max_dense_matrix_qubits} qubits"
             )
 
-    def check_factor(self, qubits: int, cols: int, what: str) -> None:
-        """A 2^qubits x cols factor may hold as many entries as the largest dense matrix. The
-        budget is shifted down by qubits, so an absurd cols * 2^qubits is never formed."""
-        if cols > 4**self.max_dense_matrix_qubits >> qubits:
+    def check_factor(self, qubits: int, cols: int, what: str, col_exp: int = 0) -> None:
+        """A 2^qubits x (cols 2^col_exp) factor may hold as many entries as the largest dense matrix.
+        The budget is shifted down by both exponents, so an absurd count is never formed."""
+        if cols > 4**self.max_dense_matrix_qubits >> qubits >> col_exp:
             # an absurd count has too many digits to print, so past 2^64 it is a power of two
-            count = cols if cols < 2**64 else f"2^{math.log2(cols):.10g}"
+            small = cols.bit_length() + col_exp <= 64
+            count = cols << col_exp if small else f"2^{math.log2(cols) + col_exp:.10g}"
             raise SizingError(
                 f"{what} materializes a 2^{qubits} x {count} factor, budget allows "
                 f"{4**self.max_dense_matrix_qubits} entries"

@@ -10,7 +10,8 @@ rely on, on explicit pairs at mixed distances.
 
 Each check runs its trials as stacks. Trial i draws its Gaussians from its
 own SeedPath child, in the order a lone trial would, so every number
-follows from the one seed whatever the grouping; the QR, validation,
+follows from the one seed whatever the grouping; a chunk draws them as one
+block (`linalg.complex_normals`), and the QR, validation,
 spectral norms, exp(iH) and acceptance products then run once per
 (trials, d, d) stack. `_stacked` cuts the trials into chunks of at least one
 trial whose stacks hold no more entries than `budget.DEFAULT_BUDGET` lets
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import budget, subroutines
 from .haar import sample_haar_unitaries, sample_haar_unitary
-from .linalg import check_state_norms, ginibre, random_state_from
+from .linalg import check_state_norms, complex_normals, row_norms
 from .oracles import SwapOracleFamily
 from .seeds import SeedPath
 
@@ -55,7 +56,7 @@ def prfsg_game(lam: int, n_draws: int, seed: SeedPath) -> PrfsgGameResult:
     (t_queries = 2) and accepts when the challenge state lies in their span.
     The advantage subtracts the rank/dim baseline a Haar state would give.
     """
-    budget.DEFAULT_BUDGET.check_factor(2 * lam, 2**lam, "game key states")
+    budget.DEFAULT_BUDGET.check_factor(2 * lam, 1, "game key states", lam)
     n = 2 * lam
     dim = 2**n
     n_keys = 2**lam
@@ -63,9 +64,8 @@ def prfsg_game(lam: int, n_draws: int, seed: SeedPath) -> PrfsgGameResult:
 
     def advantages(draws) -> np.ndarray:
         fams = [SwapOracleFamily(seed.child("draw", i)) for i in draws]
-        states = np.stack(
-            [[random_state_from(f.state_seed(n, k << lam).rng(), dim) for k in range(n_keys)] for f in fams]
-        )
+        (z,) = complex_normals([f.state_seed(n, k << lam) for f in fams for k in range(n_keys)], (dim,))
+        states = (z / row_norms(z)[:, None]).reshape(len(draws), n_keys, dim)
         check_state_norms(states)
         cols = np.swapaxes(states, -1, -2)
         basis, _ = np.linalg.qr(cols[..., :t_queries])
@@ -106,7 +106,7 @@ def _perturbed_pairs(d: int, n_pairs: int, trials: list):
     spectral norm 10^(-3 + 3.5 i / (n_pairs - 1)), so pair distances sweep 1e-3 to 10^0.5."""
     scales = np.array([10 ** (-3 + 3.5 * (i / max(1, n_pairs - 1))) for i, _ in trials])
     u = sample_haar_unitaries(d, [s.child("u") for _, s in trials])
-    h = np.stack([ginibre(s.child("h").rng(), d) for _, s in trials])
+    (h,) = complex_normals([s.child("h") for _, s in trials], (d, d))
     h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
     h *= (scales / np.linalg.norm(h, 2, axis=(-2, -1)))[:, None, None]
     return u, u @ subroutines.expi(h)

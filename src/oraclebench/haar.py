@@ -41,7 +41,7 @@ from .linalg import (
     _freeze,
     all_perms,
     check_unitary,
-    ginibre,
+    complex_normals,
     haar_from_ginibre,
     omega_vector,
     perm_compose,
@@ -66,8 +66,8 @@ def sample_haar_unitary(d: int, seed) -> UnitaryMatrix:
 
 
 def sample_haar_unitaries(d: int, seeds) -> np.ndarray:
-    """A validated (len(seeds), d, d) stack: per seed the unitary `sample_haar_unitary` draws."""
-    u = haar_from_ginibre(np.stack([ginibre(as_generator(s), d) for s in seeds]))
+    """A validated (len(seeds), d, d) stack: per SeedPath the unitary `sample_haar_unitary` draws."""
+    u = haar_from_ginibre(complex_normals(seeds, (d, d))[0])
     check_unitary(u)
     return u
 

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, adversary, blockenc, budget, games, haar, subroutines
+from . import __version__, adversary, blockenc, budget, games, haar, seeds, subroutines
 from . import linalg as la
 from .adversary import AttackConfig, AttackReport
 from .oracles import HriOracleFamily, SwapOracleFamily
@@ -115,8 +115,7 @@ def _gentle_measurement(seed: SeedPath, *, d=8, trials=30):
     # odd trials: an operator of spectrum in [0.2, 1] on a mixed state
     def ratios(idx) -> np.ndarray:
         zs, weights, rhos = [], [], []
-        for i in idx:
-            rng = seed.child("inst", i).rng()
+        for i, rng in zip(idx, seeds.generators([seed.child("inst", i) for i in idx])):
             zs.append(la.ginibre(rng, d))
             if i % 2 == 0:
                 weights.append(np.repeat([1.0, 0.0], [d - 2, 2]))
@@ -139,8 +138,7 @@ def _gentle_measurement(seed: SeedPath, *, d=8, trials=30):
 def _holder_product(seed: SeedPath, *, d=6, trials=40):
     # trial i compares Schatten norms of order (1, 2, inf)[i % 3]
     def ratios(idx) -> np.ndarray:
-        rngs = [seed.child("inst", i).rng() for i in idx]
-        a, b = (np.stack(x) for x in zip(*[(la.ginibre(rng, d), la.ginibre(rng, d)) for rng in rngs]))
+        a, b = la.complex_normals([seed.child("inst", i) for i in idx], (d, d), (d, d))
         order = np.array(idx) % 3
         out = []
         for k, sp in enumerate((1.0, 2.0, np.inf)):
@@ -159,11 +157,8 @@ def _two_query_lipschitz(seed: SeedPath, *, d=8, trials=100):
 
 def _conjugation_lipschitz(seed: SeedPath, *, d=8, trials=100):
     def gap_dist(pairs):
-        draws = []
-        for i in pairs:
-            rng = seed.child("pair", i).rng()
-            draws.append((la.ginibre(rng, d), la.ginibre(rng, d), la.random_state_from(rng, d)))
-        zs, hs, psis = (np.stack(x) for x in zip(*draws))
+        zs, hs, psis = la.complex_normals([seed.child("pair", i) for i in pairs], (d, d), (d, d), (d,))
+        psis /= la.row_norms(psis)[:, None]
         u = la.haar_from_ginibre(zs)
         h = (hs + np.swapaxes(hs.conj(), -1, -2)) / 2
         scales = np.array([10.0 ** (-3 + 3.5 * i / max(1, trials - 1)) for i in pairs])
@@ -242,14 +237,18 @@ def _hri_trace(seed: SeedPath, *, n=2, stretch="n"):
 
 
 def _omega_transpose(seed: SeedPath, *, trials=50):
-    worst = 0.0
-    for i in range(trials):
-        rng = seed.child("iso", i).rng()
-        d_in = int(rng.integers(2, 7))
-        d_out = int(rng.integers(d_in, 9))
-        q, _ = np.linalg.qr(la.ginibre(rng, d_out, d_in))
-        worst = max(worst, la.transpose_identity_residual(q))
-    return worst, 1e-10, 1.0
+    # trial i draws a d_out x d_in isometry, 2 <= d_in <= d_out <= 8 and d_in <= 6, whose largest
+    # array, I (x) A^T, holds d_out d_in x d_out^2 entries; each shape takes one QR and one residual
+    def residuals(idx) -> np.ndarray:
+        draws = {}
+        for rng in seeds.generators([seed.child("iso", i) for i in idx]):
+            d_in = int(rng.integers(2, 7))
+            d_out = int(rng.integers(d_in, 9))
+            draws.setdefault((d_out, d_in), []).append(la.ginibre(rng, d_out, d_in))
+        isometries = (np.linalg.qr(np.stack(z))[0] for z in draws.values())
+        return np.concatenate([la.transpose_identity_residual(q) for q in isometries])
+
+    return float(np.max(games._stacked(trials, 8 * 6 * 8 * 8, residuals), initial=0.0)), 1e-10, 1.0
 
 
 def _one_call_distance(width: int, lam: int, trials: int, gate_of, seed: SeedPath) -> float:
@@ -262,13 +261,14 @@ def _one_call_distance(width: int, lam: int, trials: int, gate_of, seed: SeedPat
     U V B overlap in tr(B^dag V^dag E V B): U cancels and is not drawn, and only
     the first 2^lam columns of V enter, so only they are orthonormalised. V's
     whole Ginibre matrix is still drawn, so those columns are the ones a full
-    draw gives.
+    draw gives; its real and imaginary parts are cut to them before they are combined.
     """
     k = 2**lam
 
     def dists(idx) -> np.ndarray:
-        z = np.stack([la.ginibre(seed.child("draw", i).child("v").rng(), 2**width)[:, :k] for i in idx])
-        vb = la.haar_from_ginibre(z)
+        z = seeds.normals([seed.child("draw", i).child("v") for i in idx], 2 * 4**width)
+        z = z.reshape(len(idx), 2, 2**width, 2**width)[..., :k]
+        vb = la.haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
         gates = np.stack([gate_of(i) for i in idx])
         evb = (gates @ vb.reshape(len(idx), gates.shape[-1], -1)).reshape(vb.shape)
         ov = np.abs(np.sum(vb.conj() * evb, axis=(-2, -1)) / k) ** 2
@@ -326,8 +326,7 @@ def _kernel_leakage(seed: SeedPath, *, n=3, trials=5):
     d, p_exp = 2**n, 4 * n
     eps = 2.0 ** (-2 * n)
     worst = 0.0
-    for i in range(trials):
-        rng = seed.child("inst", i).rng()
+    for rng in seeds.generators([seed.child("inst", i) for i in range(trials)]):
         u = la.random_unitary_from(rng, d)
         w = la.random_unitary_from(rng, d)
         sv = np.sort(rng.uniform(0.3, 0.9, size=d))[::-1]
@@ -400,7 +399,7 @@ def _permutation_twirl_size(n: int, ell: int) -> None:
 
 
 def _game_size(lam: int, trials: int) -> None:
-    budget.DEFAULT_BUDGET.check_factor(2 * lam, 2**lam, "game key states")
+    budget.DEFAULT_BUDGET.check_factor(2 * lam, 1, "game key states", lam)
 
 
 # each check's premises, from its resolved parameters: an entry raises on a failed

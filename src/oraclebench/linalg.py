@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import budget
+from . import budget, seeds
 
 ATOL_UNITARY = 1e-9
 ATOL_HERMITIAN = 1e-9
@@ -326,7 +326,7 @@ def choi_vectors(kraus: np.ndarray, ell: int = 1) -> np.ndarray:
     return vecs
 
 
-def transpose_identity_residual(a: np.ndarray) -> float:
+def transpose_identity_residual(a: np.ndarray):
     """Residual of the ricochet move for a d_out x d_in operator.
 
     Applying A to one half of the input-side entangled pair equals, up to
@@ -334,15 +334,18 @@ def transpose_identity_residual(a: np.ndarray) -> float:
     the output-side pair. Both sides are built explicitly, A (x) I and
     I (x) A^T each as one broadcast multiply with the operands in np.kron's
     order, so their entries equal the kron products'; the return value is
-    the norm of their difference and should be zero to rounding.
+    the norm of their difference and should be zero to rounding; a stack
+    (..., d_out, d_in) gives an array of the residuals its matrices give alone.
     """
     mat = np.asarray(a, dtype=complex)
-    d_out, d_in = mat.shape
-    left = (mat[:, None, :, None] * np.eye(d_in)[None, :, None, :]).reshape(d_out * d_in, d_in * d_in)
-    right = (np.eye(d_out)[:, None, :, None] * mat.T[None, :, None, :]).reshape(d_out * d_in, d_out * d_out)
+    *batch, d_out, d_in = mat.shape
+    left = (mat[..., :, None, :, None] * np.eye(d_in)[:, None, :]).reshape(*batch, d_out * d_in, d_in * d_in)
+    mat_t = np.swapaxes(mat, -1, -2)[..., None, :, None, :]
+    right = (np.eye(d_out)[:, None, :, None] * mat_t).reshape(*batch, d_out * d_in, d_out * d_out)
     lhs = left @ omega_vector(d_in)
     rhs = right @ omega_vector(d_out)
-    return float(np.linalg.norm(lhs - math.sqrt(d_out / d_in) * rhs))
+    res = row_norms(lhs - math.sqrt(d_out / d_in) * rhs)
+    return res if batch else float(res)
 
 
 def perm_compose(p, q) -> tuple[int, ...]:
@@ -482,3 +485,20 @@ def random_unitary_from(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_state_from(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)
+
+
+def row_norms(z: np.ndarray) -> np.ndarray:
+    """The norm of each vector of a (..., n) stack, bit for bit the one np.linalg.norm gives
+    that vector alone: the dot products of its real and of its imaginary parts, summed."""
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
+
+
+def complex_normals(paths, *shapes) -> list[np.ndarray]:
+    """Per seed path, complex Gaussian arrays of `shapes` drawn one after another from its
+    generator, each as `ginibre` draws it (real parts, then imaginary parts): one
+    (len(paths), *shape) stack per shape, cut from one `seeds.normals` block."""
+    sizes = [math.prod(shape) for shape in shapes]
+    cuts = np.cumsum([m for m in sizes for _ in range(2)])[:-1]
+    parts = np.split(seeds.normals(paths, 2 * sum(sizes)), cuts, axis=1)
+    return [(re + 1j * im).reshape(len(re), *shape) for re, im, shape in zip(parts[::2], parts[1::2], shapes)]

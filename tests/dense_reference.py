@@ -52,6 +52,7 @@ from oraclebench.linalg import (
     random_unitary_from,
     schatten_norm,
     trace_distance,
+    transpose_identity_residual,
 )
 from oraclebench.oracles import (
     FixedGate,
@@ -482,6 +483,18 @@ def holder_product_per_trial(seed: SeedPath, d: int, trials: int) -> float:
         num = schatten_norm(a @ b, sp)
         den = schatten_norm(a, sp) * schatten_norm(b, np.inf)
         worst = max(worst, num / den)
+    return worst
+
+
+def omega_transpose_per_trial(seed: SeedPath, trials: int) -> float:
+    """`harness._omega_transpose`'s worst residual, one isometry at a time."""
+    worst = 0.0
+    for i in range(trials):
+        rng = seed.child("iso", i).rng()
+        d_in = int(rng.integers(2, 7))
+        d_out = int(rng.integers(d_in, 9))
+        q, _ = np.linalg.qr(ginibre(rng, d_out, d_in))
+        worst = max(worst, transpose_identity_residual(q))
     return worst
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oraclebench import harness
+from oraclebench import harness, seeds
 from oraclebench.cli import build_parser, cli_main
 
 
@@ -200,6 +200,8 @@ def test_exponent_sized_checks_are_refused_before_drawing(args, capsys, monkeypa
 
     monkeypatch.setattr(harness.la, "ginibre", draw)
     monkeypatch.setattr(harness.la, "random_unitary_from", draw)
+    monkeypatch.setattr(seeds, "generators", draw)
+    monkeypatch.setattr(seeds, "normals", draw)
     _refuse_every_run(monkeypatch)
     assert cli_main(["lemma", *args]) == 2
     assert "sizing:" in capsys.readouterr().err
@@ -234,6 +236,15 @@ def test_an_absurd_factor_is_refused_without_printing_its_count(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("sizing:") and "Traceback" not in err
     assert len(err) < 200, err
+
+
+def test_an_attack_is_sized_by_its_exponent(capsys):
+    # 2^1000000000 key columns: the factor check sees the exponent c ell, never the count
+    t0 = time.perf_counter()
+    assert cli_main(["attack", "pru", "--c", "1", "--ell", "1000000000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("sizing: keyed state vectors materializes a 2^4000000000 x 2^1000000002 factor")
 
 
 def test_choi_rate_runs_past_the_dense_size_limit(tmp_path, capsys):

@@ -109,14 +109,15 @@ def test_stacked_checks_equal_their_per_trial_references(seed, draws, pairs, mem
     assert _rel(worst, ref.conjugation_lipschitz_per_pair(root.child("conj"), 8, conj)) <= 1e-12
 
 
-# the suite-fast defaults, then doubled trial counts and other shapes
+# the suite-fast defaults, then doubled trial counts and other shapes (omega-transpose: the
+# suite-fast count, then its default)
 @pytest.mark.parametrize(
-    "d_gentle,d_holder,trials,lam,c", [(8, 6, (30, 40, 5), 3, 3), (5, 3, (60, 80, 9), 2, 4)]
+    "d_gentle,d_holder,trials,lam,c", [(8, 6, (30, 40, 5, 20), 3, 3), (5, 3, (60, 80, 9, 50), 2, 4)]
 )
 @pytest.mark.parametrize("seed", [*range(10), 1009])
 def test_stacked_harness_checks_equal_their_per_trial_references(seed, d_gentle, d_holder, trials, lam, c):
     root = SeedPath(seed)
-    n_gentle, n_holder, n_calls = trials
+    n_gentle, n_holder, n_calls, n_iso = trials
     for got, want in [
         (harness._gentle_measurement(root.child("gm"), d=d_gentle, trials=n_gentle)[0],
          ref.gentle_measurement_per_trial(root.child("gm"), d_gentle, n_gentle)),
@@ -126,14 +127,16 @@ def test_stacked_harness_checks_equal_their_per_trial_references(seed, d_gentle,
          ref.swap_call_closeness_per_trial(root.child("sc"), lam, c, 2, n_calls)),
         (harness._hri_call_closeness(root.child("hc"), lam=lam, c=c, n=1, stretch="n", trials=n_calls)[0],
          ref.hri_call_closeness_per_trial(root.child("hc"), lam, c, 1, "n", n_calls)),
+        (harness._omega_transpose(root.child("ot"), trials=n_iso)[0],
+         ref.omega_transpose_per_trial(root.child("ot"), n_iso)),
     ]:
         assert _rel(got, want) <= 1e-12
 
 
 # each check at 9 trials, under a budget small enough for one-trial chunks that
 # still admits the check: a game draw holds 4 states of dim 16, 64 entries; an
-# 8 x 8 trial 64, a family pair 2 x 4 x 4 = 32 and a Hölder pair 2 x 6 x 6 = 72
-# exceed the 16 of 2 qubits
+# 8 x 8 trial 64, a family pair 2 x 4 x 4 = 32, a Hölder pair 2 x 6 x 6 = 72 and
+# an isometry's residual 3,072 exceed the 16 of 2 qubits
 _CHUNKED = [
     (3, lambda s: games.prfsg_game(2, 9, s).advantages.tolist()),
     (2, lambda s: games.two_query_lipschitz_check(8, 9, s)),
@@ -142,6 +145,7 @@ _CHUNKED = [
     (2, lambda s: harness._conjugation_lipschitz(s, d=8, trials=9)),
     (2, lambda s: harness._gentle_measurement(s, d=8, trials=9)),
     (2, lambda s: harness._holder_product(s, d=6, trials=9)),
+    (2, lambda s: harness._omega_transpose(s, trials=9)),
 ]
 
 

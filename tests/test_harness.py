@@ -225,6 +225,21 @@ def test_checks_run_on_the_calling_thread(monkeypatch):
     assert max(active) == before
 
 
+def test_a_suite_derives_its_trial_generators_in_batches(monkeypatch):
+    # the Monte Carlo checks draw through seeds.generators and seeds.normals; what is
+    # left on SeedPath.rng is the single draws: fixed unitaries, toy circuits, oracles
+    calls = []
+    rng = SeedPath.rng
+
+    def counted(self):
+        calls.append(self)
+        return rng(self)
+
+    monkeypatch.setattr(SeedPath, "rng", counted)
+    run_experiment(ExperimentConfig(kind="suite-fast"))
+    assert 0 < len(calls) <= 60
+
+
 def test_a_suite_resolves_every_run_when_it_is_built(monkeypatch):
     # a profile whose check parameters do not resolve is refused by the config itself,
     # before any check runs

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclebench import seeds
 from oraclebench.seeds import SeedPath, as_generator
 
 
@@ -63,3 +64,46 @@ def test_as_generator_accepts_all_forms():
     g3 = as_generator(np.random.default_rng(5))
     for g in (g1, g2, g3):
         assert isinstance(g, np.random.Generator)
+
+
+def _random_paths(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    letters = list("abcdefghij\u00e9\u4e2d")
+    paths = []
+    for _ in range(n):
+        p = SeedPath(int(rng.integers(-(2**63), 2**63)))
+        for _ in range(rng.integers(0, 5)):
+            p = p.child("".join(rng.choice(letters, rng.integers(1, 6))), int(rng.integers(0, 2**40)))
+        paths.append(p)
+    return paths
+
+
+def test_batch_generators_equal_the_per_path_generators():
+    paths = _random_paths(2000, 1)
+    for p, g in zip(paths, seeds.generators(paths), strict=True):
+        want = p.rng()
+        assert g.bit_generator.state == want.bit_generator.state
+        assert g.standard_normal() == want.standard_normal()
+    assert seeds.generators([]) == []
+
+
+def test_vectorised_seed_mixing_equals_seed_sequence():
+    # a digest below 2^32 is one entropy word for SeedSequence, two here
+    ms = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    ms += np.random.default_rng(2).integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False).tolist()
+    words = seeds._seed_words(np.array(ms, dtype=np.uint64))
+    assert words.shape == (len(ms), 4) and words.dtype == np.uint64
+    for m, row in zip(ms, words):
+        assert np.array_equal(row, np.random.SeedSequence(m).generate_state(4, np.uint64)), m
+
+
+def test_normals_rows_equal_each_paths_draws():
+    paths = _random_paths(300, 3)
+    block = seeds.normals(paths, 37)
+    assert block.shape == (300, 37)
+    for p, row in zip(paths, block):
+        assert np.array_equal(row, p.rng().standard_normal(37))
+        # two successive draws read the same row
+        g = p.rng()
+        assert np.array_equal(row, np.concatenate([g.standard_normal(12), g.standard_normal(25)]))
+    assert seeds.normals([], 5).shape == (0, 5)
