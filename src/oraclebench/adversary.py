@@ -417,7 +417,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
 
         # the distinguisher's window (2^-3n, 2^-2n) and eta = 2^-lam
         a, b = 2.0 ** (-3 * n_qubits), 2.0 ** (-2 * n_qubits)
-        # one Clenshaw pass of the degree ~2^(n+2) polynomial serves every challenge
+        # one cosine-table evaluation of the degree ~2^(n+2) polynomial serves every challenge
         poly = blockenc.threshold_poly(a, b, 2.0 ** (-lam) / 2.0) if bk == "poly" else None
         gains = None if poly is None else poly(np.append(values, 0.0)) ** 2
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
-from oraclebench import blockenc, budget
+from oraclebench import blockenc, budget, cli, harness
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vectors, schatten_norm
@@ -481,8 +481,8 @@ def test_hybrid_distance_runs_small_factors_on_one_blas_thread(monkeypatch, blas
 
 
 def test_the_threshold_polynomial_is_evaluated_once_per_attack(monkeypatch):
-    # one Clenshaw pass over the support values and 0 serves self, keyed, Haar
-    # and the challenge; a degree-1024 pass costs milliseconds
+    # one evaluation over the support values and 0 serves self, keyed, Haar
+    # and the challenge; each costs a points x (degree + 1) cosine table
     sizes = []
     call = blockenc.ThresholdPoly.__call__
 
@@ -495,3 +495,29 @@ def test_the_threshold_polynomial_is_evaluated_once_per_attack(monkeypatch):
     rep = adv.attack_pru(cand, cfg=adv.AttackConfig(backend="poly", seed=SEED.child("once-cfg")), challenge=("haar",))
     assert rep.challenge_prob is not None
     assert len(sizes) == 1 and sizes[0] > 1
+
+
+def _cli_attack(argv, path):
+    assert cli.cli_main(argv + ["--out", str(path)]) in (0, 1)
+    (res,) = harness.strip_timing(harness.report_from_dict(json.loads(path.read_text()))).results
+    return res.as_dict()
+
+
+@pytest.mark.parametrize("kind", ["pru", "pri-vs-hri"])
+def test_poly_attacks_match_a_clenshaw_evaluated_polynomial(kind, monkeypatch, tmp_path):
+    # the cosine-table evaluation against numpy's Clenshaw on the attacks that use it
+    def clenshaw(self, x):
+        return np.polynomial.chebyshev.chebval(2.0 * np.clip(x, 0.0, 1.0) - 1.0, self.coeffs)
+
+    for seed in range(3):
+        argv = ["attack", kind, "--c", "1", "--backend", "poly", "--tomo", "sampled", "--seed", str(seed)]
+        got = _cli_attack(argv, tmp_path / "got.json")
+        with monkeypatch.context() as m:
+            m.setattr(blockenc.ThresholdPoly, "__call__", clenshaw)
+            want = _cli_attack(argv, tmp_path / "want.json")
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-12 * abs(value), key
+            else:
+                assert got[key] == value, key

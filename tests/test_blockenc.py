@@ -158,6 +158,38 @@ def test_threshold_poly_matches_full_grid_ladder(a, b, eta):
     assert abs(p.high_min - want.high_min) <= 1e-9
 
 
+def _eval_points(a, b):
+    return np.concatenate(
+        [[0.0, a, b, (a + b) / 2.0, 1.0], np.geomspace(1e-15, 1.0, 200), np.linspace(0.0, 1.0, 201)]
+    )
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="needs an extended np.longdouble"
+)
+@pytest.mark.parametrize("a,b,eta", _LADDER_CASES)
+def test_threshold_poly_evaluation_matches_clenshaw(a, b, eta):
+    # Clenshaw runs on the same float64 t = 2x - 1 but in extended precision:
+    # in float64 it is itself off by up to ~4e-12 on the degree-2048-8192 ones
+    p = be.threshold_poly(a, b, eta)
+    xs = _eval_points(a, b)
+    t = (2.0 * xs - 1.0).astype(np.longdouble)
+    want = np.polynomial.chebyshev.chebval(t, p.coeffs.astype(np.longdouble))
+    assert np.max(np.abs(p(xs) - want)) <= 1e-12
+
+
+def test_threshold_poly_evaluation_does_not_depend_on_its_chunks(monkeypatch):
+    p = be.threshold_poly(2.0**-24, 2.0**-16, 2.0**-3 / 2.0)
+    xs = _eval_points(2.0**-24, 2.0**-16)
+    whole = p(xs)
+    monkeypatch.setattr(be.budget, "DEFAULT_BUDGET", be.budget.Budget(max_dense_matrix_qubits=7))
+    assert len(be.budget.DEFAULT_BUDGET.chunks(xs.size, p.degree + 1)) > 50
+    # BLAS may sum a chunk's dot products in another order: rounding-level only
+    assert np.max(np.abs(p(xs) - whole)) <= 1e-14
+    assert p(xs.reshape(-1, 2)).shape == (xs.size // 2, 2)
+    assert np.ndim(p(0.5)) == 0 and p(np.empty(0)).shape == (0,)
+
+
 def test_threshold_poly_is_cached_and_read_only():
     p = be.threshold_poly(0.25, 0.65, 0.04)
     assert be.threshold_poly(0.25, 0.65, 0.04) is p

@@ -120,14 +120,19 @@ def test_tomography_routes_spectral_work_through_subroutines(monkeypatch):
 
 
 class _RecordingRng:
-    """Passes multinomial calls through and keeps every probability row, bit for bit."""
+    """Passes multinomial calls through and keeps every call's shape and probability row."""
 
     def __init__(self, rng):
-        self.rng, self.rows = rng, []
+        self.rng, self.rows, self.calls = rng, [], []
 
     def multinomial(self, n, pvals):
-        self.rows += [row.tobytes() for row in pvals.reshape(-1, pvals.shape[-1])]
+        self.calls.append(pvals.shape)
+        self.rows += list(pvals.reshape(-1, pvals.shape[-1]))
         return self.rng.multinomial(n, pvals)
+
+    def trimmed_rows(self):
+        """Each row bit for bit, its leading zero columns (the padding) removed."""
+        return [np.trim_zeros(row, "f").tobytes() for row in self.rows]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
@@ -140,9 +145,57 @@ def test_batched_sampler_matches_scalar_reference(dim):
         want = np.stack([ref.scalar_sampled_density(row, 50 + i, rng_ref) for row in psi])
         got = tg._sampled_densities(psi, 50 + i, rng_new)
         assert np.array_equal(got, want)
-        assert rng_new.rows == rng_ref.rows
+        assert rng_new.trimmed_rows() == rng_ref.trimmed_rows()
         # same state after both: the same draws, in the same order
         assert rng_new.rng.bit_generator.state == rng_ref.rng.bit_generator.state
+
+
+def _rows_with_zero_categories(rng, n_rows, width):
+    """Random probability rows, about a third of their entries zero; the first row starts with a zero."""
+    p = rng.random((n_rows, width)) * (rng.random((n_rows, width)) > 1 / 3)
+    p[0, 0] = 0.0
+    p[np.sum(p, axis=1) == 0, -1] = 1.0
+    return p / np.sum(p, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 10**7])
+def test_one_padded_multinomial_call_equals_the_per_row_calls(shots):
+    # the premise of the padded draw: a zero category costs no random numbers
+    # and leaves the remaining mass at exactly 1, so right-aligned padding
+    # reproduces the per-row counts and the generator's end state
+    rng = SEED.child("pad-rows", shots).rng()
+    for width in (1, 2, 3, 5, 8):
+        rows = _rows_with_zero_categories(rng, 40, width)
+        padded = np.zeros((40, 8))
+        padded[:, 8 - width:] = rows
+        ref_rng = SEED.child("pad-draw", width).rng()
+        new_rng = SEED.child("pad-draw", width).rng()
+        want = np.stack([ref_rng.multinomial(shots, row) for row in rows])
+        got = new_rng.multinomial(shots, padded)
+        assert not got[:, :8 - width].any()
+        assert np.array_equal(got[:, 8 - width:], want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim,calls", [(8, 1), (16, 2 * 16)])
+@pytest.mark.parametrize("shots", [1, 7, 10**7])
+def test_sampler_with_zero_amplitudes_matches_scalar_reference(dim, calls, shots):
+    # basis states and states with zero amplitudes give zero categories,
+    # among them a zero first one; dim 8 draws padded, dim 16 in per-state calls
+    rng = SEED.child("zero-amp", dim).rng()
+    psi = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    psi *= rng.random((dim, dim)) > 1 / 2
+    psi[:, 0] = 0.0
+    psi[: dim // 4] = np.eye(dim)[1 : dim // 4 + 1]
+    psi[np.linalg.norm(psi, axis=1) == 0, -1] = 1.0
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rng_ref = SEED.child("zero-amp-shots", dim).rng()
+    rng_new = _RecordingRng(SEED.child("zero-amp-shots", dim).rng())
+    want = np.stack([ref.scalar_sampled_density(row, shots, rng_ref) for row in psi])
+    got = tg._sampled_densities(psi, shots, rng_new)
+    assert len(rng_new.calls) == calls
+    assert np.array_equal(got, want)
+    assert rng_new.rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_batched_reconstruction_matches_scalar_reference():
