@@ -21,15 +21,15 @@ tomography mode and the final challenge bit.
 
 Register conventions follow the averaged references: copies lead, the
 entangled partner trails, and inside each copy the fresh pad qubits sit in
-front of the payload. `oracles.candidate_channel` returns each key's Kraus
-operators in that order already, read off the circuit unitary whose wires
-put the payload first.
+front of the payload. `oracles.candidate_channel` returns every key's Kraus
+operators in that order already, as one (keys, 2^c, 2^(s+lam), 2^lam) stack
+read off the stacked circuit unitaries, whose wires put the payload first.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .blockenc import compact_register
@@ -172,11 +172,8 @@ class SurrogateFamily:
 
 
 def build_surrogates(cand: Candidate, tomo: TomographySet, d_cutoff: int) -> SurrogateFamily:
-    """Rewrite every key's circuit against the tomography estimates."""
-    circuits = {}
-    deleted = {}
-    for k in cand.keys:
-        circuits[k], deleted[k] = rewrite_surrogate(cand.circuits[k], d_cutoff, tomo.estimates)
+    """Rewrite every key's circuit against the tomography estimates, one gate per block."""
+    circuits, deleted = rewrite_surrogate(cand.circuits, d_cutoff, tomo.estimates)
     return SurrogateFamily(replace(cand, circuits=circuits), deleted)
 
 
@@ -216,8 +213,7 @@ def keyed_choi_vectors(cand, swap=None, hri=None, *, ell: int) -> ChoiFactor:
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
     budget.DEFAULT_BUDGET.check_factor(qubits, len(cand.keys), "keyed state vectors", cand.ancilla_c * ell)
-    kraus = np.stack([candidate_channel(cand, k, swap, hri) for k in cand.keys])
-    return ChoiFactor(choi_vectors(kraus, ell), len(cand.keys))
+    return ChoiFactor(choi_vectors(candidate_channel(cand, swap, hri), ell), len(cand.keys))
 
 
 # ------------------------------------------------------------------ support overlap
@@ -290,7 +286,7 @@ class AttackReport:
     wall_ms: int
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["crossings"] = [dict(entry) for entry in self.crossings]
         return out
 

@@ -26,7 +26,7 @@ import numbers
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,6 +38,11 @@ from .seeds import SeedPath
 from .toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
 
 # ------------------------------------------------------------------- results
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields by name, values as they are: no recursive copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,8 @@ class LemmaCheckResult:
     runtime_ms: int
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        d = _field_dict(self)
+        d["params"] = dict(self.params)
         d["pass"] = d.pop("passed")
         return d
 
@@ -551,7 +557,9 @@ class ExperimentConfig:
         _runs(self)
 
     def as_dict(self) -> dict:
-        return {k: _listed(v) for k, v in asdict(self).items()}
+        d = {k: _listed(v) for k, v in _field_dict(self).items()}
+        d["extra"] = dict(self.extra)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

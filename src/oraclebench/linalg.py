@@ -243,18 +243,22 @@ def permute_subsystems(mat, dims: list[int], perm: list[int]) -> np.ndarray:
 def apply_on_wires(vec: np.ndarray, gate: np.ndarray, wires, n_qubits: int) -> np.ndarray:
     """Apply a 2^k x 2^k gate to the listed qubit wires of an n-qubit state vector.
 
-    A (2^n, b) input is a batch: the gate acts on each column.
+    A (2^n, b) input is a batch: the gate acts on each column. A (K, 2^k, 2^k)
+    gate stack acts on a (K, 2^n, b) stack, gate i on batch i, in one matmul.
     """
     wires = list(wires)
     k = len(wires)
-    if gate.shape != (2**k, 2**k):
+    lead = gate.shape[:-2]
+    if gate.shape[-2:] != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not match {k} wires")
     if len(set(wires)) != k or any(w < 0 or w >= n_qubits for w in wires):
         raise ValueError(f"bad wire list {wires} for {n_qubits} qubits")
-    split = (2,) * n_qubits + vec.shape[1:]
-    t = np.moveaxis(vec.reshape(split), wires, range(k))
-    t = gate @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(split), range(k), wires)
+    # the gate stack's axes lead, then the qubits, then the batch
+    axes = [len(lead) + w for w in wires]
+    split = lead + (2,) * n_qubits + vec.shape[len(lead) + 1 :]
+    t = np.moveaxis(vec.reshape(split), axes, range(len(lead), len(lead) + k))
+    t = gate @ t.reshape(lead + (2**k, -1))
+    t = np.moveaxis(t.reshape(split), range(len(lead), len(lead) + k), axes)
     return np.ascontiguousarray(t).reshape(vec.shape)
 
 

@@ -16,10 +16,12 @@ call. Circuits list steps top to bottom, wire 0 most significant.
 Each call carries the key of the block it queries: n for a swap call (the
 whole member S_n), (n, m) for a rotation call; tomography and the surrogate
 rewrite both go by that key. Keyed candidates are one type, `Candidate`,
-whose stretch s = 0 makes a keyed unitary. `circuit_unitary` runs a
-circuit's steps once, on all basis columns as one batch, and
-`candidate_channel` reads one key's Kraus operators off that unitary as a
-single array.
+whose stretch s = 0 makes a keyed unitary. `circuit_unitaries` runs
+circuits of one skeleton (step kinds, wires and call sizes) together, each
+step once on a (circuits, 2^w, 2^w) stack of all their basis columns, and
+checks the stack once; a single circuit is a stack of one.
+`candidate_channel` reads every key's Kraus operators off that stack as one
+(keys, 2^c, 2^(s+lam), 2^lam) array.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import budget
-from .linalg import PureState, UnitaryMatrix, apply_on_wires, as_complex_array
+from .linalg import PureState, UnitaryMatrix, _freeze, apply_on_wires, as_complex_array, check_unitary
 from .seeds import SeedPath
 from . import haar
 
@@ -146,7 +148,7 @@ def apply_swap_call(
     n_qubits: int,
 ) -> np.ndarray:
     """Apply one family member to a state vector, or to each column of a
-    (2^n_qubits, b) batch, without materializing it.
+    (2^n_qubits, ...) batch, without materializing it.
 
     Each index block is a rank-2 correction of the identity, so the update
     touches two slices per block; blocks the input has no weight on are
@@ -176,18 +178,44 @@ def apply_swap_call(
 # ------------------------------------------------------------------ circuits
 
 
+def _checked_gates(mats, wires: tuple) -> np.ndarray:
+    """A frozen copy of a gate or a (..., 2^k, 2^k) gate stack for k wires, checked finite and
+    unitary once."""
+    m = as_complex_array(mats, "gate")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"unitary must be square, got shape {m.shape}")
+    if m.shape[-1] != 2 ** len(wires):
+        raise ValueError("gate size does not match its wire count")
+    check_unitary(m)
+    return _freeze(m)
+
+
 @dataclass(frozen=True)
 class FixedGate:
+    """A unitary on the listed wires. Its matrix is copied and checked once: here, or for
+    gates built together, by `FixedGate.stack` on their whole stack."""
+
     matrix: np.ndarray
     wires: tuple
 
     def __post_init__(self):
-        m = as_complex_array(self.matrix, "gate")
-        UnitaryMatrix(m)  # validation only
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if m.shape[0] != 2 ** len(self.wires):
-            raise ValueError("gate size does not match its wire count")
+        m = _checked_gates(self.matrix, self.wires)
+        if m.ndim != 2:
+            raise ValueError(f"a gate is one matrix, got shape {m.shape}")
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def stack(cls, mats, wires) -> list:
+        """One gate per matrix of an (n, 2^k, 2^k) stack, all on the same wires."""
+        wires = tuple(int(w) for w in wires)
+        gates = []
+        for m in _checked_gates(mats, wires):
+            gate = object.__new__(cls)  # each matrix is checked with the stack, not again
+            object.__setattr__(gate, "matrix", m)
+            object.__setattr__(gate, "wires", wires)
+            gates.append(gate)
+        return gates
 
 
 @dataclass(frozen=True)
@@ -247,60 +275,94 @@ class OracleCircuit:
         return len(self.calls)
 
 
-def circuit_unitary(
-    circ: OracleCircuit, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
-) -> UnitaryMatrix:
-    """The circuit's matrix: each step applied once, to the identity's columns as one batch."""
-    budget.DEFAULT_BUDGET.check_dense_matrix(circ.total_qubits, "circuit unitary")
-    n_q = circ.total_qubits
-    mat = np.eye(2**n_q, dtype=np.complex128)
-    for step in circ.steps:
+def _skeleton(circ: OracleCircuit) -> tuple:
+    """What circuits run together share: each step's kind, wires and call size."""
+    return tuple((type(step), step.wires, getattr(step, "n", None)) for step in circ.steps)
+
+
+def _stacked_pass(circuits: list, swap, hri) -> np.ndarray:
+    """One skeleton's circuits, each step applied once to a (circuits, 2^w, 2^w) stack."""
+    n_q = circuits[0].total_qubits
+    mat = np.repeat(np.eye(2**n_q, dtype=np.complex128)[None], len(circuits), axis=0)
+    blocks: dict = {}  # each called rotation block, built once per pass
+    for steps in zip(*(circ.steps for circ in circuits)):
+        step = steps[0]
         if isinstance(step, FixedGate):
-            mat = apply_on_wires(mat, step.matrix, step.wires, n_q)
+            mat = apply_on_wires(mat, np.stack([s.matrix for s in steps]), step.wires, n_q)
         elif isinstance(step, OracleCall):
             if swap is None:
                 raise ValueError("circuit queries the swap family but none was given")
-            mat = apply_swap_call(swap, mat, step.n, step.wires, n_q)
+            # every circuit's columns side by side, as one batch
+            cols = apply_swap_call(swap, mat.transpose(1, 0, 2), step.n, step.wires, n_q)
+            mat = cols.transpose(1, 0, 2)
         else:
             if hri is None:
                 raise ValueError("circuit queries the rotation family but none was given")
             t = hri.t_of(step.n)
             if len(step.wires) != 1 + t + step.n:
-                raise ValueError(
-                    f"rotation call on n={step.n} needs {1 + t + step.n} wires"
-                )
-            gate = hri.oracle(step.n, step.m).mat
-            mat = apply_on_wires(mat, gate, step.wires, n_q)
-    return UnitaryMatrix(mat)
+                raise ValueError(f"rotation call on n={step.n} needs {1 + t + step.n} wires")
+            for s in steps:
+                if s.key not in blocks:
+                    blocks[s.key] = hri.oracle(s.n, s.m).mat
+            mat = apply_on_wires(mat, np.stack([blocks[s.key] for s in steps]), step.wires, n_q)
+    return mat
 
 
-def rewrite_surrogate(
-    circ: OracleCircuit,
-    d_cutoff: int,
-    replacements: dict,
-) -> tuple[OracleCircuit, int]:
-    """Replace small oracle calls by fixed gates and delete the large ones.
+def circuit_unitaries(
+    circuits, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
+) -> np.ndarray:
+    """The matrices of circuits of one width, as a (circuits, 2^w, 2^w) stack in their order.
 
-    Calls with n <= d_cutoff become FixedGate steps looked up in
-    `replacements` by the call's block key (n for swap calls, (n, m) for
-    rotation calls); calls with n > d_cutoff are dropped. Returns the
-    rewritten circuit and how many calls were deleted.
+    Circuits of one skeleton run as one stacked pass: a gate or rotation call is one batched
+    matmul on its wires, a swap call one `apply_swap_call` over every circuit's columns. The
+    whole stack is checked unitary once.
     """
-    steps = []
-    deleted = 0
-    for step in circ.steps:
-        if isinstance(step, FixedGate):
-            steps.append(step)
-            continue
-        if step.n > d_cutoff:
-            deleted += 1
-            continue
-        if step.key not in replacements:
-            raise KeyError(f"surrogate rewrite is missing a gate for call {step.key}")
-        gate = replacements[step.key]
-        mat = gate.mat if isinstance(gate, UnitaryMatrix) else as_complex_array(gate)
-        steps.append(FixedGate(mat, step.wires))
-    return OracleCircuit(circ.total_qubits, tuple(steps)), deleted
+    circuits = list(circuits)
+    n_q = circuits[0].total_qubits
+    if any(circ.total_qubits != n_q for circ in circuits):
+        raise ValueError("stacked circuits must share one width")
+    budget.DEFAULT_BUDGET.check_dense_matrix(n_q, "circuit unitary")
+    groups: dict = {}
+    for i, circ in enumerate(circuits):
+        groups.setdefault(_skeleton(circ), []).append(i)
+    out = np.empty((len(circuits), 2**n_q, 2**n_q), dtype=np.complex128)
+    for idx in groups.values():
+        out[idx] = _stacked_pass([circuits[i] for i in idx], swap, hri)
+    check_unitary(out)
+    return out
+
+
+def rewrite_surrogate(circuits: dict, d_cutoff: int, replacements: dict) -> tuple[dict, dict]:
+    """Replace small oracle calls by fixed gates and delete the large ones, in every circuit.
+
+    Calls with n <= d_cutoff become FixedGate steps built from `replacements`,
+    looked up by the call's block key (n for swap calls, (n, m) for rotation
+    calls); one gate per block key and wires serves every circuit. Calls with
+    n > d_cutoff are dropped. Returns the rewritten circuits and how many calls
+    each lost, both keyed as `circuits` is.
+    """
+    gates: dict = {}
+    rewritten, deleted = {}, {}
+    for name, circ in circuits.items():
+        steps = []
+        deleted[name] = 0
+        for step in circ.steps:
+            if isinstance(step, FixedGate):
+                steps.append(step)
+                continue
+            if step.n > d_cutoff:
+                deleted[name] += 1
+                continue
+            if step.key not in replacements:
+                raise KeyError(f"surrogate rewrite is missing a gate for call {step.key}")
+            if (step.key, step.wires) not in gates:
+                gate = replacements[step.key]
+                gates[step.key, step.wires] = FixedGate(
+                    gate.mat if isinstance(gate, UnitaryMatrix) else gate, step.wires
+                )
+            steps.append(gates[step.key, step.wires])
+        rewritten[name] = OracleCircuit(circ.total_qubits, tuple(steps))
+    return rewritten, deleted
 
 
 # ------------------------------------------------------------------ candidates
@@ -341,16 +403,24 @@ class Candidate:
 
 
 def candidate_channel(
-    cand, key, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
+    cand, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
 ) -> np.ndarray:
-    """One key's Kraus operators, stacked: shape (2^c, 2^(s+lam), 2^lam).
+    """Every key's Kraus operators, in key order: shape (keys, 2^c, 2^(s+lam), 2^lam).
 
-    Operator j is the block of the circuit unitary taking inputs with pad and
-    work in zeros to outputs with the work register in |j>. Its rows put the
+    Operator j of a key is the block of its circuit unitary taking inputs with pad
+    and work in zeros to outputs with the work register in |j>. Its rows put the
     pad qubits ahead of the payload, the copy order of the averaged references.
+    The unitaries come from `circuit_unitaries`, at most one budget's worth at a time.
     """
-    u = circuit_unitary(cand.circuits[key], swap=swap, hri=hri).mat
+    circuits = [cand.circuits[k] for k in cand.keys]
     d_in, d_pad, d_work = 2**cand.lam, 2**cand.stretch_s, 2**cand.ancilla_c
-    # rows [payload, pad, work], columns [input, pad and work]
-    u5 = u.reshape(d_in, d_pad, d_work, d_in, d_pad * d_work)
-    return u5[..., 0].transpose(2, 1, 0, 3).reshape(d_work, d_pad * d_in, d_in)
+    width = cand.lam + cand.stretch_s + cand.ancilla_c
+    kraus = np.empty((len(circuits), d_work, d_pad * d_in, d_in), dtype=np.complex128)
+    for part in budget.DEFAULT_BUDGET.chunks(len(circuits), 4**width):
+        u = circuit_unitaries(circuits[part.start : part.stop], swap, hri)
+        # rows [payload, pad, work], columns [input, pad and work]
+        u6 = u.reshape(len(part), d_in, d_pad, d_work, d_in, d_pad * d_work)
+        kraus[part.start : part.stop] = u6[..., 0].transpose(0, 3, 2, 1, 4).reshape(
+            len(part), d_work, d_pad * d_in, d_in
+        )
+    return kraus

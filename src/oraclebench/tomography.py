@@ -13,9 +13,11 @@ than a full eigendecomposition. Both routes fix the global phase canonically.
 
 The sampled route draws, per output state, the diagonal setting and then all
 pair settings (pairs a < b row-major, real before imaginary); that order is
-part of the one-seed reproducibility contract. Up to PADDED_MAX_DIM a chunk's
-draws reach numpy as one multinomial call over zero-padded rows, past it as
-two calls per state; both give the same counts from the same generator state.
+part of the one-seed reproducibility contract. Up to PADDED_MAX_DIM all dim^2
+states are one chunk, whose draws reach numpy as one multinomial call over
+zero-padded rows; past it the chunks hold the basis, then dim pairs at a
+time, and each state takes two calls. Both give the same counts from the
+same generator state.
 """
 from __future__ import annotations
 
@@ -40,7 +42,10 @@ ATOL_ISOMETRY = 1e-8
 # 2-vCPU x86 VM (numpy 2.4.6; medians of 200 alternating calls, two runs) a
 # 16-state chunk at dim 8 samples in 0.61-0.65 ms padded against 0.89-0.92 ms
 # in calls; a 32-state chunk at dim 16 in 4.7-6.0 ms padded against 3.6-4.7
-# ms, its zero columns costing more than the calls they save.
+# ms, its zero columns costing more than the calls they save. Up to this dim a
+# reconstruction's dim^2 states are also one chunk: at dim 8 and eps = 0.025 a
+# reconstruction took 3.36 ms against 4.11 ms in basis-then-pairs chunks (medians
+# of 40 alternating pairs, 40 won); at dim 16 one chunk would hold 256 states.
 PADDED_MAX_DIM = 8
 
 
@@ -131,25 +136,24 @@ def _sampled_densities(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     n, d = psi.shape
     a, b = _pair_indices(d)
     ar, ai, br, bi = psi.real[:, a], psi.imag[:, a], psi.real[:, b], psi.imag[:, b]
-    # p[s, o] is |z|^2 / 2 for outcome o (+1, -1) of setting s: z = pa + pb,
-    # pa - pb in the real setting and pa - i pb, pa + i pb in the imaginary
-    # one. Multiplying by i only swaps and negates parts, so these real sums
-    # equal the complex ones bit for bit.
-    p = np.empty((2, 2, n, a.size))
-    np.hypot(ar + br, ai + bi, out=p[0, 0])
-    np.hypot(ar - br, ai - bi, out=p[0, 1])
-    np.hypot(ar + bi, ai - br, out=p[1, 0])
-    np.hypot(ar - bi, ai + br, out=p[1, 1])
+    # probs[i, q, s, o] is |z|^2 / 2 for outcome o (+1, -1) of setting s of pair q:
+    # z = pa + pb, pa - pb in the real setting and pa - i pb, pa + i pb in the
+    # imaginary one. Multiplying by i only swaps and negates parts, so these
+    # real sums equal the complex ones bit for bit.
+    probs = np.empty((n, a.size, 2, 3))
+    np.hypot(ar + br, ai + bi, out=probs[..., 0, 0])
+    np.hypot(ar - br, ai - bi, out=probs[..., 0, 1])
+    np.hypot(ar + bi, ai - br, out=probs[..., 1, 0])
+    np.hypot(ar - bi, ai + br, out=probs[..., 1, 1])
     # |z|^2 / 2 as the scalar abs(z) ** 2 rounds it: hypot, then libm pow
     # (numpy's vectorized abs and square differ from those in the last bit)
+    p = probs[..., :2]
     np.float_power(p, 2.0, out=p)
     p /= 2
-    # one row of outcomes +1, -1, 0 per state, pair and setting; the third
-    # outcome takes the rest
-    probs = np.empty((n, a.size, 2, 3))
-    probs[..., :2] = p.transpose(2, 3, 0, 1)
-    np.maximum(0.0, 1 - p[:, 0] - p[:, 1], out=probs[..., 2].transpose(2, 0, 1))
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    # the third outcome, 0, takes the rest; each row is renormalized by its sum
+    # taken as numpy sums three terms, (p0 + p1) + p2
+    np.maximum(0.0, 1 - p[..., 0] - p[..., 1], out=probs[..., 2])
+    probs /= ((probs[..., 0] + probs[..., 1]) + probs[..., 2])[..., None]
     diags = np.abs(psi) ** 2
     diags /= np.sum(diags, axis=-1, keepdims=True)
     if d <= PADDED_MAX_DIM:
@@ -182,39 +186,57 @@ def _sampled_densities(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     return est
 
 
+def _pair_inputs(dim: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(e_j + e_k)/sqrt(2) then (e_j + i e_k)/sqrt(2) for each pair, as rows."""
+    h = 1 / math.sqrt(2)
+    rows = np.arange(j.size)
+    inputs = np.zeros((j.size, 2, dim), dtype=np.complex128)
+    inputs[rows, :, j] = h
+    inputs[rows, 0, k] = h
+    inputs[rows, 1, k] = 1j * h
+    return inputs.reshape(-1, dim)
+
+
 def process_tomography_sampled(
     apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM
 ) -> TomographyResult:
     """Estimate a unitary to spectral error eps (up to phase) from shot counts.
 
-    The inputs are queried and sampled in chunks: the dim basis vectors,
-    then up to dim pairs (2 dim states) at a time, so a chunk holds O(dim^3)
-    numbers against the dim^4 of the correlation matrix.
+    The inputs are queried in order, the dim basis vectors, then two states per
+    pair, and sampled in chunks. Up to PADDED_MAX_DIM all dim^2 of them are one
+    chunk: one probability pass, one multinomial call and one block assembly.
+    Past it the basis is one chunk and the pairs follow dim (2 dim states) at a
+    time, so a chunk holds O(dim^3) numbers against the dim^4 of the
+    correlation matrix. Both give the same draws from the same generator.
     """
     qubits = math.ceil(math.log2(dim * dim))
     budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "sampled tomography correlation")
     rng = as_generator(seed)
     shots = shot_count(dim, eps, eta, c_tom)
+
+    def sampled(inputs):
+        return _sampled_densities(_query(apply_fn, inputs), shots, rng)
+
+    basis = np.eye(dim, dtype=np.complex128)
+    a, b = _pair_indices(dim)
+    if dim <= PADDED_MAX_DIM:
+        rho = sampled(np.concatenate([basis, _pair_inputs(dim, a, b)]))
+        singles, pairs = rho[:dim], [(a, b, rho[dim:])]
+    else:
+        singles = sampled(basis)
+        # a generator: each chunk is queried and sampled once the one before is assembled
+        pairs = (
+            (a[q:q + dim], b[q:q + dim], sampled(_pair_inputs(dim, a[q:q + dim], b[q:q + dim])))
+            for q in range(0, a.size, dim)
+        )
     # column-correlation blocks C[j, k] = u_j u_k^dag, as blocks[j, :, k, :], from
     #   u_j u_k^dag + u_k u_j^dag = 2 rho_plus - rho_j - rho_k
     #   u_j u_k^dag - u_k u_j^dag = i (2 rho_imag - rho_j - rho_k)
     # every block is written with its exact Hermitian mirror
     corr = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     blocks = corr.reshape(dim, dim, dim, dim)
-    basis = np.arange(dim)
-    singles = _sampled_densities(_query(apply_fn, np.eye(dim, dtype=np.complex128)), shots, rng)
-    blocks[basis, :, basis, :] = singles
-    a, b = _pair_indices(dim)
-    h = 1 / math.sqrt(2)
-    for first in range(0, a.size, dim):
-        j, k = a[first:first + dim], b[first:first + dim]
-        rows = np.arange(j.size)
-        # (e_j + e_k)/sqrt(2) then (e_j + i e_k)/sqrt(2), per pair
-        inputs = np.zeros((j.size, 2, dim), dtype=np.complex128)
-        inputs[rows, :, j] = h
-        inputs[rows, 0, k] = h
-        inputs[rows, 1, k] = 1j * h
-        rho = _sampled_densities(_query(apply_fn, inputs.reshape(-1, dim)), shots, rng)
+    blocks[np.arange(dim), :, np.arange(dim), :] = singles
+    for j, k, rho in pairs:
         rho = rho.reshape(j.size, 2, dim, dim)
         s = 2 * rho[:, 0] - singles[j] - singles[k]
         t = 1j * (2 * rho[:, 1] - singles[j] - singles[k])

@@ -7,14 +7,10 @@ the threshold distinguisher latches onto.
 """
 from __future__ import annotations
 
-from .linalg import random_unitary_from
+from . import budget
+from . import linalg as la
 from .oracles import Candidate, FixedGate, HriCall, OracleCall, OracleCircuit
 from .seeds import SeedPath
-
-
-def _random_gate(seed: SeedPath, width: int) -> FixedGate:
-    return FixedGate(random_unitary_from(seed.rng(), 2**width), tuple(range(width)))
-
 
 # every toy oracle call queries a size-1 block on the leading three wires: a
 # swap call on 2n + 1 of them, or a rotation call on flag, pad and payload
@@ -22,20 +18,36 @@ def _random_gate(seed: SeedPath, width: int) -> FixedGate:
 _CALL_WIRES = (0, 1, 2)
 
 
+def _random_gates(paths: list, width: int) -> list:
+    """One Haar gate on all `width` wires per seed path, each the one
+    `random_unitary_from(path.rng(), 2^width)` draws; drawn, factored and checked
+    as stacks of at most one budget's worth."""
+    budget.DEFAULT_BUDGET.check_dense_matrix(width, "toy gate")
+    d, wires = 2**width, tuple(range(width))
+    gates = []
+    for part in budget.DEFAULT_BUDGET.chunks(len(paths), d * d):
+        (z,) = la.complex_normals(paths[part.start : part.stop], (d, d))
+        gates += FixedGate.stack(la.haar_from_ginibre(z), wires)
+    return gates
+
+
 def _keyed_circuits(width: int, n_keys: int, seed: SeedPath, calls: int, call) -> dict:
     """Per key: a random gate, then `calls` rounds of oracle call plus random gate.
 
-    `call(k)` builds key k's call.
+    `call(k)` builds key k's call. Gate q of key k is drawn from
+    seed.child("key", k).child("g", q); all gates are drawn as one batch.
     """
     if calls and width < len(_CALL_WIRES):
         raise ValueError(f"width {width} cannot host an oracle call on {len(_CALL_WIRES)} wires")
+    per = calls + 1
+    paths = [seed.child("key", k).child("g", q) for k in range(n_keys) for q in range(per)]
+    gates = _random_gates(paths, width)
     circuits = {}
     for k in range(n_keys):
-        ks = seed.child("key", k)
-        steps = [_random_gate(ks.child("g", 0), width)]
-        for q in range(calls):
-            steps.append(call(k))
-            steps.append(_random_gate(ks.child("g", q + 1), width))
+        own = gates[k * per : (k + 1) * per]
+        steps = [own[0]]
+        for gate in own[1:]:
+            steps += [call(k), gate]
         circuits[k] = OracleCircuit(width, tuple(steps))
     return circuits
 

@@ -11,16 +11,19 @@ off its Stinespring unitary and their Choi vectors built by a chain of
 certified on the full grid at every degree, the checks run on a thread pool
 instead of one after another (with exp(iH) taken outside the one-thread
 BLAS guard), sampled process tomography one
-measurement setting at a time with a full `eigh`, the Monte Carlo
+measurement setting at a time with a full `eigh`, and in chunks of at most
+2 dim states at every dim, the Monte Carlo
 checks the library runs as stacks run one trial at a time, the one-call
 closeness built from both full circuit unitaries and a dense `np.kron` of the call,
 the trace distance and density check by one dense `eigvalsh` of the whole matrix
-rather than block by block, and the ricochet residual from two `np.kron` builds.
+rather than block by block, the ricochet residual from two `np.kron` builds, and
+report dicts by `dataclasses.asdict`'s recursive copy.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -38,7 +41,7 @@ from oraclebench.blockenc import (
 from oraclebench import budget, subroutines
 from oraclebench.games import ConcentrationResult, LipschitzCheckResult
 from oraclebench.haar import sample_haar_unitary
-from oraclebench.harness import _rand_density, lemma_check
+from oraclebench.harness import LemmaCheckResult, Report, _listed, _rand_density, lemma_check
 from oraclebench.linalg import (
     EIG_FLOOR,
     DensityMatrix,
@@ -63,6 +66,7 @@ from oraclebench.oracles import (
     apply_swap_call,
 )
 from oraclebench.seeds import SeedPath, as_generator
+from oraclebench import tomography
 from oraclebench.tomography import C_TOM, TomographyResult, canonical_phase, nearest_unitary, shot_count
 
 
@@ -316,6 +320,58 @@ def sampled_tomography(apply_fn, dim: int, eps: float, eta: float, seed, c_tom: 
     gram = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
     queries = n_inputs * (1 + dim * (dim - 1)) * shots
     return TomographyResult(canonical_phase(nearest_unitary(m)), "sampled", queries, gram, shots)
+
+
+def chunked_sampled_tomography(apply_fn, dim: int, eps: float, eta: float, seed, c_tom: float = C_TOM):
+    """`tomography.process_tomography_sampled` with the basis as one chunk and the pairs
+    dim (2 dim states) at a time at every dim, each chunk sampled by the library's sampler."""
+    rng = as_generator(seed)
+    shots = shot_count(dim, eps, eta, c_tom)
+    corr = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    blocks = corr.reshape(dim, dim, dim, dim)
+    basis = np.arange(dim)
+    eye = np.eye(dim, dtype=np.complex128)
+    singles = tomography._sampled_densities(tomography._query(apply_fn, eye), shots, rng)
+    blocks[basis, :, basis, :] = singles
+    a, b = tomography._pair_indices(dim)
+    h = 1 / math.sqrt(2)
+    for first in range(0, a.size, dim):
+        j, k = a[first:first + dim], b[first:first + dim]
+        rows = np.arange(j.size)
+        inputs = np.zeros((j.size, 2, dim), dtype=np.complex128)
+        inputs[rows, :, j] = h
+        inputs[rows, 0, k] = h
+        inputs[rows, 1, k] = 1j * h
+        rho = tomography._sampled_densities(tomography._query(apply_fn, inputs.reshape(-1, dim)), shots, rng)
+        rho = rho.reshape(j.size, 2, dim, dim)
+        s = 2 * rho[:, 0] - singles[j] - singles[k]
+        t = 1j * (2 * rho[:, 1] - singles[j] - singles[k])
+        block = (s + t) / 2
+        blocks[j, :, k, :] = block
+        blocks[k, :, j, :] = block.conj().transpose(0, 2, 1)
+    _, top = subroutines.top_eigh(corr, label="tomo-correlation")
+    m = (top * math.sqrt(dim)).reshape(dim, dim).T
+    gram = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
+    queries = dim * dim * (1 + dim * (dim - 1)) * shots
+    return TomographyResult(canonical_phase(nearest_unitary(m)), "sampled", queries, gram, shots)
+
+
+def asdict_report_dict(report: Report) -> dict:
+    """`harness.report_to_dict` with every row and the config copied by `dataclasses.asdict`."""
+    rows = []
+    for r in report.results:
+        d = asdict(r)
+        if isinstance(r, LemmaCheckResult):
+            d["pass"] = d.pop("passed")
+        else:
+            d["crossings"] = [dict(entry) for entry in r.crossings]
+        rows.append(d)
+    return {
+        "config": {k: _listed(v) for k, v in asdict(report.config).items()},
+        "results": rows,
+        "versions": dict(report.versions),
+        "total_runtime_ms": report.total_runtime_ms,
+    }
 
 
 # --------------------------------------------- Monte Carlo checks, one trial at a time

@@ -8,6 +8,7 @@ import pytest
 
 from oraclebench import adversary as adv
 from oraclebench import blockenc, budget, cli, harness
+from oraclebench import oracles as orc
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
 from oraclebench.linalg import choi_vectors, schatten_norm
@@ -17,7 +18,7 @@ from oraclebench.oracles import (
     OracleCall,
     OracleCircuit,
     SwapOracleFamily,
-    circuit_unitary,
+    circuit_unitaries,
 )
 from oraclebench.seeds import SeedPath
 from oraclebench.toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
@@ -134,7 +135,7 @@ def test_keyed_choi_vectors_match_the_kron_chain():
     cand = toy_pri_candidate(lam, s, 3, SEED.child("kron"), c=c, swap_calls=1)
     want = np.column_stack([
         ref.kron_choi_vectors(
-            ref.stinespring_kraus(circuit_unitary(cand.circuits[k], swap=swap).mat, lam, s, c), ell
+            ref.stinespring_kraus(circuit_unitaries([cand.circuits[k]], swap=swap)[0], lam, s, c), ell
         )
         for k in cand.keys
     ])
@@ -164,10 +165,9 @@ def test_exact_surrogate_reproduces_the_circuit():
     tomo = adv.tomograph_called_blocks(cand, swap, d_cutoff=3)
     sf = adv.build_surrogates(cand, tomo, 3)
     assert sf.deleted_total == 0
-    for k in cand.keys:
-        true = circuit_unitary(cand.circuits[k], swap=swap).mat
-        rebuilt = circuit_unitary(sf.candidate.circuits[k]).mat
-        assert np.max(np.abs(true - rebuilt)) <= 1e-10
+    true = circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=swap)
+    rebuilt = circuit_unitaries([sf.candidate.circuits[k] for k in cand.keys])
+    assert np.max(np.abs(true - rebuilt)) <= 1e-10
 
 
 def test_missing_tomography_faults():
@@ -521,3 +521,19 @@ def test_poly_attacks_match_a_clenshaw_evaluated_polynomial(kind, monkeypatch, t
                 assert abs(got[key] - value) <= 1e-12 * abs(value), key
             else:
                 assert got[key] == value, key
+
+
+@pytest.mark.parametrize("kind", ["pru", "pri-vs-hri"])
+def test_an_attack_makes_two_stacked_circuit_passes(kind, monkeypatch, tmp_path):
+    # every key's circuit runs in one stacked pass: one for the keyed candidate,
+    # one for its surrogate, where a pass per key made eight evaluations
+    passes = []
+    stacked = orc._stacked_pass
+
+    def spy(circuits, swap, hri):
+        passes.append(len(circuits))
+        return stacked(circuits, swap, hri)
+
+    monkeypatch.setattr(orc, "_stacked_pass", spy)
+    _cli_attack(["attack", kind, "--c", "1", "--backend", "poly", "--tomo", "sampled"], tmp_path / "r.json")
+    assert passes == [4, 4]

@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
-from dense_reference import expi_unguarded, pooled_checks
-from oraclebench import harness, subroutines
+from dense_reference import asdict_report_dict, expi_unguarded, pooled_checks
+from oraclebench import cli, harness, subroutines
 from oraclebench.budget import SizingError
 from oraclebench.harness import (
     CHECKS,
@@ -389,3 +389,22 @@ def test_attack_rows_in_csv_expose_the_hybrid_comparison(tmp_path):
     assert cells["pass"] == "true"
     assert float(cells["lhs"]) <= float(cells["bound"])
     assert cells["param:backend"] == "ideal"
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "fast"],
+    ["attack", "pri-vs-hri", "--c", "1", "--backend", "poly", "--tomo", "sampled"],
+    ["lemma", "holder-product", "--sweep", "d=2,4"],
+])
+def test_report_files_equal_the_asdict_route(argv, tmp_path):
+    # report dicts built from the fields write the bytes dataclasses.asdict's copies wrote
+    report = harness.run_experiment(cli._config_from_args(cli.build_parser().parse_args(argv)))
+    want = json.dumps(asdict_report_dict(report), indent=2, sort_keys=True) + "\n"
+    harness.emit_report(report, tmp_path / "r.json", "json")
+    assert (tmp_path / "r.json").read_bytes() == want.encode()
+    # the csv rows and sweep companion of the report the asdict json reads back as
+    back = harness.report_from_dict(json.loads(want))
+    harness.emit_report(report, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_bytes() == harness._csv_text(back).encode()
+    if report.config.sweep is not None:
+        assert (tmp_path / "r.sweep.csv").read_bytes() == harness._sweep_text(back).encode()

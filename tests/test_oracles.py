@@ -171,9 +171,9 @@ def test_fixed_gate_circuit_matches_dense_product():
     g1 = la.random_unitary_from(rng, 4)
     g2 = la.random_unitary_from(rng, 2)
     circ = orc.OracleCircuit(3, (orc.FixedGate(g1, (0, 1)), orc.FixedGate(g2, (2,))))
-    u = orc.circuit_unitary(circ)
+    (u,) = orc.circuit_unitaries([circ])
     want = np.kron(np.eye(4), g2) @ np.kron(g1, np.eye(2))
-    assert np.allclose(u.mat, want, atol=1e-10)
+    assert np.allclose(u, want, atol=1e-10)
     assert circ.query_count == 0
 
 
@@ -185,21 +185,21 @@ def test_circuit_with_oracle_call_matches_dense_substitution():
         3, (orc.FixedGate(g, (0, 1, 2)), orc.OracleCall(1, (0, 1, 2)))
     )
     assert circ.query_count == 1
-    u = orc.circuit_unitary(circ, swap=fam)
+    (u,) = orc.circuit_unitaries([circ], swap=fam)
     want = fam.dense_oracle(1).mat @ g
-    assert np.allclose(u.mat, want, atol=1e-10)
+    assert np.allclose(u, want, atol=1e-10)
     with pytest.raises(ValueError):
-        orc.circuit_unitary(circ)  # family not supplied
+        orc.circuit_unitaries([circ])  # family not supplied
 
 
 def test_circuit_with_rotation_call():
     hfam = orc.HriOracleFamily(SEED.child("hcirc"), stretch="n")
     circ = orc.OracleCircuit(3, (orc.HriCall(1, m=1, wires=(0, 1, 2)),))
-    u = orc.circuit_unitary(circ, hri=hfam)
-    assert np.allclose(u.mat, hfam.oracle(1, 1).mat, atol=1e-12)
+    (u,) = orc.circuit_unitaries([circ], hri=hfam)
+    assert np.allclose(u, hfam.oracle(1, 1).mat, atol=1e-12)
     bad = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1)),))
     with pytest.raises(ValueError):
-        orc.circuit_unitary(bad, hri=hfam)
+        orc.circuit_unitaries([bad], hri=hfam)
 
 
 def test_circuit_unitary_matches_per_column_reference():
@@ -215,11 +215,124 @@ def test_circuit_unitary_matches_per_column_reference():
                 toys.toy_hri_candidate(3, 2, SEED.child("brot", c), c=c, rot_calls=2),
             )
         ):
+            stack = orc.circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=swap, hri=hfam)
             for k in cand.keys:
-                circ = cand.circuits[k]
-                got = orc.circuit_unitary(circ, swap=swap, hri=hfam).mat
-                want = ref.per_column_circuit_unitary(circ, swap=swap, hri=hfam).mat
-                assert np.max(np.abs(got - want)) <= 1e-12, (c, i, k)
+                want = ref.per_column_circuit_unitary(cand.circuits[k], swap=swap, hri=hfam).mat
+                assert np.max(np.abs(stack[k] - want)) <= 1e-12, (c, i, k)
+
+
+def _mixed_circuits(width: int, seed: SeedPath) -> list:
+    """Circuits of one width with 0-2 calls, gates on wire subsets and swap and rotation
+    calls; several share a skeleton, the rest stand alone, in shuffled order."""
+    rng = seed.rng()
+
+    def gate(wires):
+        return orc.FixedGate(la.random_unitary_from(rng, 2 ** len(wires)), wires)
+
+    sub = tuple(int(w) for w in rng.permutation(width)[: max(1, width - 1)])
+    shapes = [[("g", tuple(range(width)))], [("g", sub)], [("g", sub), ("g", (width - 1,))]]
+    if width >= 3:
+        shapes += [
+            [("g", sub), ("swap", (0, 1, 2)), ("g", tuple(range(width)))],
+            [("rot", (width - 3, width - 2, width - 1)), ("g", sub), ("swap", (2, 0, 1))],
+            [("swap", (0, 1, 2)), ("rot", (0, 1, 2))],
+        ]
+    if width >= 5:
+        shapes.append([("g", (4, 0)), ("swap", (4, 3, 2, 1, 0)), ("rot", (1, 3, 4))])
+    circuits = []
+    for copy in range(3):  # each skeleton three times, with its own gates and indices
+        for shape in shapes:
+            steps = []
+            for kind, wires in shape:
+                if kind == "g":
+                    steps.append(gate(wires))
+                elif kind == "swap":
+                    steps.append(orc.OracleCall((len(wires) - 1) // 2, wires))
+                else:
+                    steps.append(orc.HriCall(1, m=copy % 2, wires=wires))
+            circuits.append(orc.OracleCircuit(width, tuple(steps)))
+    return [circuits[i] for i in rng.permutation(len(circuits))]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_stacked_circuits_match_per_column_reference(width):
+    swap = fresh_family("mixed")
+    hfam = orc.HriOracleFamily(SEED.child("hmixed"), stretch="n")
+    circuits = _mixed_circuits(width, SEED.child("mixed", width))
+    stack = orc.circuit_unitaries(circuits, swap=swap, hri=hfam)
+    assert stack.shape == (len(circuits), 2**width, 2**width)
+    for i, circ in enumerate(circuits):
+        want = ref.per_column_circuit_unitary(circ, swap=swap, hri=hfam).mat
+        assert np.max(np.abs(stack[i] - want)) <= 1e-15, i
+        # grouping leaves each circuit's matrix as a stack of one gives it
+        assert np.array_equal(stack[i], orc.circuit_unitaries([circ], swap=swap, hri=hfam)[0])
+
+
+def test_stacked_circuits_are_checked_once(monkeypatch):
+    circuits = _mixed_circuits(5, SEED.child("mixed-check"))
+    checks = []
+    check = orc.check_unitary
+    monkeypatch.setattr(orc, "check_unitary", lambda m: checks.append(m.shape) or check(m))
+    orc.circuit_unitaries(circuits, swap=fresh_family("mc"), hri=orc.HriOracleFamily(SEED.child("hmc")))
+    assert checks == [(len(circuits), 32, 32)]
+    with pytest.raises(ValueError, match="one width"):
+        orc.circuit_unitaries([circuits[0], orc.OracleCircuit(4, ())])
+
+
+def test_toy_gates_equal_per_path_draws(monkeypatch):
+    checks = []
+    check = orc.check_unitary
+    monkeypatch.setattr(orc, "check_unitary", lambda m: checks.append(m.shape) or check(m))
+    seed = SEED.child("toy-draws")
+    cand = toys.toy_hri_candidate(2, 3, seed, c=1, rot_calls=2)
+    # all nine gates drawn, factored and checked as one stack
+    assert checks == [(9, 8, 8)]
+    for k in cand.keys:
+        gates = [step for step in cand.circuits[k].steps if isinstance(step, orc.FixedGate)]
+        assert len(gates) == 3
+        for q, g in enumerate(gates):
+            want = la.random_unitary_from(seed.child("key", k).child("g", q).rng(), 8)
+            assert np.array_equal(g.matrix, want), (k, q)
+            assert g.wires == (0, 1, 2) and not g.matrix.flags.writeable
+
+
+def test_toy_gates_are_sized_before_drawing(monkeypatch):
+    with pytest.raises(SizingError, match="toy gate"):
+        toys.toy_pru_candidate(1, 2, SEED.child("wide"), c=12)
+    # past one budget's worth the draws go in chunks that give the same gates
+    seed = SEED.child("toy-chunks")
+    whole = toys.toy_pru_candidate(2, 3, seed, c=1, swap_calls=1)
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=4))
+    chunked = toys.toy_pru_candidate(2, 3, seed, c=1, swap_calls=1)
+    for k in whole.keys:
+        for a, b in zip(whole.circuits[k].steps, chunked.circuits[k].steps):
+            assert a == b if not isinstance(a, orc.FixedGate) else np.array_equal(a.matrix, b.matrix)
+
+
+def test_fixed_gate_checks():
+    g = la.random_unitary_from(np.random.default_rng(3), 4)
+    gate = orc.FixedGate(g, (1, 0))
+    assert np.array_equal(gate.matrix, g) and not np.shares_memory(gate.matrix, g)
+    for bad, match in (
+        (g[:, :3], "square"),
+        (g[:2, :2], "wire count"),
+        (2 * g, "unitary"),
+        (np.where(np.eye(4) > 0, np.nan, g), "NaN"),
+        (np.stack([g, g]), "one matrix"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            orc.FixedGate(bad, (1, 0))
+    with pytest.raises(ValueError, match="unitary"):
+        orc.FixedGate.stack(np.stack([g, 2 * g]), (0, 1))
+
+
+def test_rewrite_surrogate_shares_one_gate_per_block():
+    fam = fresh_family("share")
+    cand = toys.toy_pru_candidate(2, 3, SEED.child("share"), c=1, swap_calls=2)
+    rewritten, deleted = orc.rewrite_surrogate(cand.circuits, 1, {1: fam.dense_oracle(1)})
+    assert deleted == {0: 0, 1: 0, 2: 0}
+    calls = [step for k in cand.keys for step in rewritten[k].steps[1::2]]
+    assert len(calls) == 6 and all(step is calls[0] for step in calls)
 
 
 def test_rewrite_surrogate_replaces_and_deletes():
@@ -235,20 +348,21 @@ def test_rewrite_surrogate_replaces_and_deletes():
         ),
     )
     repl = {1: fam.dense_oracle(1)}
-    new, deleted = orc.rewrite_surrogate(circ, d_cutoff=1, replacements=repl)
-    assert deleted == 1
+    rewritten, deleted = orc.rewrite_surrogate({"a": circ}, d_cutoff=1, replacements=repl)
+    new = rewritten["a"]
+    assert deleted == {"a": 1}
     assert new.query_count == 0
     assert len(new.steps) == 2
     # with the true member substituted, evaluation matches on the retained prefix
     pre = orc.OracleCircuit(5, circ.steps[:2])
     pre_new = orc.OracleCircuit(5, new.steps)
     assert np.allclose(
-        orc.circuit_unitary(pre, swap=fam).mat,
-        orc.circuit_unitary(pre_new).mat,
+        orc.circuit_unitaries([pre], swap=fam),
+        orc.circuit_unitaries([pre_new]),
         atol=1e-10,
     )
     with pytest.raises(KeyError):
-        orc.rewrite_surrogate(circ, d_cutoff=2, replacements=repl)
+        orc.rewrite_surrogate({"a": circ}, d_cutoff=2, replacements=repl)
 
 
 # ------------------------------------------------------------------ candidates
@@ -258,14 +372,14 @@ def test_toy_pru_candidate_shapes():
     cand = toys.toy_pru_candidate(2, 4, SEED.child("pru"))
     assert cand.keys == (0, 1, 2, 3)
     assert cand.query_count == 0
-    assert orc.candidate_channel(cand, 0).shape == (1, 4, 4)
+    assert orc.candidate_channel(cand).shape == (4, 1, 4, 4)
 
 
 def test_toy_pri_candidate_queries_family():
     fam = fresh_family("pric")
     cand = toys.toy_pri_candidate(2, 1, 2, SEED.child("pri-cand"), swap_calls=2)
     assert cand.query_count == 2
-    kraus = orc.candidate_channel(cand, 1, swap=fam)
+    kraus = orc.candidate_channel(cand, swap=fam)[1]
     assert kraus.shape == (1, 8, 4)
     # isometry: K^dag K = I on the input register
     assert np.allclose(kraus[0].conj().T @ kraus[0], np.eye(4), atol=1e-10)
@@ -275,14 +389,14 @@ def test_toy_hri_candidate_queries_rotation_family():
     hfam = orc.HriOracleFamily(SEED.child("hritoy"), stretch="n")
     cand = toys.toy_hri_candidate(3, 2, SEED.child("htoy"), rot_calls=1)
     assert cand.query_count == 1
-    assert orc.candidate_channel(cand, 0, hri=hfam).shape == (1, 8, 8)
+    assert orc.candidate_channel(cand, hri=hfam).shape == (2, 1, 8, 8)
 
 
 def test_candidate_kraus_completeness_and_stinespring_route():
     lam, s, c = 2, 1, 1
     fam = fresh_family("kraus")
     cand = toys.toy_pri_candidate(lam, s, 2, SEED.child("kraus-cand"), c=c, swap_calls=1)
-    kraus = orc.candidate_channel(cand, 0, swap=fam)
+    kraus = orc.candidate_channel(cand, swap=fam)[0]
     assert kraus.shape == (2, 8, 4)
     acc = sum(k.conj().T @ k for k in kraus)
     assert np.allclose(acc, np.eye(4), atol=1e-10)
@@ -293,7 +407,7 @@ def test_candidate_kraus_completeness_and_stinespring_route():
     out = sum(k @ rho @ k.conj().T for k in kraus)
     # independent route: embed with pad and work in zeros, conjugate by the
     # circuit unitary, trace out the work qubit, then move the pad first
-    u = orc.circuit_unitary(cand.circuits[0], swap=fam).mat
+    u = orc.circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=fam)[0]
     zeros = np.zeros((4, 4), dtype=complex)
     zeros[0, 0] = 1.0
     direct = (u @ np.kron(rho, zeros) @ u.conj().T).reshape(4, 2, 2, 4, 2, 2)

@@ -234,3 +234,46 @@ def test_small_correlation_eigh_runs_on_one_blas_thread(monkeypatch, blas_counts
     tg.process_tomography_sampled(lambda v: u.mat @ v, 4, 0.1, 0.1, SEED.child("serial-shots"))
     assert seen == [(16, dict.fromkeys(blas_counts(), 1))]
     assert blas_counts() == dict.fromkeys(blas_counts(), 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_reconstruction_chunks(monkeypatch, dim):
+    # up to PADDED_MAX_DIM all dim^2 states are one chunk drawn in one multinomial call;
+    # past it the basis is one chunk and the pairs follow in chunks of 2 dim states
+    recorder, chunks = [], []
+    sampled = tg._sampled_densities
+
+    def spy(psi, shots, rng):
+        chunks.append(psi.shape[0])
+        return sampled(psi, shots, rng)
+
+    def recording(seed):
+        recorder.append(_RecordingRng(seed.rng()))
+        return recorder[-1]
+
+    monkeypatch.setattr(tg, "_sampled_densities", spy)
+    monkeypatch.setattr(tg, "as_generator", recording)
+    u = sample_haar_unitary(dim, SEED.child("chunks", dim)).mat
+    tg.process_tomography_sampled(lambda v: u @ v, dim, 0.3, 0.2, SEED.child("chunks-shots", dim))
+    if dim <= tg.PADDED_MAX_DIM:
+        assert chunks == [dim * dim]
+        assert len(recorder[0].calls) == 1
+    else:
+        pairs = dim * (dim - 1) // 2
+        assert chunks == [dim] + [2 * dim] * (pairs // dim) + [2 * (pairs % dim)] * (pairs % dim > 0)
+        assert len(recorder[0].calls) == 2 * dim * dim
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_reconstruction_matches_the_chunked_route(dim):
+    # one chunk at dim <= 8 draws what the basis-then-pairs chunks draw, to the bit
+    for seed in range(10):
+        u = sample_haar_unitary(dim, SeedPath(seed).child("one-chunk", dim)).mat
+        rng_new = SeedPath(seed).child("one-chunk-shots", dim).rng()
+        rng_ref = SeedPath(seed).child("one-chunk-shots", dim).rng()
+        new = tg.process_tomography_sampled(lambda v: u @ v, dim, 0.3, 0.2, rng_new)
+        old = ref.chunked_sampled_tomography(lambda v: u @ v, dim, 0.3, 0.2, rng_ref)
+        assert np.array_equal(new.estimate, old.estimate), seed
+        assert new.gram_defect == old.gram_defect
+        assert new.queries == old.queries
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
