@@ -1,8 +1,8 @@
 """Command line front end over the experiment harness.
 
-Exit codes: 0 every result passed, 1 at least one comparison failed,
-2 usage faults including unknown ids, bad flag values, and budget refusals.
-Flag precedence is flags over config file over built-in defaults.
+Exit codes: 0 every result passed, 1 at least one comparison failed, 2 usage
+faults including unknown ids, bad flag values, budget refusals and a report that
+cannot be written. Flags override the config file, which overrides the defaults.
 """
 from __future__ import annotations
 
@@ -53,6 +53,8 @@ def _parse_params(pairs) -> dict:
         key, sep, val = pair.partition("=")
         if not sep or not key:
             raise ValueError(f"--param expects K=V, got {pair!r}")
+        if key in out:
+            raise ValueError(f"{key} given twice")
         out[key] = _parse_value(val)
     return out
 
@@ -147,6 +149,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     out_dir = out and os.path.dirname(os.path.abspath(out))
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"report directory {out_dir} does not exist")
+    if out and os.path.isdir(out):
+        raise ValueError(f"report path {out} is a directory")
     variant = getattr(args, "target", None) or getattr(args, "profile", None)
     kind = f"{args.command}-{variant}" if variant else args.command
     ids = (args.lemma_id,) if args.command == "lemma" else ()
@@ -179,16 +183,16 @@ def cli_main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report = harness.run_experiment(cfg)
+        failed = _print_report(report)
+        if cfg.out_path is not None:
+            harness.emit_report(report, cfg.out_path, cfg.fmt)
+            print(f"report written to {cfg.out_path}")
     except SizingError as e:
         print(f"sizing: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    failed = _print_report(report)
-    if cfg.out_path is not None:
-        harness.emit_report(report, cfg.out_path, cfg.fmt)
-        print(f"report written to {cfg.out_path}")
     return 1 if failed else 0
 
 

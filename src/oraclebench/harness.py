@@ -20,6 +20,7 @@ check's rounding.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import numbers
@@ -505,7 +506,7 @@ class ExperimentConfig:
     integers by `_take`, backend and tomography mode by name. A value given
     twice faults, and so does any run the config describes, a suite's too,
     whose check or toy parameters do not resolve: `_runs` lists them all here,
-    before the first run starts.
+    once, into `runs`, which `run_experiment` runs.
     """
 
     kind: str = "lemma"
@@ -554,7 +555,22 @@ class ExperimentConfig:
         twice = sorted({n for n in named if named.count(n) > 1})
         if twice:
             raise ValueError(f"{', '.join(twice)} given twice")
-        _runs(self)
+        object.__setattr__(self, "runs", _runs(self))
+
+    @functools.cached_property
+    def toy(self) -> tuple:
+        """An attack's toy candidate as lam, s, c, keys and calls: typed, and the attack sized, once."""
+        kind = self.kind.removeprefix("attack-")
+        lam = self.lam if self.lam is not None else 2
+        s = (self.s if self.s is not None else 1) if kind == "pri" else 0
+        c = self.c if self.c is not None else 0
+        # `a` stretches only the rotation attack's cutoff and is read by _run_attack;
+        # listing it here makes every other key a fault
+        stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
+        p = _take(self.extra, keys=min(2**lam, 4), calls=1 if lam + s + c >= 3 else 0, **stretch)
+        ell = self.ell if self.ell is not None else adversary.default_copies(p["keys"])
+        adversary.check_attack_size(lam, s, c, p["keys"], ell, self.backend or AttackConfig.backend)
+        return lam, s, c, p["keys"], p["calls"]
 
     def as_dict(self) -> dict:
         d = {k: _listed(v) for k, v in _field_dict(self).items()}
@@ -563,9 +579,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if d.get("sweep") is not None:
-            d["sweep"] = (d["sweep"][0], tuple(d["sweep"][1]))
+        """The config `as_dict` wrote; construction turns its lists back into tuples."""
         return cls(**d)
 
 
@@ -586,10 +600,6 @@ def result_passed(res) -> bool:
     if isinstance(res, LemmaCheckResult):
         return res.passed
     return res.hybrid_distance <= res.hybrid_bound
-
-
-def _versions() -> dict:
-    return {"schema": 1, "package": __version__, "numpy": np.__version__}
 
 
 def report_to_dict(report: Report) -> dict:
@@ -632,48 +642,26 @@ def strip_timing(report: Report) -> Report:
 # ------------------------------------------------------------------ running
 
 
-def _toy_params(kind: str, cfg: ExperimentConfig) -> tuple:
-    """lam, s, c, keys and calls of an attack's toy candidate, typed, once the attack is sized."""
-    lam = cfg.lam if cfg.lam is not None else 2
-    s = (cfg.s if cfg.s is not None else 1) if kind == "pri" else 0
-    c = cfg.c if cfg.c is not None else 0
-    # `a` stretches only the rotation attack's cutoff and is read by _run_attack;
-    # listing it here makes every other key a fault
-    stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
-    p = _take(cfg.extra, keys=min(2**lam, 4), calls=1 if lam + s + c >= 3 else 0, **stretch)
-    ell = cfg.ell if cfg.ell is not None else adversary.default_copies(p["keys"])
-    adversary.check_attack_size(lam, s, c, p["keys"], ell, cfg.backend or AttackConfig.backend)
-    return lam, s, c, p["keys"], p["calls"]
-
-
 def _toy_for(kind: str, cfg: ExperimentConfig, root: SeedPath):
-    lam, s, c, keys, calls = _toy_params(kind, cfg)
+    """An attack's toy candidate and the family its calls query, from the parameters its config resolved."""
+    lam, s, c, keys, calls = cfg.toy
     seed = root.child("cand")
     if kind == "pru":
         cand = toy_pru_candidate(lam, keys, seed, c=c, swap_calls=calls)
-        fam = SwapOracleFamily(root.child("family")) if calls else None
     elif kind == "pri":
         cand = toy_pri_candidate(lam, s, keys, seed, c=c, swap_calls=calls)
-        fam = SwapOracleFamily(root.child("family")) if calls else None
     else:
         cand = toy_hri_candidate(lam, keys, seed, c=c, rot_calls=calls)
-        fam = HriOracleFamily(root.child("family")) if calls else None
-    return cand, fam
+    family = HriOracleFamily if kind == "pri-vs-hri" else SwapOracleFamily
+    return cand, family(root.child("family")) if calls else None
 
 
 def _run_attack(kind: str, cfg: ExperimentConfig, root: SeedPath) -> AttackReport:
     cand, fam = _toy_for(kind, cfg, root)
     # only what the experiment set: the defaults live in AttackConfig
-    given = {
-        "p": cfg.p,
-        "ell_override": cfg.ell,
-        "backend": cfg.backend,
-        "tomography_mode": cfg.tomography_mode,
-        "exponent_a": cfg.extra.get("a"),
-    }
-    acfg = AttackConfig(
-        seed=root.child("attack"), **{k: v for k, v in given.items() if v is not None}
-    )
+    given = {"p": cfg.p, "ell_override": cfg.ell, "backend": cfg.backend,
+             "tomography_mode": cfg.tomography_mode, "exponent_a": cfg.extra.get("a")}
+    acfg = AttackConfig(seed=root.child("attack"), **{k: v for k, v in given.items() if v is not None})
     if kind == "pru":
         return adversary.attack_pru(cand, fam, acfg)
     if kind == "pri":
@@ -715,19 +703,18 @@ def _with_sweep_value(cfg: ExperimentConfig, param: str, value) -> ExperimentCon
     return replace(cfg, sweep=None, extra={**cfg.extra, param: value})
 
 
-def _runs(cfg: ExperimentConfig, root: SeedPath | None = None) -> list:
-    """The config's runs in order, as (function, arguments) pairs: each swept value's
-    runs in turn, a suite's checks then its attacks. Every run is resolved, typed and
-    sized as it is listed, and its function looked up then, so listing the runs
-    refuses a bad config before any of them starts."""
+def _runs(cfg: ExperimentConfig) -> list:
+    """The config's runs in order, as ("check" or "attack", arguments) pairs: each swept
+    value's runs in turn, a suite's checks then its attacks. Every run is resolved, typed and
+    sized as it is listed, so listing the runs refuses a bad config before any of them
+    starts; a swept value's or a suite attack's runs are those its own config listed."""
     if cfg.sweep is not None:
         param, values = cfg.sweep
-        return [run for value in values for run in _runs(_with_sweep_value(cfg, param, value))]
-    root = root if root is not None else SeedPath(cfg.seed)
+        return [run for value in values for run in _with_sweep_value(cfg, param, value).runs]
+    root = SeedPath(cfg.seed)
     if cfg.kind.startswith("attack-"):
-        kind = cfg.kind.removeprefix("attack-")
-        _toy_params(kind, cfg)
-        return [(_run_attack, (kind, cfg, root))]
+        cfg.toy  # resolves the toy and sizes the attack, once
+        return [("attack", (cfg.kind.removeprefix("attack-"), cfg, root))]
     if cfg.kind.startswith("suite-"):
         profile = cfg.kind.removeprefix("suite-")
         checks = [(cid, _SUITE_OVERRIDES[profile].get(cid, {})) for cid in CHECKS]
@@ -739,20 +726,23 @@ def _runs(cfg: ExperimentConfig, root: SeedPath | None = None) -> list:
     runs = []
     for cid, params in checks:
         _resolve_check(cid, params)
-        runs.append((lemma_check, (cid, params, root.child(cid))))
+        runs.append(("check", (cid, params, root.child(cid))))
     for kind, tweaks in attacks:
-        # suites pin their attack shapes; only the seed is inherited
-        runs += _runs(ExperimentConfig(kind=kind, seed=cfg.seed, **tweaks), root.child(kind))
+        # suites pin their attack shapes, inherit only the seed and run each under its seed child
+        ((_, (target, attack, _)),) = ExperimentConfig(kind=kind, seed=cfg.seed, **tweaks).runs
+        runs.append(("attack", (target, attack, root.child(kind))))
     return runs
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
-    results = [fn(*args) for fn, args in _runs(cfg)]
+    # the functions are looked up here, as the runs start, so patching them takes effect
+    call = {"check": lemma_check, "attack": _run_attack}
+    results = [call[what](*args) for what, args in cfg.runs]
     return Report(
         config=cfg,
         results=tuple(results),
-        versions=_versions(),
+        versions={"schema": 1, "package": __version__, "numpy": np.__version__},
         total_runtime_ms=int(round((time.perf_counter() - t0) * 1000)),
     )
 
@@ -766,6 +756,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp's file is its owner's alone; give it the mode open(path, "w") leaves
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

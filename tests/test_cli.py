@@ -1,5 +1,7 @@
 """Exit codes, flag precedence, and report files through the CLI."""
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -107,6 +109,7 @@ def test_non_integer_settings_exit_2_before_running(argv, filed, tmp_path, capsy
     ["lemma", "holder-product", "--lambda", "3"],
     # a value given twice
     ["lemma", "twirl-choi-rate", "--lambda", "3", "--param", "lam=4"],
+    ["lemma", "hri-trace", "--param", "n=1", "--param", "n=2"],
     ["attack", "pru", "--p", "10", "--sweep", "p=20,30"],
 ])
 def test_every_run_resolves_before_the_first_starts(argv, capsys, monkeypatch):
@@ -317,6 +320,53 @@ def test_missing_report_directory_exits_2_before_running(tmp_path, capsys, monke
     assert cli_main(["lemma", "hri-trace", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_a_directory_as_report_path_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def not_called(cfg):
+        raise AssertionError("experiment ran although its report path is a directory")
+
+    monkeypatch.setattr(harness, "run_experiment", not_called)
+    assert cli_main(["lemma", "hri-trace", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report path") and "is a directory" in err
+
+
+def test_a_report_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    # the report path turns into a directory while the experiment runs, so the
+    # final rename fails; the rows are printed, the partial file is removed
+    out = tmp_path / "r.json"
+    run = harness.run_experiment
+
+    def run_then_block(cfg):
+        report = run(cfg)
+        out.mkdir()
+        (out / "kept").write_text("")
+        return report
+
+    monkeypatch.setattr(harness, "run_experiment", run_then_block)
+    assert cli_main(["lemma", "hri-trace", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "hri-trace" in captured.out and "report written" not in captured.out
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_reports_take_the_mode_open_would_give(tmp_path, capsys):
+    # a new report and its sweep companion follow the umask; a rewritten report keeps its mode
+    path = tmp_path / "rep.json"
+    argv = ["lemma", "hri-trace", "--sweep", "n=1,2", "--out", str(path)]
+    old = os.umask(0o022)
+    try:
+        assert cli_main(argv) == 0
+        modes = [stat.S_IMODE(p.stat().st_mode) for p in (path, tmp_path / "rep.sweep.csv")]
+        path.chmod(0o600)
+        assert cli_main(argv) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert modes == [0o644, 0o644]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_config_format_without_report_path_exits_2(tmp_path, capsys, monkeypatch):

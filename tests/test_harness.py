@@ -253,6 +253,38 @@ def test_a_suite_resolves_every_run_when_it_is_built(monkeypatch):
         ExperimentConfig(kind="suite-fast")
 
 
+def test_a_suite_lists_and_sizes_its_runs_once(monkeypatch):
+    # building and running `suite fast` lists the runs of the suite and of its three
+    # pinned attacks once each, resolves each attack's toy once, and sizes each attack
+    # twice (listed, then inside adversary), the support-overlap check twice
+    listed, toys, sized = [], [], []
+    runs, toy, check_size = harness._runs, ExperimentConfig.toy.func, harness.adversary.check_attack_size
+    monkeypatch.setattr(harness, "_runs", lambda cfg: listed.append(cfg.kind) or runs(cfg))
+    monkeypatch.setattr(ExperimentConfig.toy, "func", lambda cfg: toys.append(cfg.kind) or toy(cfg))
+    monkeypatch.setattr(harness.adversary, "check_attack_size", lambda *a: sized.append(a) or check_size(*a))
+    report = run_experiment(ExperimentConfig(kind="suite-fast"))
+    attacks = [kind for kind, _ in harness._SUITE_ATTACKS["fast"]]
+    assert len(report.results) == len(CHECKS) + len(attacks)
+    assert sorted(listed) == sorted(["suite-fast", *attacks])
+    assert sorted(toys) == sorted(attacks)
+    assert len(sized) <= 8
+
+
+def test_runs_look_up_their_functions_when_they_start(monkeypatch):
+    # a config lists its runs when it is built; what they call is looked up as each one
+    # starts, so patching lemma_check or _run_attack after the build takes effect
+    cfg = ExperimentConfig(kind="suite-fast", seed=3)
+    monkeypatch.setattr(harness, "lemma_check", lambda cid, params, seed: ("check", cid, seed))
+    monkeypatch.setattr(harness, "_run_attack", lambda kind, attack, root: ("attack", attack, root))
+    results = run_experiment(cfg).results
+    root = SeedPath(3)
+    assert results[: len(CHECKS)] == tuple(("check", cid, root.child(cid)) for cid in CHECKS)
+    assert results[len(CHECKS):] == tuple(
+        ("attack", ExperimentConfig(kind=kind, seed=3, **tweaks), root.child(kind))
+        for kind, tweaks in harness._SUITE_ATTACKS["fast"]
+    )
+
+
 def test_lemma_ids_outside_a_lemma_run_are_refused():
     with pytest.raises(ValueError, match="attack-pru does not read lemma_ids"):
         ExperimentConfig(kind="attack-pru", lemma_ids=("holder-product",))
