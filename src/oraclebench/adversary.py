@@ -1,7 +1,8 @@
 """Distinguishing attacks against keyed unitary and isometry candidates.
 
 All three pipelines share one shape: tomograph the oracle blocks the
-candidate actually calls (one loop over the calls' block keys), rewrite
+candidate actually calls (one loop over its distinct calls, each block the
+dense unitary `oracles.call_block` gives the circuit pass too), rewrite
 every key's circuit into an oracle-free surrogate, form the keyed and
 surrogate Choi states over ell copies, then test challenges against the
 high singular directions of the surrogate state. Keyed unitaries and keyed
@@ -35,7 +36,7 @@ import numpy as np
 from .blockenc import compact_register
 from .haar import _check_perm_pairs, reference_overlap_matrix, sample_haar_unitary
 from .linalg import ATOL_TRACE, choi_vectors, schatten_norm
-from .oracles import Candidate, candidate_channel, rewrite_surrogate
+from .oracles import Candidate, call_block, candidate_channel, rewrite_surrogate
 from .seeds import SeedPath, as_generator
 from .tomography import (
     phase_aligned_distance,
@@ -95,12 +96,6 @@ class TomographySet:
         return max(self.errors.values(), default=0.0)
 
 
-def _called_keys(cand) -> list:
-    """Distinct block keys the candidate calls: swap keys n, then rotation keys (n, m)."""
-    keys = {step.key for circ in cand.circuits.values() for step in circ.calls}
-    return sorted(keys, key=lambda k: (isinstance(k, tuple), k))
-
-
 def tomograph_called_blocks(
     cand,
     swap=None,
@@ -114,32 +109,29 @@ def tomograph_called_blocks(
 ) -> TomographySet:
     """Run process tomography on each distinct block called at size <= d_cutoff.
 
-    Blocks go by their call key: n for the swap family, (n, m) for the
-    rotation family. Calls above the cutoff are left for deletion and cost
-    nothing here.
+    Blocks go by their call key, swap keys n before rotation keys (n, m), and
+    each gate is the call's `call_block`. Calls above the cutoff are left for
+    deletion and cost nothing here.
     """
+    calls: dict = {}
+    for circ in cand.circuits.values():
+        for step in circ.calls:
+            calls.setdefault(step.key, step)
     estimates: dict = {}
     errors: dict = {}
     queries = 0
-    for key in _called_keys(cand):
-        if isinstance(key, tuple):
-            n, m = key
-            if n > d_cutoff:
-                continue
-            if hri is None:
-                raise ValueError("candidate queries the rotation family but none was given")
-            gate = hri.oracle(n, m).mat
-            tomo_seed = seed.child("tomo-rot", n).child("m", m)
-        else:
-            if key > d_cutoff:
-                continue
-            if swap is None:
-                raise ValueError("candidate queries the swap family but none was given")
-            gate = swap.dense_oracle(key).mat
-            tomo_seed = seed.child("tomo-swap", key)
+    for key in sorted(calls, key=lambda k: (isinstance(k, tuple), k)):
+        step = calls[key]
+        if step.n > d_cutoff:
+            continue
+        gate = call_block(step, swap, hri)
         if mode == "exact":
             res = process_tomography_exact(lambda v: gate @ v, gate.shape[0])
         else:
+            if isinstance(key, tuple):
+                tomo_seed = seed.child("tomo-rot", step.n).child("m", step.m)
+            else:
+                tomo_seed = seed.child("tomo-swap", key)
             res = process_tomography_sampled(lambda v: gate @ v, gate.shape[0], eps, eta, tomo_seed)
         estimates[key] = res.estimate
         errors[key] = phase_aligned_distance(res.estimate, gate, 2)
@@ -470,7 +462,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         challenge_prob=ch_prob,
         crossings=tuple(crossings),
         seed=cfg.seed.describe(),
-        wall_ms=int((time.perf_counter() - t0) * 1000),
+        wall_ms=int(round((time.perf_counter() - t0) * 1000)),
     )
 
 

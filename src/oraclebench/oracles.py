@@ -5,7 +5,9 @@ block labeled m it exchanges |0>|0^n> with |1>|psi_{n,m}> and fixes the
 orthogonal complement, so each block is a self-adjoint involution. The
 hidden-rotation family instead flips a flag while applying a Haar unitary
 on a padded register, again an involution. Family members are sampled
-lazily from a SeedPath, so only queried indices ever get drawn.
+lazily from a SeedPath: a swap call draws every index state of the member
+S_n it queries, a rotation call only its block m. Each state has its own
+seed path, so what gets drawn never changes a drawn value.
 
 Wire conventions. A swap call occupies 2n+1 wires ordered
 [index m (n), flag (1), payload (n)]; flag is the most significant qubit of
@@ -15,11 +17,13 @@ call. Circuits list steps top to bottom, wire 0 most significant.
 
 Each call carries the key of the block it queries: n for a swap call (the
 whole member S_n), (n, m) for a rotation call; tomography and the surrogate
-rewrite both go by that key. Keyed candidates are one type, `Candidate`,
-whose stretch s = 0 makes a keyed unitary. `circuit_unitaries` runs
-circuits of one skeleton (step kinds, wires and call sizes) together, each
-step once on a (circuits, 2^w, 2^w) stack of all their basis columns, and
-checks the stack once; a single circuit is a stack of one.
+rewrite both go by that key, and `call_block` gives the block's dense
+unitary, which the circuit pass applies and tomography learns. Keyed
+candidates are one type, `Candidate`, whose stretch s = 0 makes a keyed
+unitary. `circuit_unitaries` runs circuits of one skeleton (step kinds, wires
+and call sizes) together, each step once on a (circuits, 2^w, 2^w) stack of
+all their basis columns, and checks the stack once; a single circuit is a
+stack of one.
 `candidate_channel` reads every key's Kraus operators off that stack as one
 (keys, 2^c, 2^(s+lam), 2^lam) array.
 """
@@ -140,41 +144,6 @@ def hri_unitary(t: int, n: int, u: UnitaryMatrix) -> UnitaryMatrix:
     return UnitaryMatrix(out)
 
 
-def apply_swap_call(
-    family: SwapOracleFamily,
-    vec: np.ndarray,
-    n: int,
-    wires,
-    n_qubits: int,
-) -> np.ndarray:
-    """Apply one family member to a state vector, or to each column of a
-    (2^n_qubits, ...) batch, without materializing it.
-
-    Each index block is a rank-2 correction of the identity, so the update
-    touches two slices per block; blocks the input has no weight on are
-    skipped exactly, which also keeps lazy sampling lazy.
-    """
-    wires = list(wires)
-    if len(wires) != 2 * n + 1:
-        raise ValueError(f"swap call on n={n} needs {2 * n + 1} wires, got {len(wires)}")
-    t = vec.reshape((2,) * n_qubits + vec.shape[1:])
-    t = np.moveaxis(t, wires, range(len(wires)))
-    shape = t.shape
-    # a copy even when t is already contiguous: the update below is in place
-    b = np.array(t).reshape(2**n, 2 ** (n + 1), -1)
-    for m in range(2**n):
-        if not np.any(b[m]):
-            continue
-        psi = family.state(n, m).amplitudes
-        c0 = b[m, 0, :].copy()
-        c1 = psi.conj() @ b[m, 2**n :, :]
-        b[m, 0, :] += c1 - c0
-        b[m, 2**n :, :] += np.outer(psi, c0 - c1)
-    t = b.reshape(shape)
-    t = np.moveaxis(t, range(len(wires)), wires)
-    return np.ascontiguousarray(t).reshape(vec.shape)
-
-
 # ------------------------------------------------------------------ circuits
 
 
@@ -280,31 +249,35 @@ def _skeleton(circ: OracleCircuit) -> tuple:
     return tuple((type(step), step.wires, getattr(step, "n", None)) for step in circ.steps)
 
 
+def call_block(step, swap, hri) -> np.ndarray:
+    """The dense unitary of the block a call queries: the whole member S_n for a swap call,
+    block m of the size-n rotation oracle for a rotation call."""
+    if isinstance(step, OracleCall):
+        if swap is None:
+            raise ValueError("a call queries the swap family but none was given")
+        return swap.dense_oracle(step.n).mat
+    if hri is None:
+        raise ValueError("a call queries the rotation family but none was given")
+    t = hri.t_of(step.n)
+    if len(step.wires) != 1 + t + step.n:
+        raise ValueError(f"rotation call on n={step.n} needs {1 + t + step.n} wires")
+    return hri.oracle(step.n, step.m).mat
+
+
 def _stacked_pass(circuits: list, swap, hri) -> np.ndarray:
     """One skeleton's circuits, each step applied once to a (circuits, 2^w, 2^w) stack."""
     n_q = circuits[0].total_qubits
     mat = np.repeat(np.eye(2**n_q, dtype=np.complex128)[None], len(circuits), axis=0)
-    blocks: dict = {}  # each called rotation block, built once per pass
+    blocks: dict = {}  # each called block, built once per pass
     for steps in zip(*(circ.steps for circ in circuits)):
-        step = steps[0]
-        if isinstance(step, FixedGate):
-            mat = apply_on_wires(mat, np.stack([s.matrix for s in steps]), step.wires, n_q)
-        elif isinstance(step, OracleCall):
-            if swap is None:
-                raise ValueError("circuit queries the swap family but none was given")
-            # every circuit's columns side by side, as one batch
-            cols = apply_swap_call(swap, mat.transpose(1, 0, 2), step.n, step.wires, n_q)
-            mat = cols.transpose(1, 0, 2)
+        if isinstance(steps[0], FixedGate):
+            gates = [s.matrix for s in steps]
         else:
-            if hri is None:
-                raise ValueError("circuit queries the rotation family but none was given")
-            t = hri.t_of(step.n)
-            if len(step.wires) != 1 + t + step.n:
-                raise ValueError(f"rotation call on n={step.n} needs {1 + t + step.n} wires")
             for s in steps:
                 if s.key not in blocks:
-                    blocks[s.key] = hri.oracle(s.n, s.m).mat
-            mat = apply_on_wires(mat, np.stack([blocks[s.key] for s in steps]), step.wires, n_q)
+                    blocks[s.key] = call_block(s, swap, hri)
+            gates = [blocks[s.key] for s in steps]
+        mat = apply_on_wires(mat, np.stack(gates), steps[0].wires, n_q)
     return mat
 
 
@@ -313,9 +286,10 @@ def circuit_unitaries(
 ) -> np.ndarray:
     """The matrices of circuits of one width, as a (circuits, 2^w, 2^w) stack in their order.
 
-    Circuits of one skeleton run as one stacked pass: a gate or rotation call is one batched
-    matmul on its wires, a swap call one `apply_swap_call` over every circuit's columns. The
-    whole stack is checked unitary once.
+    Circuits of one skeleton run as one stacked pass: each gate or oracle call is one batched
+    matmul on its wires, a call applying its block's dense unitary (`call_block`), built once
+    per pass. A swap call spans 2n+1 wires, so its member fits the budget the circuit's width
+    was sized by. The whole stack is checked unitary once.
     """
     circuits = list(circuits)
     n_q = circuits[0].total_qubits
@@ -388,6 +362,8 @@ class Candidate:
                 f"candidate needs lam >= 1 and s, c >= 0, got "
                 f"lam={self.lam}, s={self.stretch_s}, c={self.ancilla_c}"
             )
+        if not self.circuits:
+            raise ValueError("a candidate needs at least one key")
         width = self.lam + self.stretch_s + self.ancilla_c
         for k, circ in self.circuits.items():
             if circ.total_qubits != width:

@@ -1,12 +1,12 @@
 """Process tomography for unitary channels, exact and shot-sampled.
 
-The exact route queries the channel on the computational basis and reads the
-matrix off column by column. The sampled route prepares basis vectors and
-the two-level superpositions (e_j + e_k)/sqrt(2) and (e_j + i e_k)/sqrt(2),
-estimates every output density matrix from simulated projective shot counts,
-assembles the rank-one column-correlation matrix whose top eigenvector is
-the vectorized unitary, and projects the reshaped eigenvector back onto the
-unitary group. It queries and samples in chunks of states, computing each
+The exact route queries the channel on the computational basis, one query
+per basis vector, and reads the matrix off the outputs as its columns. The
+sampled route prepares basis vectors and the two-level superpositions
+(e_j + e_k)/sqrt(2) and (e_j + i e_k)/sqrt(2), estimates every output
+density matrix from simulated projective shot counts, assembles the
+rank-one column-correlation matrix whose top eigenvector is the vectorized
+unitary, and projects the reshaped eigenvector back onto the unitary group. It queries and samples in chunks of states, computing each
 chunk's outcome probabilities in one vectorized pass, and takes the top
 eigenvector by a certified power iteration (`subroutines.top_eigh`) rather
 than a full eigendecomposition. Both routes fix the global phase canonically.
@@ -91,13 +91,8 @@ class TomographyResult:
 
 
 def process_tomography_exact(apply_fn, dim: int) -> TomographyResult:
-    """Read the matrix off basis columns; faults unless it is an isometry."""
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        cols.append(as_complex_array(apply_fn(e)))
-    m = np.stack(cols, axis=1)
+    """Read the matrix off basis columns, one query each; faults unless it is an isometry."""
+    m = _query(apply_fn, np.eye(dim, dtype=np.complex128)).T
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
     if defect > ATOL_ISOMETRY:
         raise ValueError(f"channel output is not isometric, gram defect {defect:.3g}")

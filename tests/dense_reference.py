@@ -5,7 +5,8 @@ library computes another way: a Monte Carlo twirl, the dense block-encoding
 unitary, a keyed Choi state built densely from its factor and the
 block-encoded singular-value threshold test run on it, explicit subsystem
 permutation matrices, a circuit's unitary
-evaluated one basis column at a time, a candidate's Kraus operators sliced
+evaluated one basis column at a time with each swap call a matrix-free rank-2
+update of the index blocks it touches (`apply_swap_call`), a candidate's Kraus operators sliced
 off its Stinespring unitary and their Choi vectors built by a chain of
 `np.kron` products, the threshold polynomial built by `chebinterpolate` and
 certified on the full grid at every degree, the checks run on a thread pool
@@ -63,7 +64,6 @@ from oraclebench.oracles import (
     OracleCall,
     OracleCircuit,
     SwapOracleFamily,
-    apply_swap_call,
 )
 from oraclebench.seeds import SeedPath, as_generator
 from oraclebench import tomography
@@ -160,6 +160,41 @@ def distinguisher(
         eta = 2.0 ** (-lam)
     res = svd_discriminate(encode_density(rho), state, a, b, eta, backend=backend, seed=seed)
     return res.accept, res.accept_prob
+
+
+def apply_swap_call(
+    family: SwapOracleFamily,
+    vec: np.ndarray,
+    n: int,
+    wires,
+    n_qubits: int,
+) -> np.ndarray:
+    """Apply one family member to a state vector, or to each column of a
+    (2^n_qubits, ...) batch, without materializing it.
+
+    Each index block is a rank-2 correction of the identity, so the update
+    touches two slices per block; blocks the input has no weight on are
+    skipped exactly, which also keeps lazy sampling lazy.
+    """
+    wires = list(wires)
+    if len(wires) != 2 * n + 1:
+        raise ValueError(f"swap call on n={n} needs {2 * n + 1} wires, got {len(wires)}")
+    t = vec.reshape((2,) * n_qubits + vec.shape[1:])
+    t = np.moveaxis(t, wires, range(len(wires)))
+    shape = t.shape
+    # a copy even when t is already contiguous: the update below is in place
+    b = np.array(t).reshape(2**n, 2 ** (n + 1), -1)
+    for m in range(2**n):
+        if not np.any(b[m]):
+            continue
+        psi = family.state(n, m).amplitudes
+        c0 = b[m, 0, :].copy()
+        c1 = psi.conj() @ b[m, 2**n :, :]
+        b[m, 0, :] += c1 - c0
+        b[m, 2**n :, :] += np.outer(psi, c0 - c1)
+    t = b.reshape(shape)
+    t = np.moveaxis(t, range(len(wires)), wires)
+    return np.ascontiguousarray(t).reshape(vec.shape)
 
 
 def per_column_circuit_unitary(circ: OracleCircuit, swap=None, hri=None) -> UnitaryMatrix:

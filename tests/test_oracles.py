@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oraclebench import budget, haar, linalg as la, oracles as orc, toys
+from oraclebench import adversary, budget, haar, linalg as la, oracles as orc, toys
 from oraclebench.budget import Budget, SizingError
 from oraclebench.seeds import SeedPath
 
@@ -72,7 +72,7 @@ def test_apply_swap_call_matches_dense_member():
         total = 2 * n + 1 + extra
         vec = la.random_state_from(rng, 2**total)
         wires = list(range(1, 2 * n + 2))  # offset by one spectator wire
-        got = orc.apply_swap_call(fam, vec, n, wires, total)
+        got = ref.apply_swap_call(fam, vec, n, wires, total)
         dense = fam.dense_oracle(n).mat
         want = la.apply_on_wires(vec, dense, wires, total)
         assert np.allclose(got, want, atol=1e-11)
@@ -83,7 +83,7 @@ def test_apply_swap_call_skips_unqueried_blocks():
     n = 2
     vec = np.zeros(2 ** (2 * n + 1), dtype=complex)
     vec[3 << (n + 1)] = 1.0  # index register |11>, flag 0, payload 0
-    orc.apply_swap_call(fam, vec, n, list(range(2 * n + 1)), 2 * n + 1)
+    ref.apply_swap_call(fam, vec, n, list(range(2 * n + 1)), 2 * n + 1)
     assert list(fam._states) == [(n, 3)]
 
 
@@ -92,11 +92,11 @@ def test_apply_swap_call_is_involution():
     rng = np.random.default_rng(10)
     vec = la.random_state_from(rng, 2**3)
     kept = vec.copy()
-    once = orc.apply_swap_call(fam, vec, 1, [0, 1, 2], 3)
+    once = ref.apply_swap_call(fam, vec, 1, [0, 1, 2], 3)
     # the input is left alone, also on the leading wires where no axis moves
     assert np.array_equal(vec, kept) and not np.shares_memory(once, vec)
     assert not np.allclose(once, vec, atol=1e-6)
-    twice = orc.apply_swap_call(fam, once, 1, [0, 1, 2], 3)
+    twice = ref.apply_swap_call(fam, once, 1, [0, 1, 2], 3)
     assert np.allclose(twice, vec, atol=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_prfsg_eval_returns_family_state():
         m = (k << lam) | x
         vec = np.zeros(2**total, dtype=complex)
         vec[m << (n + 1)] = 1.0  # flag 0, payload 0^n
-        out = orc.apply_swap_call(fam, vec, n, list(range(total)), total)
+        out = ref.apply_swap_call(fam, vec, n, list(range(total)), total)
         block = out.reshape(2**n, 2, 2**n)
         assert np.allclose(block[m, 1], fam.state(n, m).amplitudes, atol=1e-12)
         assert np.isclose(np.linalg.norm(block[m, 1]), 1.0, atol=1e-12)
@@ -200,6 +200,18 @@ def test_circuit_with_rotation_call():
     bad = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1)),))
     with pytest.raises(ValueError):
         orc.circuit_unitaries([bad], hri=hfam)
+
+
+def test_a_missing_family_is_named():
+    swap_circ = orc.OracleCircuit(3, (orc.OracleCall(1, (0, 1, 2)),))
+    with pytest.raises(ValueError, match="swap family"):
+        orc.circuit_unitaries([swap_circ], hri=orc.HriOracleFamily(SEED.child("hnone")))
+    rot_circ = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1, 2)),))
+    with pytest.raises(ValueError, match="rotation family"):
+        orc.circuit_unitaries([rot_circ], swap=fresh_family("none"))
+    cand = toys.toy_pri_candidate(2, 1, 2, SEED.child("none-cand"), swap_calls=1)
+    with pytest.raises(ValueError, match="swap family"):
+        adversary.tomograph_called_blocks(cand, None, d_cutoff=4)
 
 
 def test_circuit_unitary_matches_per_column_reference():
@@ -366,6 +378,11 @@ def test_rewrite_surrogate_replaces_and_deletes():
 
 
 # ------------------------------------------------------------------ candidates
+
+
+def test_a_candidate_needs_a_key():
+    with pytest.raises(ValueError, match="at least one key"):
+        orc.Candidate(lam=1, circuits={})
 
 
 def test_toy_pru_candidate_shapes():
