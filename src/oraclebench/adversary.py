@@ -1,13 +1,13 @@
 """Distinguishing attacks against keyed unitary and isometry candidates.
 
-All three pipelines share one shape: tomograph the oracle blocks the
-candidate actually calls (one loop over its distinct calls, each block the
-dense unitary `oracles.call_block` gives the circuit pass too), rewrite
-every key's circuit into an oracle-free surrogate, form the keyed and
-surrogate Choi states over ell copies, then test challenges against the
-high singular directions of the surrogate state. Keyed unitaries and keyed
-isometries are both `oracles.Candidate` (stretch s = 0 and s > 0), and a
-surrogate family holds its rewrite as one more Candidate.
+All three pipelines share one shape: build the map of the oracle blocks the
+candidate calls (`oracles.oracle_blocks`), tomograph its small blocks, form
+the keyed Choi state over ell copies from the candidate's circuits under that
+map and the surrogate state from the same circuits under the surrogate's map
+(each learned block up to the cutoff, above it the identity, which deletes
+the call), then test challenges against the high singular directions of the
+surrogate state. Keyed unitaries and keyed isometries are both
+`oracles.Candidate` (stretch s = 0 and s > 0).
 
 The Choi states are never built densely on the attack path. Each is held as
 a factor: the Choi vectors of its ell-fold Kraus operators as the columns of
@@ -29,14 +29,15 @@ read off the stacked circuit unitaries, whose wires put the payload first.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .blockenc import compact_register
 from .haar import _check_perm_pairs, reference_overlap_matrix, sample_haar_unitary
 from .linalg import ATOL_TRACE, choi_vectors, schatten_norm
-from .oracles import Candidate, call_block, candidate_channel, rewrite_surrogate
+from .oracles import Candidate, candidate_channel, oracle_blocks
 from .seeds import SeedPath, as_generator
 from .tomography import (
     phase_aligned_distance,
@@ -63,16 +64,21 @@ class AttackConfig:
     exponent_a: float = 1.0
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("target polynomial value p must be at least 2")
-        if self.ell_override is not None and self.ell_override < 1:
-            raise ValueError(f"copies ell must be at least 1, got {self.ell_override}")
+        if not _integer(self.p) or self.p < 2:
+            raise ValueError(f"target polynomial value p must be an integer of at least 2, got {self.p!r}")
+        if self.ell_override is not None and (not _integer(self.ell_override) or self.ell_override < 1):
+            raise ValueError(f"copies ell must be an integer of at least 1, got {self.ell_override!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.tomography_mode not in TOMOGRAPHY_MODES:
             raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")
         if self.exponent_a < 1:
             raise ValueError("stretch exponent must be at least 1")
+
+
+def _integer(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_copies(n_keys: int) -> int:
@@ -96,10 +102,13 @@ class TomographySet:
         return max(self.errors.values(), default=0.0)
 
 
+def _block_size(key) -> int:
+    """The size n of the block a call key names: n itself, or the n of (n, m)."""
+    return key[0] if isinstance(key, tuple) else key
+
+
 def tomograph_called_blocks(
-    cand,
-    swap=None,
-    hri=None,
+    blocks: dict,
     *,
     d_cutoff: int,
     mode: str = "exact",
@@ -107,29 +116,23 @@ def tomograph_called_blocks(
     eta: float = 0.0,
     seed: SeedPath = SeedPath(0),
 ) -> TomographySet:
-    """Run process tomography on each distinct block called at size <= d_cutoff.
+    """Run process tomography on each block of the map of size n <= d_cutoff.
 
-    Blocks go by their call key, swap keys n before rotation keys (n, m), and
-    each gate is the call's `call_block`. Calls above the cutoff are left for
-    deletion and cost nothing here.
+    Blocks go by their call key, swap keys n before rotation keys (n, m).
+    Blocks above the cutoff are left for deletion and cost nothing here.
     """
-    calls: dict = {}
-    for circ in cand.circuits.values():
-        for step in circ.calls:
-            calls.setdefault(step.key, step)
     estimates: dict = {}
     errors: dict = {}
     queries = 0
-    for key in sorted(calls, key=lambda k: (isinstance(k, tuple), k)):
-        step = calls[key]
-        if step.n > d_cutoff:
+    for key in sorted(blocks, key=lambda k: (isinstance(k, tuple), k)):
+        if _block_size(key) > d_cutoff:
             continue
-        gate = call_block(step, swap, hri)
+        gate = blocks[key]
         if mode == "exact":
             res = process_tomography_exact(lambda v: gate @ v, gate.shape[0])
         else:
             if isinstance(key, tuple):
-                tomo_seed = seed.child("tomo-rot", step.n).child("m", step.m)
+                tomo_seed = seed.child("tomo-rot", key[0]).child("m", key[1])
             else:
                 tomo_seed = seed.child("tomo-swap", key)
             res = process_tomography_sampled(lambda v: gate @ v, gate.shape[0], eps, eta, tomo_seed)
@@ -139,34 +142,14 @@ def tomograph_called_blocks(
     return TomographySet(estimates, errors, queries)
 
 
-# ------------------------------------------------------------------ surrogates
-
-
-@dataclass(frozen=True)
-class SurrogateFamily:
-    """Oracle-free rewrite of a candidate, one circuit per key.
-
-    Each circuit keeps the candidate's fixed gates, with small oracle calls
-    replaced by their tomography estimates and large ones deleted;
-    `deleted` counts the deleted calls per key.
-    """
-
-    candidate: Candidate
-    deleted: dict
-
-    def __post_init__(self):
-        if any(circ.query_count for circ in self.candidate.circuits.values()):
-            raise ValueError("surrogate circuits must be oracle-free")
-
-    @property
-    def deleted_total(self) -> int:
-        return sum(self.deleted.values())
-
-
-def build_surrogates(cand: Candidate, tomo: TomographySet, d_cutoff: int) -> SurrogateFamily:
-    """Rewrite every key's circuit against the tomography estimates, one gate per block."""
-    circuits, deleted = rewrite_surrogate(cand.circuits, d_cutoff, tomo.estimates)
-    return SurrogateFamily(replace(cand, circuits=circuits), deleted)
+def surrogate_blocks(blocks: dict, tomo: TomographySet, d_cutoff: int) -> dict:
+    """The surrogate's block map: each block's estimate up to the cutoff, and above it the
+    identity, which deletes the call. A learned block missing at or below the cutoff is a
+    KeyError."""
+    return {
+        key: np.eye(len(block), dtype=np.complex128) if _block_size(key) > d_cutoff else tomo.estimates[key]
+        for key, block in blocks.items()
+    }
 
 
 # ------------------------------------------------------------------ Choi states
@@ -196,8 +179,8 @@ class ChoiFactor:
         return ChoiFactor(self.vecs[:, index * per : (index + 1) * per], 1)
 
 
-def keyed_choi_vectors(cand, swap=None, hri=None, *, ell: int) -> ChoiFactor:
-    """Choi vectors of the ell-fold Kraus operators of every key, as columns.
+def keyed_choi_vectors(cand, blocks: dict | None = None, *, ell: int) -> ChoiFactor:
+    """Choi vectors of the ell-fold Kraus operators of every key under `blocks`, as columns.
 
     Each key contributes 2^(c ell) operators; the keyed Choi state is the
     uniform key average of the per-key vector outer products, so the factor
@@ -205,7 +188,7 @@ def keyed_choi_vectors(cand, swap=None, hri=None, *, ell: int) -> ChoiFactor:
     """
     qubits = (2 * cand.lam + cand.stretch_s) * ell
     budget.DEFAULT_BUDGET.check_factor(qubits, len(cand.keys), "keyed state vectors", cand.ancilla_c * ell)
-    return ChoiFactor(choi_vectors(candidate_channel(cand, swap, hri), ell), len(cand.keys))
+    return ChoiFactor(choi_vectors(candidate_channel(cand, blocks), ell), len(cand.keys))
 
 
 # ------------------------------------------------------------------ support overlap
@@ -229,7 +212,7 @@ def support_overlap(cand, swap=None, hri=None, *, ell: int) -> float:
     vectors, summed over the orthonormal basis of that span that the attack
     takes of the surrogate state (`_surrogate_support`, rank cut included).
     """
-    keyed = keyed_choi_vectors(cand, swap, hri, ell=ell)
+    keyed = keyed_choi_vectors(cand, oracle_blocks(cand.circuits.values(), swap, hri), ell=ell)
     _, coeffs = _surrogate_support(keyed)
     return float(np.sum(_reference_weights(keyed.vecs, coeffs, cand.lam, cand.stretch_s, ell)))
 
@@ -354,7 +337,8 @@ def _hybrid_distance(keyed: ChoiFactor, sur: ChoiFactor) -> float:
     """
     with subroutines.serial_if_small(keyed.vecs.shape[0]):
         q, _ = np.linalg.qr(np.hstack([keyed.vecs, sur.vecs]))
-        a, b = q.conj().T @ keyed.vecs, q.conj().T @ sur.vecs
+        qh = q.conj().T
+        a, b = qh @ keyed.vecs, qh @ sur.vecs
         return schatten_norm((a @ a.conj().T) / keyed.n_keys - (b @ b.conj().T) / sur.n_keys, 1)
 
 
@@ -369,6 +353,11 @@ def check_attack_size(lam: int, s: int, c: int, keys: int, ell: int, backend: st
 
 
 def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
+    # a challenge is ("keyed", one of the candidate's keys) or ("haar",), refused before any work
+    if challenge is not None and challenge[0] not in ("keyed", "haar"):
+        raise ValueError(f"unknown challenge kind {challenge[0]!r}; known: keyed, haar")
+    if challenge is not None and challenge[0] == "keyed" and challenge[1] not in cand.keys:
+        raise ValueError(f"challenge key {challenge[1]!r} is not one of the candidate's keys {cand.keys}")
     t0 = time.perf_counter()
     with subroutines.capture() as crossings:
         lam, s, c = cand.lam, cand.stretch_s, cand.ancilla_c
@@ -380,20 +369,19 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
 
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)
         eps_claimed = 0.0 if t_queries == 0 else 1.0 / (ell * t_queries * cfg.p)
+        blocks = oracle_blocks(cand.circuits.values(), swap, hri)
         tomo = tomograph_called_blocks(
-            cand,
-            swap,
-            hri,
+            blocks,
             d_cutoff=d_cut,
             mode=cfg.tomography_mode,
             eps=eps_claimed,
             eta=eps_claimed,
             seed=cfg.seed.child("tomo"),
         )
-        sf = build_surrogates(cand, tomo, d_cut)
+        deleted = sum(step.n > d_cut for circ in cand.circuits.values() for step in circ.calls)
 
-        keyed = keyed_choi_vectors(cand, swap, hri, ell=ell)
-        sur = keyed_choi_vectors(sf.candidate, ell=ell)
+        keyed = keyed_choi_vectors(cand, blocks, ell=ell)
+        sur = keyed_choi_vectors(cand, surrogate_blocks(blocks, tomo, d_cut), ell=ell)
         values, coeffs = _surrogate_support(sur)
 
         hybrid = _hybrid_distance(keyed, sur)
@@ -423,12 +411,10 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
             ch_kind = challenge[0]
             if ch_kind == "keyed":
                 x = keyed.key(cand.keys.index(challenge[1]))
-            elif ch_kind == "haar":
+            else:
                 d_out = 2 ** (lam + s)
                 v = sample_haar_unitary(d_out, cfg.seed.child("haar-draw")).mat
                 x = ChoiFactor(choi_vectors(v[None, :, : 2**lam], ell), 1)
-            else:
-                raise ValueError(f"unknown challenge kind {ch_kind!r}")
             ch_prob = accept(_factor_weights(sur, coeffs, x))
             ch_bit = bool(as_generator(cfg.seed.child("bit-challenge")).random() < ch_prob)
 
@@ -453,7 +439,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         deletion_term=deletion,
         eps_claimed=eps_claimed,
         max_replacement_error=tomo.max_error,
-        deleted_calls=sf.deleted_total,
+        deleted_calls=deleted,
         tomography_queries=tomo.queries,
         composition_floor=floor,
         exact_probabilities=True,

@@ -16,9 +16,10 @@ ordered [flag, pad, payload], with the index m carried classically on the
 call. Circuits list steps top to bottom, wire 0 most significant.
 
 Each call carries the key of the block it queries: n for a swap call (the
-whole member S_n), (n, m) for a rotation call; tomography and the surrogate
-rewrite both go by that key, and `call_block` gives the block's dense
-unitary, which the circuit pass applies and tomography learns. Keyed
+whole member S_n), (n, m) for a rotation call. Calls are resolved through a
+block map {key: dense unitary}: `oracle_blocks` builds a family's map, one
+block per distinct key, and a surrogate is the same circuits run under a map
+of learned blocks, with the identity standing for a deleted call. Keyed
 candidates are one type, `Candidate`, whose stretch s = 0 makes a keyed
 unitary. `circuit_unitaries` runs circuits of one skeleton (step kinds, wires
 and call sizes) together, each step once on a (circuits, 2^w, 2^w) stack of
@@ -249,47 +250,49 @@ def _skeleton(circ: OracleCircuit) -> tuple:
     return tuple((type(step), step.wires, getattr(step, "n", None)) for step in circ.steps)
 
 
-def call_block(step, swap, hri) -> np.ndarray:
-    """The dense unitary of the block a call queries: the whole member S_n for a swap call,
-    block m of the size-n rotation oracle for a rotation call."""
-    if isinstance(step, OracleCall):
-        if swap is None:
-            raise ValueError("a call queries the swap family but none was given")
-        return swap.dense_oracle(step.n).mat
-    if hri is None:
-        raise ValueError("a call queries the rotation family but none was given")
-    t = hri.t_of(step.n)
-    if len(step.wires) != 1 + t + step.n:
-        raise ValueError(f"rotation call on n={step.n} needs {1 + t + step.n} wires")
-    return hri.oracle(step.n, step.m).mat
+def oracle_blocks(circuits, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None) -> dict:
+    """The block map of the families' blocks the circuits call, {call key: dense unitary},
+    one block per distinct key: the whole member S_n for a swap call, block m of the size-n
+    rotation oracle for a rotation call. A swap call spans 2n+1 wires, so its member fits
+    the budget the circuit's width was sized by."""
+    blocks: dict = {}
+    for circ in circuits:
+        for step in circ.calls:
+            if isinstance(step, OracleCall):
+                if swap is None:
+                    raise ValueError("a call queries the swap family but none was given")
+            elif hri is None:
+                raise ValueError("a call queries the rotation family but none was given")
+            elif len(step.wires) != (need := 1 + hri.t_of(step.n) + step.n):
+                raise ValueError(f"rotation call on n={step.n} needs {need} wires")
+            if step.key not in blocks:
+                block = swap.dense_oracle(step.n) if isinstance(step, OracleCall) else hri.oracle(step.n, step.m)
+                blocks[step.key] = block.mat
+    return blocks
 
 
-def _stacked_pass(circuits: list, swap, hri) -> np.ndarray:
+def _stacked_pass(circuits: list, blocks: dict) -> np.ndarray:
     """One skeleton's circuits, each step applied once to a (circuits, 2^w, 2^w) stack."""
     n_q = circuits[0].total_qubits
     mat = np.repeat(np.eye(2**n_q, dtype=np.complex128)[None], len(circuits), axis=0)
-    blocks: dict = {}  # each called block, built once per pass
     for steps in zip(*(circ.steps for circ in circuits)):
         if isinstance(steps[0], FixedGate):
             gates = [s.matrix for s in steps]
         else:
             for s in steps:
                 if s.key not in blocks:
-                    blocks[s.key] = call_block(s, swap, hri)
+                    raise ValueError(f"no block given for the oracle call with key {s.key!r}")
             gates = [blocks[s.key] for s in steps]
         mat = apply_on_wires(mat, np.stack(gates), steps[0].wires, n_q)
     return mat
 
 
-def circuit_unitaries(
-    circuits, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
-) -> np.ndarray:
+def circuit_unitaries(circuits, blocks: dict | None = None) -> np.ndarray:
     """The matrices of circuits of one width, as a (circuits, 2^w, 2^w) stack in their order.
 
     Circuits of one skeleton run as one stacked pass: each gate or oracle call is one batched
-    matmul on its wires, a call applying its block's dense unitary (`call_block`), built once
-    per pass. A swap call spans 2n+1 wires, so its member fits the budget the circuit's width
-    was sized by. The whole stack is checked unitary once.
+    matmul on its wires, a call applying the unitary `blocks` holds under its key (see
+    `oracle_blocks`). The whole stack is checked unitary once.
     """
     circuits = list(circuits)
     n_q = circuits[0].total_qubits
@@ -301,42 +304,9 @@ def circuit_unitaries(
         groups.setdefault(_skeleton(circ), []).append(i)
     out = np.empty((len(circuits), 2**n_q, 2**n_q), dtype=np.complex128)
     for idx in groups.values():
-        out[idx] = _stacked_pass([circuits[i] for i in idx], swap, hri)
+        out[idx] = _stacked_pass([circuits[i] for i in idx], blocks or {})
     check_unitary(out)
     return out
-
-
-def rewrite_surrogate(circuits: dict, d_cutoff: int, replacements: dict) -> tuple[dict, dict]:
-    """Replace small oracle calls by fixed gates and delete the large ones, in every circuit.
-
-    Calls with n <= d_cutoff become FixedGate steps built from `replacements`,
-    looked up by the call's block key (n for swap calls, (n, m) for rotation
-    calls); one gate per block key and wires serves every circuit. Calls with
-    n > d_cutoff are dropped. Returns the rewritten circuits and how many calls
-    each lost, both keyed as `circuits` is.
-    """
-    gates: dict = {}
-    rewritten, deleted = {}, {}
-    for name, circ in circuits.items():
-        steps = []
-        deleted[name] = 0
-        for step in circ.steps:
-            if isinstance(step, FixedGate):
-                steps.append(step)
-                continue
-            if step.n > d_cutoff:
-                deleted[name] += 1
-                continue
-            if step.key not in replacements:
-                raise KeyError(f"surrogate rewrite is missing a gate for call {step.key}")
-            if (step.key, step.wires) not in gates:
-                gate = replacements[step.key]
-                gates[step.key, step.wires] = FixedGate(
-                    gate.mat if isinstance(gate, UnitaryMatrix) else gate, step.wires
-                )
-            steps.append(gates[step.key, step.wires])
-        rewritten[name] = OracleCircuit(circ.total_qubits, tuple(steps))
-    return rewritten, deleted
 
 
 # ------------------------------------------------------------------ candidates
@@ -378,9 +348,7 @@ class Candidate:
         return max(c.query_count for c in self.circuits.values())
 
 
-def candidate_channel(
-    cand, swap: SwapOracleFamily | None = None, hri: HriOracleFamily | None = None
-) -> np.ndarray:
+def candidate_channel(cand, blocks: dict | None = None) -> np.ndarray:
     """Every key's Kraus operators, in key order: shape (keys, 2^c, 2^(s+lam), 2^lam).
 
     Operator j of a key is the block of its circuit unitary taking inputs with pad
@@ -393,7 +361,7 @@ def candidate_channel(
     width = cand.lam + cand.stretch_s + cand.ancilla_c
     kraus = np.empty((len(circuits), d_work, d_pad * d_in, d_in), dtype=np.complex128)
     for part in budget.DEFAULT_BUDGET.chunks(len(circuits), 4**width):
-        u = circuit_unitaries(circuits[part.start : part.stop], swap, hri)
+        u = circuit_unitaries(circuits[part.start : part.stop], blocks)
         # rows [payload, pad, work], columns [input, pad and work]
         u6 = u.reshape(len(part), d_in, d_pad, d_work, d_in, d_pad * d_work)
         kraus[part.start : part.stop] = u6[..., 0].transpose(0, 3, 2, 1, 4).reshape(

@@ -11,9 +11,10 @@ from oraclebench import blockenc, budget, cli, harness
 from oraclebench import oracles as orc
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
-from oraclebench.linalg import choi_vectors, schatten_norm
+from oraclebench.linalg import choi_vectors, random_unitary_from, schatten_norm
 from oraclebench.oracles import (
     Candidate,
+    FixedGate,
     HriOracleFamily,
     OracleCall,
     OracleCircuit,
@@ -26,6 +27,10 @@ from oraclebench.toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candi
 import dense_reference as ref
 
 SEED = SeedPath(404)
+
+
+def blocks_of(cand, swap=None, hri=None) -> dict:
+    return orc.oracle_blocks(cand.circuits.values(), swap, hri)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +69,10 @@ def test_config_validation():
         adv.AttackConfig(exponent_a=0.5)
     with pytest.raises(ValueError):
         adv.AttackConfig(backend="polynomial")
+    for bad in ({"p": 2.5}, {"p": True}, {"ell_override": 1.5}, {"ell_override": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            adv.AttackConfig(**bad)
+    assert adv.AttackConfig(p=np.int64(3), ell_override=np.int64(2)).p == 3
 
 
 def test_default_copies_is_log_key_count():
@@ -95,7 +104,7 @@ def test_keyed_choi_is_state_with_capped_rank():
 def test_keyed_choi_rank_cap_with_work_register():
     swap = SwapOracleFamily(SEED.child("swap", 3))
     cand = toy_pru_candidate(lam=2, n_keys=4, seed=SEED.child("rank-c"), c=1, swap_calls=1)
-    rho = ref.choi_density(adv.keyed_choi_vectors(cand, swap, ell=2)).mat
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, blocks_of(cand, swap), ell=2)).mat
     evals = np.linalg.eigvalsh(rho)
     assert int(np.sum(evals > 1e-10)) <= 2 ** ((1 + 1) * 2)
 
@@ -133,20 +142,21 @@ def test_keyed_choi_vectors_match_the_kron_chain():
     lam, s, c, ell = 2, 1, 1, 2
     swap = SwapOracleFamily(SEED.child("swap", 9))
     cand = toy_pri_candidate(lam, s, 3, SEED.child("kron"), c=c, swap_calls=1)
+    blocks = blocks_of(cand, swap)
     want = np.column_stack([
         ref.kron_choi_vectors(
-            ref.stinespring_kraus(circuit_unitaries([cand.circuits[k]], swap=swap)[0], lam, s, c), ell
+            ref.stinespring_kraus(circuit_unitaries([cand.circuits[k]], blocks)[0], lam, s, c), ell
         )
         for k in cand.keys
     ])
-    assert np.array_equal(adv.keyed_choi_vectors(cand, swap, ell=ell).vecs, want)
+    assert np.array_equal(adv.keyed_choi_vectors(cand, blocks, ell=ell).vecs, want)
 
 
 def test_choi_vectors_resolve_the_channel_trace():
     # trace preservation shows up as unit total weight per key
     swap = SwapOracleFamily(SEED.child("swap", 4))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("tp"), c=2, swap_calls=1)
-    factor = adv.keyed_choi_vectors(cand, swap, ell=2)
+    factor = adv.keyed_choi_vectors(cand, blocks_of(cand, swap), ell=2)
     vecs, n_keys = factor.vecs, factor.n_keys
     assert n_keys == 2
     per_key = vecs.shape[1] // n_keys
@@ -162,11 +172,12 @@ def test_choi_vectors_resolve_the_channel_trace():
 def test_exact_surrogate_reproduces_the_circuit():
     swap = SwapOracleFamily(SEED.child("swap", 5))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("sur"), c=2, swap_calls=2)
-    tomo = adv.tomograph_called_blocks(cand, swap, d_cutoff=3)
-    sf = adv.build_surrogates(cand, tomo, 3)
-    assert sf.deleted_total == 0
-    true = circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=swap)
-    rebuilt = circuit_unitaries([sf.candidate.circuits[k] for k in cand.keys])
+    blocks = blocks_of(cand, swap)
+    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=3)
+    assert tomo.estimates.keys() == blocks.keys()
+    circuits = [cand.circuits[k] for k in cand.keys]
+    true = circuit_unitaries(circuits, blocks)
+    rebuilt = circuit_unitaries(circuits, adv.surrogate_blocks(blocks, tomo, 3))
     assert np.max(np.abs(true - rebuilt)) <= 1e-10
 
 
@@ -175,36 +186,51 @@ def test_missing_tomography_faults():
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("miss"), c=2, swap_calls=1)
     empty = adv.TomographySet({}, {}, 0)
     with pytest.raises(KeyError):
-        adv.build_surrogates(cand, empty, 3)
+        adv.surrogate_blocks(blocks_of(cand, swap), empty, 3)
 
 
 def test_sampled_tomography_is_held_to_the_callers_budget(monkeypatch):
     # an n=1 swap block is an 8 x 8 gate, so its column correlation is 2^6 x 2^6
     swap = SwapOracleFamily(SEED.child("swap", 8))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("tomo-budget"), c=2, swap_calls=1)
+    blocks = blocks_of(cand, swap)
     monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=5))
     with pytest.raises(SizingError, match="sampled tomography correlation"):
-        adv.tomograph_called_blocks(cand, swap, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5)
-
-
-def test_surrogate_family_rejects_oracle_calls():
-    circ = OracleCircuit(3, (OracleCall(1, (0, 1, 2)),))
-    with pytest.raises(ValueError):
-        adv.SurrogateFamily(
-            candidate=Candidate(lam=2, ancilla_c=1, circuits={0: circ}),
-            deleted={0: 0},
-        )
+        adv.tomograph_called_blocks(blocks, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5)
 
 
 def test_deletion_below_cutoff():
-    # cutoff 0 deletes every call; the rewritten family is still a channel
+    # cutoff 0 deletes every call, learning nothing; the surrogate is still a channel
     swap = SwapOracleFamily(SEED.child("swap", 7))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("del"), c=2, swap_calls=1)
-    tomo = adv.tomograph_called_blocks(cand, swap, d_cutoff=0)
-    sf = adv.build_surrogates(cand, tomo, 0)
-    assert sf.deleted_total == 2
-    rho = ref.choi_density(adv.keyed_choi_vectors(sf.candidate, ell=2)).mat
+    blocks = blocks_of(cand, swap)
+    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=0)
+    assert tomo.estimates == {} and tomo.queries == 0
+    sur = adv.surrogate_blocks(blocks, tomo, 0)
+    assert np.array_equal(sur[1], np.eye(8))
+    rho = ref.choi_density(adv.keyed_choi_vectors(cand, sur, ell=2)).mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
+
+def test_an_attack_deletes_every_call_above_the_cutoff():
+    # two keys at lam = 7, each calling an n = 3 swap block; p = 2 puts the cutoff at 2
+    swap = SwapOracleFamily(SEED.child("swap", 10))
+    rng = np.random.default_rng(10)
+    gates = {k: [FixedGate(random_unitary_from(rng, 2**7), range(7)) for _ in range(2)] for k in (0, 1)}
+    cand = Candidate(lam=7, circuits={
+        k: OracleCircuit(7, (g[0], OracleCall(3, range(7)), g[1])) for k, g in gates.items()
+    })
+    rep = adv.attack_pru(cand, swap, adv.AttackConfig(p=2, seed=SEED.child("cfg", 10)))
+    assert rep.d_cutoff == 2 and rep.ell == 1
+    assert rep.deleted_calls == len(cand.keys)
+    assert rep.tomography_queries == 0
+    assert rep.hybrid_distance <= rep.hybrid_bound
+    # the surrogate runs each circuit with its call deleted
+    blocks = blocks_of(cand, swap)
+    sur = adv.surrogate_blocks(blocks, adv.tomograph_called_blocks(blocks, d_cutoff=2), 2)
+    bare = Candidate(lam=7, circuits={k: OracleCircuit(7, tuple(g)) for k, g in gates.items()})
+    got = adv.keyed_choi_vectors(cand, sur, ell=1).vecs
+    assert np.array_equal(got, adv.keyed_choi_vectors(bare, ell=1).vecs)
 
 
 # ---------------------------------------------------------------- support overlap
@@ -330,8 +356,10 @@ def test_challenge_modes(pru_report):
     haar = adv.attack_pru(cand, None, cfg, challenge=("haar",))
     assert haar.challenge_kind == "haar"
     assert 0.0 <= haar.challenge_prob <= 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown challenge kind 'both'"):
         adv.attack_pru(cand, None, cfg, challenge=("both",))
+    with pytest.raises(ValueError, match=r"challenge key 9 is not one of the candidate's keys \(0, 1, 2, 3\)"):
+        adv.attack_pru(cand, None, cfg, challenge=("keyed", 9))
 
 
 def test_report_serializes_to_json(pru_call_report):
@@ -420,10 +448,11 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     n = (2 * lam + s) * ell
     assert n <= 10
 
-    tomo = adv.tomograph_called_blocks(cand, swap, hri, d_cutoff=rep.d_cutoff)
-    sf = adv.build_surrogates(cand, tomo, rep.d_cutoff)
-    rho_keyed = ref.choi_density(adv.keyed_choi_vectors(cand, swap, hri, ell=ell))
-    rho_sur = ref.choi_density(adv.keyed_choi_vectors(sf.candidate, ell=ell))
+    blocks = blocks_of(cand, swap, hri)
+    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=rep.d_cutoff)
+    rho_keyed = ref.choi_density(adv.keyed_choi_vectors(cand, blocks, ell=ell))
+    sur_blocks = adv.surrogate_blocks(blocks, tomo, rep.d_cutoff)
+    rho_sur = ref.choi_density(adv.keyed_choi_vectors(cand, sur_blocks, ell=ell))
     rho_ref = haar_isometry_choi(lam, s, ell) if s else haar_choi(lam, ell)
 
     def dense(state):
@@ -453,7 +482,7 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     for r in reps:
         for name, (value, extra) in want.items():
             assert abs(getattr(r, name) - value) <= 1e-12 + extra, name
-    key_state = ref.choi_density(adv.keyed_choi_vectors(cand, swap, hri, ell=ell).key(1))
+    key_state = ref.choi_density(adv.keyed_choi_vectors(cand, blocks, ell=ell).key(1))
     assert abs(reps[0].challenge_prob - dense(key_state)) <= 1e-12 + slack
     assert abs(reps[1].challenge_prob - dense(np.outer(vec, vec.conj()))) <= 1e-12 + slack
 
@@ -530,10 +559,27 @@ def test_an_attack_makes_two_stacked_circuit_passes(kind, monkeypatch, tmp_path)
     passes = []
     stacked = orc._stacked_pass
 
-    def spy(circuits, swap, hri):
+    def spy(circuits, blocks):
         passes.append(len(circuits))
-        return stacked(circuits, swap, hri)
+        return stacked(circuits, blocks)
 
     monkeypatch.setattr(orc, "_stacked_pass", spy)
     _cli_attack(["attack", kind, "--c", "1", "--backend", "poly", "--tomo", "sampled"], tmp_path / "r.json")
     assert passes == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "kind,family,build,built",
+    [
+        ("pru", SwapOracleFamily, "dense_oracle", [(1,)]),
+        ("pri-vs-hri", HriOracleFamily, "oracle", [(1, 0), (1, 1)]),
+    ],
+)
+def test_an_attack_builds_each_called_block_once(kind, family, build, built, monkeypatch, tmp_path):
+    # one block map serves tomography and the keyed pass: the pru toy's keys all
+    # call S_1, the rotation toy's key k calls block k % 2
+    builds = []
+    real = getattr(family, build)
+    monkeypatch.setattr(family, build, lambda self, *args: builds.append(args) or real(self, *args))
+    _cli_attack(["attack", kind, "--c", "1", "--backend", "poly", "--tomo", "sampled"], tmp_path / "r.json")
+    assert sorted(builds) == built

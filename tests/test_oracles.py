@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oraclebench import adversary, budget, haar, linalg as la, oracles as orc, toys
+from oraclebench import budget, haar, linalg as la, oracles as orc, toys
 from oraclebench.budget import Budget, SizingError
 from oraclebench.seeds import SeedPath
 
@@ -185,33 +185,35 @@ def test_circuit_with_oracle_call_matches_dense_substitution():
         3, (orc.FixedGate(g, (0, 1, 2)), orc.OracleCall(1, (0, 1, 2)))
     )
     assert circ.query_count == 1
-    (u,) = orc.circuit_unitaries([circ], swap=fam)
+    (u,) = orc.circuit_unitaries([circ], orc.oracle_blocks([circ], swap=fam))
     want = fam.dense_oracle(1).mat @ g
     assert np.allclose(u, want, atol=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="key 1"):
         orc.circuit_unitaries([circ])  # family not supplied
 
 
 def test_circuit_with_rotation_call():
     hfam = orc.HriOracleFamily(SEED.child("hcirc"), stretch="n")
     circ = orc.OracleCircuit(3, (orc.HriCall(1, m=1, wires=(0, 1, 2)),))
-    (u,) = orc.circuit_unitaries([circ], hri=hfam)
+    (u,) = orc.circuit_unitaries([circ], orc.oracle_blocks([circ], hri=hfam))
     assert np.allclose(u, hfam.oracle(1, 1).mat, atol=1e-12)
+    with pytest.raises(ValueError, match=r"key \(1, 1\)"):
+        orc.circuit_unitaries([circ], {(1, 0): np.eye(8)})
     bad = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1)),))
     with pytest.raises(ValueError):
-        orc.circuit_unitaries([bad], hri=hfam)
+        orc.oracle_blocks([bad], hri=hfam)
 
 
 def test_a_missing_family_is_named():
     swap_circ = orc.OracleCircuit(3, (orc.OracleCall(1, (0, 1, 2)),))
     with pytest.raises(ValueError, match="swap family"):
-        orc.circuit_unitaries([swap_circ], hri=orc.HriOracleFamily(SEED.child("hnone")))
+        orc.oracle_blocks([swap_circ], hri=orc.HriOracleFamily(SEED.child("hnone")))
     rot_circ = orc.OracleCircuit(3, (orc.HriCall(1, m=0, wires=(0, 1, 2)),))
     with pytest.raises(ValueError, match="rotation family"):
-        orc.circuit_unitaries([rot_circ], swap=fresh_family("none"))
+        orc.oracle_blocks([rot_circ], swap=fresh_family("none"))
     cand = toys.toy_pri_candidate(2, 1, 2, SEED.child("none-cand"), swap_calls=1)
     with pytest.raises(ValueError, match="swap family"):
-        adversary.tomograph_called_blocks(cand, None, d_cutoff=4)
+        orc.oracle_blocks(cand.circuits.values())
 
 
 def test_circuit_unitary_matches_per_column_reference():
@@ -227,7 +229,8 @@ def test_circuit_unitary_matches_per_column_reference():
                 toys.toy_hri_candidate(3, 2, SEED.child("brot", c), c=c, rot_calls=2),
             )
         ):
-            stack = orc.circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=swap, hri=hfam)
+            circuits = [cand.circuits[k] for k in cand.keys]
+            stack = orc.circuit_unitaries(circuits, orc.oracle_blocks(circuits, swap, hfam))
             for k in cand.keys:
                 want = ref.per_column_circuit_unitary(cand.circuits[k], swap=swap, hri=hfam).mat
                 assert np.max(np.abs(stack[k] - want)) <= 1e-12, (c, i, k)
@@ -271,13 +274,14 @@ def test_stacked_circuits_match_per_column_reference(width):
     swap = fresh_family("mixed")
     hfam = orc.HriOracleFamily(SEED.child("hmixed"), stretch="n")
     circuits = _mixed_circuits(width, SEED.child("mixed", width))
-    stack = orc.circuit_unitaries(circuits, swap=swap, hri=hfam)
+    blocks = orc.oracle_blocks(circuits, swap, hfam)
+    stack = orc.circuit_unitaries(circuits, blocks)
     assert stack.shape == (len(circuits), 2**width, 2**width)
     for i, circ in enumerate(circuits):
         want = ref.per_column_circuit_unitary(circ, swap=swap, hri=hfam).mat
         assert np.max(np.abs(stack[i] - want)) <= 1e-15, i
         # grouping leaves each circuit's matrix as a stack of one gives it
-        assert np.array_equal(stack[i], orc.circuit_unitaries([circ], swap=swap, hri=hfam)[0])
+        assert np.array_equal(stack[i], orc.circuit_unitaries([circ], blocks)[0])
 
 
 def test_stacked_circuits_are_checked_once(monkeypatch):
@@ -285,7 +289,9 @@ def test_stacked_circuits_are_checked_once(monkeypatch):
     checks = []
     check = orc.check_unitary
     monkeypatch.setattr(orc, "check_unitary", lambda m: checks.append(m.shape) or check(m))
-    orc.circuit_unitaries(circuits, swap=fresh_family("mc"), hri=orc.HriOracleFamily(SEED.child("hmc")))
+    orc.circuit_unitaries(
+        circuits, orc.oracle_blocks(circuits, fresh_family("mc"), orc.HriOracleFamily(SEED.child("hmc")))
+    )
     assert checks == [(len(circuits), 32, 32)]
     with pytest.raises(ValueError, match="one width"):
         orc.circuit_unitaries([circuits[0], orc.OracleCircuit(4, ())])
@@ -338,45 +344,6 @@ def test_fixed_gate_checks():
         orc.FixedGate.stack(np.stack([g, 2 * g]), (0, 1))
 
 
-def test_rewrite_surrogate_shares_one_gate_per_block():
-    fam = fresh_family("share")
-    cand = toys.toy_pru_candidate(2, 3, SEED.child("share"), c=1, swap_calls=2)
-    rewritten, deleted = orc.rewrite_surrogate(cand.circuits, 1, {1: fam.dense_oracle(1)})
-    assert deleted == {0: 0, 1: 0, 2: 0}
-    calls = [step for k in cand.keys for step in rewritten[k].steps[1::2]]
-    assert len(calls) == 6 and all(step is calls[0] for step in calls)
-
-
-def test_rewrite_surrogate_replaces_and_deletes():
-    fam = fresh_family("rw")
-    rng = np.random.default_rng(13)
-    g = la.random_unitary_from(rng, 2**5)
-    circ = orc.OracleCircuit(
-        5,
-        (
-            orc.FixedGate(g, tuple(range(5))),
-            orc.OracleCall(1, (0, 1, 2)),
-            orc.OracleCall(2, (0, 1, 2, 3, 4)),
-        ),
-    )
-    repl = {1: fam.dense_oracle(1)}
-    rewritten, deleted = orc.rewrite_surrogate({"a": circ}, d_cutoff=1, replacements=repl)
-    new = rewritten["a"]
-    assert deleted == {"a": 1}
-    assert new.query_count == 0
-    assert len(new.steps) == 2
-    # with the true member substituted, evaluation matches on the retained prefix
-    pre = orc.OracleCircuit(5, circ.steps[:2])
-    pre_new = orc.OracleCircuit(5, new.steps)
-    assert np.allclose(
-        orc.circuit_unitaries([pre], swap=fam),
-        orc.circuit_unitaries([pre_new]),
-        atol=1e-10,
-    )
-    with pytest.raises(KeyError):
-        orc.rewrite_surrogate({"a": circ}, d_cutoff=2, replacements=repl)
-
-
 # ------------------------------------------------------------------ candidates
 
 
@@ -396,7 +363,7 @@ def test_toy_pri_candidate_queries_family():
     fam = fresh_family("pric")
     cand = toys.toy_pri_candidate(2, 1, 2, SEED.child("pri-cand"), swap_calls=2)
     assert cand.query_count == 2
-    kraus = orc.candidate_channel(cand, swap=fam)[1]
+    kraus = orc.candidate_channel(cand, orc.oracle_blocks(cand.circuits.values(), swap=fam))[1]
     assert kraus.shape == (1, 8, 4)
     # isometry: K^dag K = I on the input register
     assert np.allclose(kraus[0].conj().T @ kraus[0], np.eye(4), atol=1e-10)
@@ -406,14 +373,16 @@ def test_toy_hri_candidate_queries_rotation_family():
     hfam = orc.HriOracleFamily(SEED.child("hritoy"), stretch="n")
     cand = toys.toy_hri_candidate(3, 2, SEED.child("htoy"), rot_calls=1)
     assert cand.query_count == 1
-    assert orc.candidate_channel(cand, hri=hfam).shape == (2, 1, 8, 8)
+    blocks = orc.oracle_blocks(cand.circuits.values(), hri=hfam)
+    assert orc.candidate_channel(cand, blocks).shape == (2, 1, 8, 8)
 
 
 def test_candidate_kraus_completeness_and_stinespring_route():
     lam, s, c = 2, 1, 1
     fam = fresh_family("kraus")
     cand = toys.toy_pri_candidate(lam, s, 2, SEED.child("kraus-cand"), c=c, swap_calls=1)
-    kraus = orc.candidate_channel(cand, swap=fam)[0]
+    blocks = orc.oracle_blocks(cand.circuits.values(), swap=fam)
+    kraus = orc.candidate_channel(cand, blocks)[0]
     assert kraus.shape == (2, 8, 4)
     acc = sum(k.conj().T @ k for k in kraus)
     assert np.allclose(acc, np.eye(4), atol=1e-10)
@@ -424,7 +393,7 @@ def test_candidate_kraus_completeness_and_stinespring_route():
     out = sum(k @ rho @ k.conj().T for k in kraus)
     # independent route: embed with pad and work in zeros, conjugate by the
     # circuit unitary, trace out the work qubit, then move the pad first
-    u = orc.circuit_unitaries([cand.circuits[k] for k in cand.keys], swap=fam)[0]
+    u = orc.circuit_unitaries([cand.circuits[k] for k in cand.keys], blocks)[0]
     zeros = np.zeros((4, 4), dtype=complex)
     zeros[0, 0] = 1.0
     direct = (u @ np.kron(rho, zeros) @ u.conj().T).reshape(4, 2, 2, 4, 2, 2)

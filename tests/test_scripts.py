@@ -46,6 +46,8 @@ def test_attack_summary(monkeypatch, capsys, lam):
     assert [r[0] for r in rows] == ["pru", "pri", "hri"]
     # every attack stays within its hybrid bound
     assert all(float(r[5]) <= float(r[6]) for r in rows)
+    # the default toys call only n = 1 blocks, below every cutoff, so nothing is deleted
+    assert lines[0].split()[-1] == "deleted" and [r[8] for r in rows] == ["0"] * 3
     assert lines[-1].startswith("total ")
 
 
