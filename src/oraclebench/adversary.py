@@ -72,8 +72,9 @@ class AttackConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.tomography_mode not in TOMOGRAPHY_MODES:
             raise ValueError(f"unknown tomography mode {self.tomography_mode!r}")
-        if self.exponent_a < 1:
-            raise ValueError("stretch exponent must be at least 1")
+        a = self.exponent_a
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not math.isfinite(a) or a < 1:
+            raise ValueError(f"stretch exponent a must be a finite number of at least 1, got {a!r}")
 
 
 def _integer(value) -> bool:

@@ -39,17 +39,13 @@ from .linalg import (
     UnitaryMatrix,
     _as_mat,
     _freeze,
-    all_perms,
     check_unitary,
     complex_normals,
     haar_from_ginibre,
     omega_vector,
-    perm_compose,
-    perm_cycles,
-    perm_inverse,
-    perm_target_indices,
     random_state_from,
     random_unitary_from,
+    register_maps,
     register_qubits,
     sym_projector,
 )
@@ -112,15 +108,13 @@ def _check_perm_pairs(ell: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _gram_pinv(d: int, ell: int) -> np.ndarray:
-    """Pseudo-inverse of the permutation Gram matrix, entries d^(cycles of sigma^-1 pi).
-
-    Read-only, since every caller shares the cached array. Callers size it
-    with _check_perm_pairs first: the cache holds the weights, not the limit.
-    """
-    perms = all_perms(ell)
-    gram = np.array(
-        [[float(d) ** perm_cycles(perm_compose(perm_inverse(p), q)) for q in perms] for p in perms]
-    )
+    """Pseudo-inverse of the permutation Gram matrix, entries d^(cycles of sigma^-1 pi): the
+    qubit maps of pi and sigma agree on the 2^cycles basis states sigma^-1 pi fixes, compared
+    a row at a time, as one ell! x ell! x 2^ell comparison would outgrow the weights. Read-only
+    and cached; callers size it with _check_perm_pairs first: the cache holds the weights, not the limit."""
+    maps = register_maps(2, ell)
+    agree = np.array([np.count_nonzero(maps == row, axis=1) for row in maps])
+    gram = np.array([float(d) ** k for k in range(ell + 1)])[np.frexp(agree)[1] - 1]
     return _freeze(np.linalg.pinv(gram, rcond=1e-12))
 
 
@@ -136,7 +130,7 @@ def _perm_sum(mat: np.ndarray, d: int, ell: int, weights: np.ndarray) -> np.ndar
     r, rem = divmod(dim, a)
     if rem:
         raise ValueError(f"state dim {dim} is not a multiple of the twirled dim {a}")
-    targets = [perm_target_indices(p, d, ell) for p in all_perms(ell)]
+    targets = register_maps(d, ell)
     m4 = mat.reshape(a, r, a, r)
     # R^dag reindexes the rows of the A register
     data = np.array([np.einsum("aras->rs", m4[t]) for t in targets])
@@ -267,10 +261,10 @@ def reference_overlap_matrix(vecs: np.ndarray, d_in: int, d_out: int, ell: int) 
     low-dimension Gram corrections.
     """
     _check_perm_pairs(ell)
-    perms = all_perms(ell)
     w = _gram_pinv(d_out, ell)[0]
-    rows = [perm_target_indices(perm_inverse(p), d_out, ell) for p in perms]
-    cols = [perm_target_indices(perm_inverse(p), d_in, ell) for p in perms]
+    # the map of pi^-1 is the inverse of the map of pi
+    rows = np.argsort(register_maps(d_out, ell), axis=1)
+    cols = np.argsort(register_maps(d_in, ell), axis=1)
     v3 = vecs.reshape(d_out**ell, d_in**ell, -1)
     inner = np.zeros_like(v3)
     for wt, c in zip(w, cols):

@@ -409,10 +409,22 @@ def _game_size(lam: int, trials: int) -> None:
     budget.DEFAULT_BUDGET.check_factor(2 * lam, 1, "game key states", lam)
 
 
+def _matrices_size(d: int, members: int = 1, **_) -> None:
+    """Size the `members` d x d matrices a check draws in each trial as one factor."""
+    qubits = la.register_qubits(d, 1)
+    budget.DEFAULT_BUDGET.check_factor(qubits, members, "a trial's d x d matrices", qubits)
+
+
 # each check's premises, from its resolved parameters: an entry raises on a failed
 # premise or an oversized object, and may return the qubits of the largest dense
 # matrix the check builds for _resolve_check to size, all before any run starts
 _PREMISES = {
+    "gentle-measurement": _matrices_size,
+    "holder-product": _matrices_size,
+    "two-query-lipschitz": _matrices_size,
+    "conjugation-lipschitz": _matrices_size,
+    "family-lipschitz": _matrices_size,
+    "haar-concentration": _matrices_size,
     "state-moment-mc": lambda d, ell, **_: la.register_qubits(d, ell),
     "twirl-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
     "isometry-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
@@ -534,6 +546,8 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _setting(name, getattr(self, name)))
         object.__setattr__(self, "lemma_ids", tuple(self.lemma_ids))
+        if self.kind == "lemma" and not self.lemma_ids:
+            raise ValueError("a lemma run needs at least one check id")
         if self.sweep is not None:
             param, values = self.sweep
             if not values:

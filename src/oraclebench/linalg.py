@@ -6,6 +6,7 @@ once at construction and are treated as immutable afterwards.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -352,51 +353,8 @@ def transpose_identity_residual(a: np.ndarray):
     return res if batch else float(res)
 
 
-def perm_compose(p, q) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_inverse(p) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
-
-
-def perm_cycles(p) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-    return count
-
-
 def all_perms(ell: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in permutations(range(ell))]
-
-
-def perm_target_indices(pi, d: int, ell: int) -> np.ndarray:
-    """Index map y(x) of the register permutation: digit j of y is digit pi^-1(j) of x."""
-    if len(pi) != ell or sorted(pi) != list(range(ell)):
-        raise ValueError(f"pi must be a permutation of range({ell})")
-    n = d**ell
-    idx = np.arange(n)
-    digits = np.empty((ell, n), dtype=np.int64)
-    rem = idx
-    for j in range(ell - 1, -1, -1):
-        digits[j] = rem % d
-        rem = rem // d
-    pinv = perm_inverse(tuple(pi))
-    out = np.zeros(n, dtype=np.int64)
-    for j in range(ell):
-        out = out * d + digits[pinv[j]]
-    return out
 
 
 def register_qubits(d: int, ell: int) -> int:
@@ -406,14 +364,18 @@ def register_qubits(d: int, ell: int) -> int:
     return low if low > budget.DEFAULT_BUDGET.max_dense_matrix_qubits else math.ceil(math.log2(d**ell))
 
 
-def permutation_operator(pi, d: int, ell: int) -> np.ndarray:
-    """Operator permuting ell registers of dim d: |x_1 .. x_ell> -> |x_{pi^-1(1)} ..>."""
-    budget.DEFAULT_BUDGET.check_dense_matrix(register_qubits(d, ell), "permutation operator")
-    n = d**ell
-    targets = perm_target_indices(pi, d, ell)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[targets, np.arange(n)] = 1.0
-    return mat
+def register_maps(d: int, ell: int) -> np.ndarray:
+    """Index maps of the ell! permutations of ell registers of dim d, in all_perms order: row
+    pi, the index grid transposed by pi, sends x to the index of |x_{pi^-1(1)} .. x_{pi^-1(ell)}>.
+    Sized on every call and cached read-only, so the cache holds the maps, not the limit."""
+    budget.DEFAULT_BUDGET.check_factor(register_qubits(d, ell), math.factorial(ell), "register maps")
+    return _register_maps(d, ell)
+
+
+@functools.lru_cache(maxsize=None)
+def _register_maps(d: int, ell: int) -> np.ndarray:
+    grid = np.arange(d**ell).reshape((d,) * ell)
+    return _freeze(np.stack([grid.transpose(p).reshape(-1) for p in all_perms(ell)]))
 
 
 def sym_projector(d: int, ell: int) -> np.ndarray:
@@ -421,8 +383,7 @@ def sym_projector(d: int, ell: int) -> np.ndarray:
     budget.DEFAULT_BUDGET.check_dense_matrix(register_qubits(d, ell), "symmetric projector")
     n = d**ell
     out = np.zeros((n, n), dtype=np.complex128)
-    for pi in all_perms(ell):
-        out += permutation_operator(pi, d, ell)
+    np.add.at(out, (register_maps(d, ell), np.arange(n)), 1.0)
     return out / math.factorial(ell)
 
 

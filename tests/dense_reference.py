@@ -4,7 +4,9 @@ Each function here is an independent, slower way to compute something the
 library computes another way: a Monte Carlo twirl, the dense block-encoding
 unitary, a keyed Choi state built densely from its factor and the
 block-encoded singular-value threshold test run on it, explicit subsystem
-permutation matrices, a circuit's unitary
+permutation matrices, register permutations as tuples composed, inverted and
+cycle-counted one pair at a time, with their index maps by digit arithmetic,
+their dense operators and the Gram matrix from their cycle counts, a circuit's unitary
 evaluated one basis column at a time with each swap call a matrix-free rank-2
 update of the index blocks it touches (`apply_swap_call`), a candidate's Kraus operators sliced
 off its Stinespring unitary and their Choi vectors built by a chain of
@@ -22,6 +24,7 @@ report dicts by `dataclasses.asdict`'s recursive copy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -49,6 +52,7 @@ from oraclebench.linalg import (
     PureState,
     UnitaryMatrix,
     _as_mat,
+    all_perms,
     apply_on_wires,
     ginibre,
     omega_vector,
@@ -109,6 +113,67 @@ def subsystem_perm_matrix(dims: list[int], perm: list[int]) -> np.ndarray:
     mat = np.zeros((total, total), dtype=np.complex128)
     mat[new_idx, idx] = 1.0
     return mat
+
+
+def perm_compose(p, q) -> tuple[int, ...]:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def perm_inverse(p) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, pi in enumerate(p):
+        inv[pi] = i
+    return tuple(inv)
+
+
+def perm_cycles(p) -> int:
+    seen = [False] * len(p)
+    count = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+    return count
+
+
+def perm_target_indices(pi, d: int, ell: int) -> np.ndarray:
+    """Index map y(x) of the register permutation: digit j of y is digit pi^-1(j) of x."""
+    n = d**ell
+    digits = np.empty((ell, n), dtype=np.int64)
+    rem = np.arange(n)
+    for j in range(ell - 1, -1, -1):
+        digits[j] = rem % d
+        rem = rem // d
+    pinv = perm_inverse(tuple(pi))
+    out = np.zeros(n, dtype=np.int64)
+    for j in range(ell):
+        out = out * d + digits[pinv[j]]
+    return out
+
+
+def permutation_operator(pi, d: int, ell: int) -> np.ndarray:
+    """Operator permuting ell registers of dim d: |x_1 .. x_ell> -> |x_{pi^-1(1)} ..>."""
+    n = d**ell
+    mat = np.zeros((n, n), dtype=np.complex128)
+    mat[perm_target_indices(pi, d, ell), np.arange(n)] = 1.0
+    return mat
+
+
+@functools.lru_cache(maxsize=None)
+def perm_pair_cycles(ell: int) -> np.ndarray:
+    """cycles of sigma^-1 pi for every pair, composed and counted one pair at a time."""
+    perms = all_perms(ell)
+    inverses = [perm_inverse(p) for p in perms]
+    return np.array([[perm_cycles(perm_compose(inv, q)) for q in perms] for inv in inverses])
+
+
+def perm_gram(d: int, ell: int) -> np.ndarray:
+    """Gram matrix of the permutation operators, entries d^(cycles of sigma^-1 pi)."""
+    return np.array([float(d) ** k for k in range(ell + 1)])[perm_pair_cycles(ell)]
 
 
 def block_encoding_unitary(be: BlockEncoding) -> UnitaryMatrix:

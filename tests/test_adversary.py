@@ -72,6 +72,11 @@ def test_config_validation():
     for bad in ({"p": 2.5}, {"p": True}, {"ell_override": 1.5}, {"ell_override": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             adv.AttackConfig(**bad)
+    for bad in (float("nan"), float("inf"), True, "2", 0.5):
+        with pytest.raises(ValueError, match="stretch exponent a must be a finite number"):
+            adv.AttackConfig(exponent_a=bad)
+    assert adv.AttackConfig(exponent_a=np.float64(1.5)).exponent_a == 1.5
+    assert adv.AttackConfig(exponent_a=2).exponent_a == 2
     assert adv.AttackConfig(p=np.int64(3), ell_override=np.int64(2)).p == 3
 
 

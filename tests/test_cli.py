@@ -156,6 +156,17 @@ def test_premise_and_sizing_faults_exit_2(capsys, monkeypatch):
          "error: call on"),
         (["lemma", "choi-shrinkage", "--param", "n=9"], "sizing:"),
         (["lemma", "choi-shrinkage", "--sweep", "n=3,9"], "sizing:"),
+        # a 5000 x 5000 matrix is a 13-qubit one, one past the default budget
+        *[
+            (["lemma", check, *args], "sizing:")
+            for check in (
+                "gentle-measurement", "holder-product", "two-query-lipschitz",
+                "conjugation-lipschitz", "family-lipschitz", "haar-concentration",
+            )
+            for args in (["--param", "d=5000"], ["--sweep", "d=4,5000"])
+        ],
+        # 2^21 members of 4 x 4 each, twice the entries a factor may hold
+        (["lemma", "family-lipschitz", "--param", "members=2097152"], "sizing: a trial's d x d matrices"),
         (["attack", "pru", "--ell", "9"], "sizing:"),
         (["attack", "pru", "--sweep", "ell=1,9"], "sizing:"),
         (["attack", "pri", "--lambda", "3", "--backend", "poly"], "sizing: poly backend"),

@@ -49,7 +49,7 @@ def test_haar_state_mean_is_maximally_mixed():
 
 
 def test_state_moment_exact_small_cases():
-    swap = la.permutation_operator((1, 0), 2, 2)
+    swap = ref.permutation_operator((1, 0), 2, 2)
     assert np.allclose(haar.state_moment_exact(2, 2).mat, (np.eye(4) + swap) / 6)
     m = haar.state_moment_exact(2, 3)
     w = np.linalg.eigvalsh(m.mat)
@@ -171,7 +171,7 @@ def test_permutation_sums_match_dense_permutation_operators():
         a = d**ell
         rho = rand_density(rng, a * r)
         perms = la.all_perms(ell)
-        ops = [la.permutation_operator(p, d, ell) for p in perms]
+        ops = [ref.permutation_operator(p, d, ell) for p in perms]
         m4 = rho.reshape(a, r, a, r)
         data = [np.einsum("xrxs->rs", (op.conj().T @ m4.reshape(a, -1)).reshape(a, r, a, r))
                 for op in ops]
@@ -182,6 +182,18 @@ def test_permutation_sums_match_dense_permutation_operators():
         if d == 2:
             approx = sum(np.kron(op, c) for op, c in zip(ops, data)) / a
             assert np.max(np.abs(haar.twirl_permutation_approx(rho, 1, ell) - approx)) <= 1e-12
+
+
+def test_gram_and_its_pinv_equal_the_cycle_count_references(monkeypatch):
+    # the Gram matrix is caught on its way into pinv; the cache is bypassed so each is built
+    pinv, inverted = np.linalg.pinv, []
+    monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: inverted.append(a) or pinv(a, **kw))
+    for d in range(1, 7):
+        for ell in range(1, 7):
+            gram = ref.perm_gram(d, ell)
+            got = haar._gram_pinv.__wrapped__(d, ell)
+            assert np.array_equal(inverted.pop(), gram)
+            assert np.array_equal(got, pinv(gram, rcond=1e-12))
 
 
 def test_gram_pinv_is_cached_and_read_only():

@@ -127,7 +127,7 @@ def test_config_validation_and_normalization():
     assert cfg.lemma_ids == ("holder-product",)
     assert cfg.sweep == ("d", (4, 6))
     # integral floats are typed once, in the fields and in the swept values
-    cfg = ExperimentConfig(kind="lemma", lam=3.0, sweep=("seed", [1.0, 2]))
+    cfg = ExperimentConfig(kind="lemma", lemma_ids=("twirl-choi-rate",), lam=3.0, sweep=("seed", [1.0, 2]))
     assert type(cfg.lam) is int and cfg.lam == 3
     assert cfg.sweep == ("seed", (1, 2)) and all(type(v) is int for v in cfg.sweep[1])
     # the seed always holds a value, so a set seed may still be swept
@@ -176,10 +176,13 @@ def test_config_roundtrip():
 # --------------------------------------------------------------- experiments
 
 
-def test_empty_lemma_run_yields_empty_report():
-    report = run_experiment(ExperimentConfig(kind="lemma", lemma_ids=()))
-    assert report.results == ()
-    assert report.versions["schema"] == 1
+def test_a_lemma_run_with_no_check_is_refused():
+    # it would report a vacuous "0/0 passed"; a config file's dict is held to the same
+    with pytest.raises(ValueError, match="at least one check id"):
+        ExperimentConfig(kind="lemma", lemma_ids=())
+    written = ExperimentConfig(kind="lemma", lemma_ids=("holder-product",)).as_dict()
+    with pytest.raises(ValueError, match="at least one check id"):
+        ExperimentConfig.from_dict(written | {"lemma_ids": []})
 
 
 def test_lemma_run_forwards_config_fields_into_params():
@@ -188,6 +191,7 @@ def test_lemma_run_forwards_config_fields_into_params():
     (res,) = report.results
     assert res.params["lam"] == 1 and res.params["ell"] == 2
     assert res.passed
+    assert report.versions["schema"] == 1
 
 
 def test_prfsg_game_run_produces_both_rows():

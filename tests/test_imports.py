@@ -1,7 +1,8 @@
 """Every name the library and the study scripts import is used, every
 library definition has a caller outside the unit tests, the size budget
-is read where it is checked, Hermitian spectra take one route, and each
-setting and choice is declared in one place."""
+is read where it is checked, Hermitian spectra take one route, each
+setting and choice is declared in one place, and every check that reads a
+size has a premise."""
 import ast
 import dataclasses
 import importlib
@@ -162,3 +163,10 @@ def test_cli_choices_come_from_the_harness_tables():
     assert {f"suite-{p}" for p in harness._SUITE_ATTACKS} <= set(kinds)
     assert choices("lemma", "fmt") == list(harness.REPORT_FORMATS)
     assert sorted(choices("lemma", "lemma_id")) == sorted(harness.CHECKS)
+
+
+def test_every_size_parameter_has_a_premise():
+    # a check that reads a size has a premise that sizes it before any run starts
+    sizes = {"d", "n", "lam", "ell", "members"}
+    sized = [cid for cid, fn in harness.CHECKS.items() if sizes & set(fn.__kwdefaults__)]
+    assert [cid for cid in sized if cid not in harness._PREMISES] == []

@@ -357,8 +357,8 @@ def test_choi_vectors_match_the_kron_chain():
 
 
 def test_permutation_operator_basics():
-    assert np.allclose(la.permutation_operator((0, 1), 2, 2), np.eye(4))
-    swap = la.permutation_operator((1, 0), 2, 2)
+    assert np.allclose(ref.permutation_operator((0, 1), 2, 2), np.eye(4))
+    swap = ref.permutation_operator((1, 0), 2, 2)
     expected = np.zeros((4, 4))
     expected[[0, 2, 1, 3], [0, 1, 2, 3]] = 1  # |ab> -> |ba>
     assert np.allclose(swap, expected)
@@ -368,38 +368,56 @@ def test_permutation_operator_is_homomorphism():
     d, ell = 2, 3
     for p in la.all_perms(ell):
         for q in la.all_perms(ell):
-            lhs = la.permutation_operator(p, d, ell) @ la.permutation_operator(q, d, ell)
-            rhs = la.permutation_operator(la.perm_compose(p, q), d, ell)
+            lhs = ref.permutation_operator(p, d, ell) @ ref.permutation_operator(q, d, ell)
+            rhs = ref.permutation_operator(ref.perm_compose(p, q), d, ell)
             assert np.allclose(lhs, rhs)
 
 
 @given(perm=st.permutations(list(range(3))), d=st.sampled_from([2, 3]))
 @settings(deadline=None, max_examples=30)
 def test_permutation_operator_unitary_and_inverse(perm, d):
-    r = la.permutation_operator(tuple(perm), d, 3)
+    r = ref.permutation_operator(tuple(perm), d, 3)
     assert np.allclose(r @ r.conj().T, np.eye(d**3))
-    assert np.allclose(r.conj().T, la.permutation_operator(la.perm_inverse(tuple(perm)), d, 3))
+    assert np.allclose(r.conj().T, ref.permutation_operator(ref.perm_inverse(tuple(perm)), d, 3))
 
 
 def test_perm_cycles():
-    assert la.perm_cycles((0, 1, 2)) == 3
-    assert la.perm_cycles((1, 0, 2)) == 2
-    assert la.perm_cycles((1, 2, 0)) == 1
+    assert ref.perm_cycles((0, 1, 2)) == 3
+    assert ref.perm_cycles((1, 0, 2)) == 2
+    assert ref.perm_cycles((1, 2, 0)) == 1
 
 
-def test_permutation_operator_size_guard(monkeypatch):
-    with pytest.raises(SizingError):
-        la.permutation_operator(tuple(range(2)), 2**7, 2)
+def test_register_maps_equal_the_digit_maps_and_their_inverses():
+    for d, ell in ((1, 3), (2, 1), (2, 4), (3, 3), (5, 2), (2, 6)):
+        maps = la.register_maps(d, ell)
+        perms = la.all_perms(ell)
+        assert maps.dtype == np.int64 and maps.shape == (math.factorial(ell), d**ell)
+        assert np.array_equal(maps, [ref.perm_target_indices(p, d, ell) for p in perms])
+        inverse = [ref.perm_target_indices(ref.perm_inverse(p), d, ell) for p in perms]
+        assert np.array_equal(np.argsort(maps, axis=1), inverse)
+
+
+def test_register_maps_are_cached_read_only_and_sized_on_a_cache_hit(monkeypatch):
+    maps = la.register_maps(2, 3)
+    assert maps is la.register_maps(2, 3)
+    assert not maps.flags.writeable
+    # 3! = 6 rows of 8 entries outgrow a 2-qubit budget's 16 entries
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=2))
+    with pytest.raises(SizingError, match="register maps"):
+        la.register_maps(2, 3)
+
+
+def test_sym_projector_size_guard(monkeypatch):
+    with pytest.raises(SizingError, match="symmetric projector"):
+        la.sym_projector(2**7, 2)
     monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=3))
-    with pytest.raises(SizingError, match="permutation operator"):
-        la.permutation_operator((1, 0), 3, 2)
     with pytest.raises(SizingError, match="symmetric projector"):
         la.sym_projector(3, 2)
-    assert la.permutation_operator((1, 0, 2), 2, 3).shape == (8, 8)
+    assert la.sym_projector(2, 3).shape == (8, 8)
 
 
 def test_sym_projector_values():
-    swap = la.permutation_operator((1, 0), 2, 2)
+    swap = ref.permutation_operator((1, 0), 2, 2)
     assert np.allclose(la.sym_projector(2, 2), (np.eye(4) + swap) / 2)
     # trace counts the symmetric-subspace dimension
     for d, ell, want in ((2, 2, 3), (2, 3, 4), (3, 2, 6), (4, 1, 4)):
@@ -407,8 +425,14 @@ def test_sym_projector_values():
         assert np.isclose(np.trace(p).real, want)
         assert np.allclose(p @ p, p, atol=1e-10)
         for pi in la.all_perms(ell):
-            r = la.permutation_operator(pi, d, ell)
+            r = ref.permutation_operator(pi, d, ell)
             assert np.allclose(r @ p, p @ r, atol=1e-10)
+
+
+def test_sym_projector_equals_the_mean_of_the_dense_operators():
+    for d, ell in ((1, 2), (2, 1), (2, 3), (3, 3), (4, 2), (2, 5)):
+        dense = sum(ref.permutation_operator(p, d, ell) for p in la.all_perms(ell)) / math.factorial(ell)
+        assert np.array_equal(la.sym_projector(d, ell), dense)
 
 
 # ---------------------------------------------------------------- diamond distance
