@@ -40,13 +40,17 @@ def main() -> None:
     ap.add_argument("--grid", type=float, nargs="+", default=[0.25, 0.5, 1.0, 2.0, 4.0])
     args = ap.parse_args()
 
+    # every grid value's shot count before any run: no shots (eps inf, c_tom 0) is refused
+    try:
+        shots = [shot_count(args.dim, args.eps, args.eta, c) for c in args.grid]
+    except ValueError as e:
+        ap.error(str(e))
     root = SeedPath(args.seed)
     print(f"dim={args.dim} eps={args.eps} eta={args.eta} runs={args.runs}")
     print(f"{'c_tom':>7} {'shots':>9} {'within eps':>11} {'median err':>11}")
-    for c in args.grid:
+    for c, n in zip(args.grid, shots):
         rate, med = success_rate(c, args.dim, args.eps, args.eta, args.runs, root.child("c", int(c * 100)))
-        shots = shot_count(args.dim, args.eps, args.eta, c)
-        print(f"{c:>7.2f} {shots:>9d} {rate:>11.2f} {med:>11.4f}")
+        print(f"{c:>7.2f} {n:>9d} {rate:>11.2f} {med:>11.4f}")
 
 
 if __name__ == "__main__":

@@ -344,13 +344,14 @@ def _hybrid_distance(keyed: ChoiFactor, sur: ChoiFactor) -> float:
 
 
 def check_attack_size(lam: int, s: int, c: int, keys: int, ell: int, backend: str) -> None:
-    """Refuse an attack whose Choi factors, pair weights or polynomial exceed the budget."""
+    """Refuse an attack whose Choi factors, pair weights, register maps or polynomial exceed the budget."""
     qubits = (2 * lam + s) * ell
     # the threshold polynomial's degree is about 2^(qubits+2), certified at ~20k points
     if backend == "poly":
         budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "poly backend")
     budget.DEFAULT_BUDGET.check_factor(qubits, keys, "keyed state vectors", c * ell)
     _check_perm_pairs(ell)
+    budget.DEFAULT_BUDGET.check_factor((lam + s) * ell, math.factorial(ell), "register maps")
 
 
 def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:

@@ -6,10 +6,11 @@ sampled route prepares basis vectors and the two-level superpositions
 (e_j + e_k)/sqrt(2) and (e_j + i e_k)/sqrt(2), estimates every output
 density matrix from simulated projective shot counts, assembles the
 rank-one column-correlation matrix whose top eigenvector is the vectorized
-unitary, and projects the reshaped eigenvector back onto the unitary group. It queries and samples in chunks of states, computing each
-chunk's outcome probabilities in one vectorized pass, and takes the top
-eigenvector by a certified power iteration (`subroutines.top_eigh`) rather
-than a full eigendecomposition. Both routes fix the global phase canonically.
+unitary, and projects the reshaped eigenvector back onto the unitary group.
+It queries and samples in chunks of states, with one vectorized probability
+pass per chunk (a pair setting's |z|^2 taken as re^2 + im^2), and takes the
+top eigenvector by a certified power iteration (`subroutines.top_eigh`), not
+a full eigendecomposition. Both routes fix the global phase canonically.
 
 The sampled route draws, per output state, the diagonal setting and then all
 pair settings (pairs a < b row-major, real before imaginary); that order is
@@ -50,8 +51,10 @@ PADDED_MAX_DIM = 8
 
 
 def shot_count(dim: int, eps: float, eta: float, c_tom: float = C_TOM) -> int:
-    if not (eps > 0 and 0 < eta < 1):
-        raise ValueError("need eps > 0 and eta in (0, 1)")
+    for name, value, ok in [("dim", dim, dim >= 1), ("eps", eps, 0 < eps < math.inf),
+                            ("eta", eta, 0 < eta < 1), ("c_tom", c_tom, 0 < c_tom < math.inf)]:
+        if not ok:
+            raise ValueError(f"{name}={value!r}: need dim >= 1, 0 < eps < inf, 0 < eta < 1, 0 < c_tom < inf")
     return math.ceil(c_tom * dim**3 / eps**2 * math.log(dim / eta + 1.0))
 
 
@@ -134,21 +137,17 @@ def _sampled_densities(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     # probs[i, q, s, o] is |z|^2 / 2 for outcome o (+1, -1) of setting s of pair q:
     # z = pa + pb, pa - pb in the real setting and pa - i pb, pa + i pb in the
     # imaginary one. Multiplying by i only swaps and negates parts, so these
-    # real sums equal the complex ones bit for bit.
+    # real sums equal the complex ones bit for bit. |z|^2 is x*x + y*y of the
+    # parts: squares, because they need no libm call (hypot, pow) as |z| ** 2 does.
     probs = np.empty((n, a.size, 2, 3))
-    np.hypot(ar + br, ai + bi, out=probs[..., 0, 0])
-    np.hypot(ar - br, ai - bi, out=probs[..., 0, 1])
-    np.hypot(ar + bi, ai - br, out=probs[..., 1, 0])
-    np.hypot(ar - bi, ai + br, out=probs[..., 1, 1])
-    # |z|^2 / 2 as the scalar abs(z) ** 2 rounds it: hypot, then libm pow
-    # (numpy's vectorized abs and square differ from those in the last bit)
-    p = probs[..., :2]
-    np.float_power(p, 2.0, out=p)
-    p /= 2
+    parts = [(ar + br, ai + bi), (ar - br, ai - bi), (ar + bi, ai - br), (ar - bi, ai + br)]
+    for (s, o), (x, y) in zip(np.ndindex(2, 2), parts):
+        probs[..., s, o] = (x * x + y * y) / 2
     # the third outcome, 0, takes the rest; each row is renormalized by its sum
     # taken as numpy sums three terms, (p0 + p1) + p2
-    np.maximum(0.0, 1 - p[..., 0] - p[..., 1], out=probs[..., 2])
+    np.maximum(0.0, 1 - probs[..., 0] - probs[..., 1], out=probs[..., 2])
     probs /= ((probs[..., 0] + probs[..., 1]) + probs[..., 2])[..., None]
+    # np.abs (hypot) fixes these draws: a probability at 1/2 moved 1 ulp can flip numpy's binomial branch
     diags = np.abs(psi) ** 2
     diags /= np.sum(diags, axis=-1, keepdims=True)
     if d <= PADDED_MAX_DIM:

@@ -14,7 +14,8 @@ off its Stinespring unitary and their Choi vectors built by a chain of
 certified on the full grid at every degree, the checks run on a thread pool
 instead of one after another (with exp(iH) taken outside the one-thread
 BLAS guard), sampled process tomography one
-measurement setting at a time with a full `eigh`, and in chunks of at most
+measurement setting at a time with a full `eigh` (its pair probabilities rounded as
+the library rounds them, or through libm as it once did), and in chunks of at most
 2 dim states at every dim, the Monte Carlo
 checks the library runs as stacks run one trial at a time, the one-call
 closeness built from both full circuit unitaries and a dense `np.kron` of the call,
@@ -366,11 +367,22 @@ def pooled_checks(ids, params: dict, root: SeedPath) -> list:
         return [f.result() for f in futures]
 
 
-def scalar_sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
+def squared_parts(z: complex) -> float:
+    """|z|^2 as z.real * z.real + z.imag * z.imag, rounded as the library's sampler rounds it."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def libm_square(z: complex) -> float:
+    """|z|^2 as abs(z) ** 2, libm hypot then libm pow: the sampler's former rounding."""
+    return abs(z) ** 2
+
+
+def scalar_sampled_density(psi: np.ndarray, shots: int, rng, square=squared_parts) -> np.ndarray:
     """Shot-simulated state tomography of one pure output, one multinomial call per setting.
 
     Draws in the library's order: the diagonal setting, then the pairs a < b
-    row-major, real setting before imaginary.
+    row-major, real setting before imaginary. `square` takes |z|^2 of each
+    pair setting's amplitudes; the diagonal is np.abs(psi) ** 2 on both routes.
     """
     def clean(p):
         p = np.clip(p, 0.0, None)
@@ -385,8 +397,8 @@ def scalar_sampled_density(psi: np.ndarray, shots: int, rng) -> np.ndarray:
     np.fill_diagonal(est, rng.multinomial(shots, clean(np.abs(psi) ** 2)) / shots)
     for a in range(d):
         for b in range(a + 1, d):
-            x = mean(abs(psi[a] + psi[b]) ** 2 / 2, abs(psi[a] - psi[b]) ** 2 / 2)
-            y = mean(abs(psi[a] - 1j * psi[b]) ** 2 / 2, abs(psi[a] + 1j * psi[b]) ** 2 / 2)
+            x = mean(square(psi[a] + psi[b]) / 2, square(psi[a] - psi[b]) / 2)
+            y = mean(square(psi[a] - 1j * psi[b]) / 2, square(psi[a] + 1j * psi[b]) / 2)
             est[a, b] = (x - 1j * y) / 2
             est[b, a] = np.conj(est[a, b])
     return est

@@ -182,6 +182,9 @@ def test_premise_and_sizing_faults_exit_2(capsys, monkeypatch):
         (["lemma", "support-overlap", "--lambda", "1", "--ell", "8"], "permutation pair weights"),
         (["lemma", "support-overlap", "--lambda", "1", "--sweep", "ell=2,8"],
          "permutation pair weights"),
+        # small factors and pair weights, but 6! index maps of the 2^18 output registers
+        (["attack", "pri", "--lambda", "1", "--s", "2", "--ell", "6", "--param", "keys=1"],
+         "sizing: register maps"),
         # 2^9 key states of dim 2^18 in every draw
         (["prfsg-game", "--lambda", "9"], "sizing: game key states"),
         (["prfsg-game", "--trials", "5", "--sweep", "lambda=2,9"], "sizing: game key states"),

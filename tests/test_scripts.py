@@ -39,6 +39,15 @@ def test_tomography_calibration(monkeypatch, capsys):
     assert 0.0 <= float(rate) <= 1.0 and float(median) >= 0.0
 
 
+@pytest.mark.parametrize("args,says", [(["--eps", "inf"], "eps=inf"), (["--grid", "1.0", "0"], "c_tom=0.0")])
+def test_tomography_calibration_refuses_zero_shots(monkeypatch, capsys, args, says):
+    with pytest.raises(SystemExit) as exit_:
+        _run(monkeypatch, capsys, "tomography_calibration", "--runs", "2", *args)
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert says in out.err and not out.out
+
+
 @pytest.mark.parametrize("lam", ["1", "3", "4"])
 def test_attack_summary(monkeypatch, capsys, lam):
     lines = _run(monkeypatch, capsys, "attack_summary", "--lambda", lam)

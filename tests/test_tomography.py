@@ -70,6 +70,12 @@ def test_shot_count_scales():
     assert tg.shot_count(2, 0.1, 0.1) < tg.shot_count(4, 0.1, 0.1)
     with pytest.raises(ValueError):
         tg.shot_count(2, 0.0, 0.1)
+    # no shots, infinitely many, or a negative count: each refused by name
+    for args, name in [((2, np.inf, 0.1), "eps=inf"), ((2, 0.1, 0.1, 0), "c_tom=0"),
+                       ((2, 0.1, 0.1, -2), "c_tom=-2"), ((2, 0.1, 0.1, np.inf), "c_tom=inf"),
+                       ((2, np.nan, 0.1), "eps=nan"), ((0, 0.1, 0.1), "dim=0"), ((2, 0.1, 1.0), "eta=1.0")]:
+        with pytest.raises(ValueError, match=name):
+            tg.shot_count(*args)
 
 
 def test_sampled_tomography_hits_target_error():
@@ -177,18 +183,24 @@ def test_one_padded_multinomial_call_equals_the_per_row_calls(shots):
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("dim,calls", [(8, 1), (16, 2 * 16)])
-@pytest.mark.parametrize("shots", [1, 7, 10**7])
-def test_sampler_with_zero_amplitudes_matches_scalar_reference(dim, calls, shots):
-    # basis states and states with zero amplitudes give zero categories,
-    # among them a zero first one; dim 8 draws padded, dim 16 in per-state calls
+def _states_with_zero_amplitudes(dim):
+    """dim unit rows, about half their amplitudes zero, the first column all zero;
+    the first dim // 4 rows are basis states."""
     rng = SEED.child("zero-amp", dim).rng()
     psi = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     psi *= rng.random((dim, dim)) > 1 / 2
     psi[:, 0] = 0.0
     psi[: dim // 4] = np.eye(dim)[1 : dim // 4 + 1]
     psi[np.linalg.norm(psi, axis=1) == 0, -1] = 1.0
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim,calls", [(8, 1), (16, 2 * 16)])
+@pytest.mark.parametrize("shots", [1, 7, 10**7])
+def test_sampler_with_zero_amplitudes_matches_scalar_reference(dim, calls, shots):
+    # basis states and states with zero amplitudes give zero categories,
+    # among them a zero first one; dim 8 draws padded, dim 16 in per-state calls
+    psi = _states_with_zero_amplitudes(dim)
     rng_ref = SEED.child("zero-amp-shots", dim).rng()
     rng_new = _RecordingRng(SEED.child("zero-amp-shots", dim).rng())
     want = np.stack([ref.scalar_sampled_density(row, shots, rng_ref) for row in psi])
@@ -196,6 +208,48 @@ def test_sampler_with_zero_amplitudes_matches_scalar_reference(dim, calls, shots
     assert len(rng_new.calls) == calls
     assert np.array_equal(got, want)
     assert rng_new.rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("shots", [50, 10**6, 4_162_687])
+def test_squared_parts_draw_as_the_libm_route(dim, shots):
+    # the sampler takes a pair setting's |z|^2 as re^2 + im^2 where it once took
+    # libm's hypot and pow; the two round it at most 2 ulp apart, and no draw
+    # moves. 4,162,687 is the shot count of a dim-16 reconstruction at eps = eta = 0.1.
+    haar = sample_haar_unitary(dim, SEED.child("libm", dim)).mat.T
+    for psi in (haar, _states_with_zero_amplitudes(dim)):
+        rng_ref = _RecordingRng(SEED.child("libm-shots", dim).rng())
+        rng_new = _RecordingRng(SEED.child("libm-shots", dim).rng())
+        want = np.stack([ref.scalar_sampled_density(row, shots, rng_ref, ref.libm_square) for row in psi])
+        got = tg._sampled_densities(psi, shots, rng_new)
+        assert np.array_equal(got, want)
+        assert rng_new.rng.bit_generator.state == rng_ref.rng.bit_generator.state
+        # every probability handed to numpy, its padding cut off, within 4.5e-16
+        # of the libm route's, relative to the row's total mass of 1
+        assert len(rng_new.rows) == len(rng_ref.rows)
+        for new, old in zip(rng_new.rows, rng_ref.rows):
+            assert not new[: new.size - old.size].any()
+            assert np.max(np.abs(new[new.size - old.size:] - old)) <= 4.5e-16
+        # every pair setting's |z|^2, within 4.5e-16 relative
+        a, b = tg._pair_indices(dim)
+        for z in np.concatenate([psi[:, a] + psi[:, b], psi[:, a] - psi[:, b],
+                                 psi[:, a] - 1j * psi[:, b], psi[:, a] + 1j * psi[:, b]], axis=1).ravel():
+            assert abs(ref.squared_parts(z) - ref.libm_square(z)) <= 4.5e-16 * ref.libm_square(z)
+
+
+def test_a_diagonal_probability_at_one_half_draws_as_the_libm_route():
+    # an output state of `attack pru --c 1 --backend poly --tomo sampled --seed 2`:
+    # re^2 + im^2 rounds its last amplitude's |z|^2 1 ulp off hypot's, which would
+    # move its normalized second probability from 0.5 + 1 ulp to 0.5, across
+    # numpy's binomial branch, and with it the draws; the diagonal keeps hypot
+    parts = [("0x1.6a09e667f3bccp-1", "0x0p+0"), ("-0x1.9d5414c313087p-3", "0x1.33895cffaea7bp-1"),
+             ("0x1.1d39e9115f194p-3", "0x1.64157664f51f2p-58"), ("-0x1.38fbff9d82d58p-3", "-0x1.e3770e81fa723p-3")]
+    psi = np.zeros((1, 8), dtype=np.complex128)
+    psi[0, [1, 4, 6, 7]] = [complex(float.fromhex(re), float.fromhex(im)) for re, im in parts]
+    rng_ref, rng_new = SEED.child("half").rng(), SEED.child("half").rng()
+    want = ref.scalar_sampled_density(psi[0], 9_455_930, rng_ref, ref.libm_square)
+    assert np.array_equal(tg._sampled_densities(psi, 9_455_930, rng_new)[0], want)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_batched_reconstruction_matches_scalar_reference():
