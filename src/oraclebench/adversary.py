@@ -1,13 +1,14 @@
 """Distinguishing attacks against keyed unitary and isometry candidates.
 
 All three pipelines share one shape: build the map of the oracle blocks the
-candidate calls (`oracles.oracle_blocks`), tomograph its small blocks, form
-the keyed Choi state over ell copies from the candidate's circuits under that
-map and the surrogate state from the same circuits under the surrogate's map
-(each learned block up to the cutoff, above it the identity, which deletes
-the call), then test challenges against the high singular directions of the
-surrogate state. Keyed unitaries and keyed isometries are both
-`oracles.Candidate` (stretch s = 0 and s > 0).
+candidate calls (`oracles.oracle_blocks`), turn it in one pass into the
+surrogate's map (`surrogate_blocks`: each block up to the cutoff learned by
+tomography, each one above it the identity, which deletes the call), form
+the keyed Choi state over ell copies from the candidate's circuits under the
+first map and the surrogate state from the same circuits under the second,
+then test challenges against the high singular directions of the surrogate
+state. Keyed unitaries and keyed isometries are both `oracles.Candidate`
+(stretch s = 0 and s > 0).
 
 The Choi states are never built densely on the attack path. Each is held as
 a factor: the Choi vectors of its ell-fold Kraus operators as the columns of
@@ -87,28 +88,10 @@ def default_copies(n_keys: int) -> int:
     return max(1, (int(n_keys) - 1).bit_length())
 
 
-# ------------------------------------------------------------------ tomography
+# ------------------------------------------------------------------ surrogate
 
 
-@dataclass(frozen=True)
-class TomographySet:
-    """Learned stand-ins for every oracle block the candidate may call."""
-
-    estimates: dict
-    errors: dict
-    queries: int
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors.values(), default=0.0)
-
-
-def _block_size(key) -> int:
-    """The size n of the block a call key names: n itself, or the n of (n, m)."""
-    return key[0] if isinstance(key, tuple) else key
-
-
-def tomograph_called_blocks(
+def surrogate_blocks(
     blocks: dict,
     *,
     d_cutoff: int,
@@ -116,41 +99,33 @@ def tomograph_called_blocks(
     eps: float = 0.0,
     eta: float = 0.0,
     seed: SeedPath = SeedPath(0),
-) -> TomographySet:
-    """Run process tomography on each block of the map of size n <= d_cutoff.
+) -> tuple[dict, float, int]:
+    """The surrogate's block map: each block of size n <= d_cutoff learned by process
+    tomography, each larger one the identity, which deletes the call.
 
-    Blocks go by their call key, swap keys n before rotation keys (n, m).
-    Blocks above the cutoff are left for deletion and cost nothing here.
+    Blocks go by their call key, swap keys n before rotation keys (n, m); sampled mode
+    learns block n from seed's child tomo-swap/n, and block (n, m) from tomo-rot/n then
+    m/m. Returns the map, the largest phase-aligned error of a learned block, and the
+    tomography queries spent.
     """
-    estimates: dict = {}
-    errors: dict = {}
-    queries = 0
+    surrogate: dict = {}
+    error, queries = 0.0, 0
     for key in sorted(blocks, key=lambda k: (isinstance(k, tuple), k)):
-        if _block_size(key) > d_cutoff:
-            continue
         gate = blocks[key]
+        rot = isinstance(key, tuple)
+        n = key[0] if rot else key
+        if n > d_cutoff:
+            surrogate[key] = np.eye(len(gate), dtype=np.complex128)
+            continue
         if mode == "exact":
-            res = process_tomography_exact(lambda v: gate @ v, gate.shape[0])
+            res = process_tomography_exact(lambda v: gate @ v, len(gate))
         else:
-            if isinstance(key, tuple):
-                tomo_seed = seed.child("tomo-rot", key[0]).child("m", key[1])
-            else:
-                tomo_seed = seed.child("tomo-swap", key)
-            res = process_tomography_sampled(lambda v: gate @ v, gate.shape[0], eps, eta, tomo_seed)
-        estimates[key] = res.estimate
-        errors[key] = phase_aligned_distance(res.estimate, gate, 2)
+            path = seed.child("tomo-rot", n).child("m", key[1]) if rot else seed.child("tomo-swap", n)
+            res = process_tomography_sampled(lambda v: gate @ v, len(gate), eps, eta, path)
+        surrogate[key] = res.estimate
+        error = max(error, phase_aligned_distance(res.estimate, gate, 2))
         queries += res.queries
-    return TomographySet(estimates, errors, queries)
-
-
-def surrogate_blocks(blocks: dict, tomo: TomographySet, d_cutoff: int) -> dict:
-    """The surrogate's block map: each block's estimate up to the cutoff, and above it the
-    identity, which deletes the call. A learned block missing at or below the cutoff is a
-    KeyError."""
-    return {
-        key: np.eye(len(block), dtype=np.complex128) if _block_size(key) > d_cutoff else tomo.estimates[key]
-        for key, block in blocks.items()
-    }
+    return surrogate, error, queries
 
 
 # ------------------------------------------------------------------ Choi states
@@ -372,7 +347,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         d_cut = _cutoff(kind, ell, t_queries, cfg, c, s)
         eps_claimed = 0.0 if t_queries == 0 else 1.0 / (ell * t_queries * cfg.p)
         blocks = oracle_blocks(cand.circuits.values(), swap, hri)
-        tomo = tomograph_called_blocks(
+        sur_blocks, max_error, tomo_queries = surrogate_blocks(
             blocks,
             d_cutoff=d_cut,
             mode=cfg.tomography_mode,
@@ -383,7 +358,7 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         deleted = sum(step.n > d_cut for circ in cand.circuits.values() for step in circ.calls)
 
         keyed = keyed_choi_vectors(cand, blocks, ell=ell)
-        sur = keyed_choi_vectors(cand, surrogate_blocks(blocks, tomo, d_cut), ell=ell)
+        sur = keyed_choi_vectors(cand, sur_blocks, ell=ell)
         values, coeffs = _surrogate_support(sur)
 
         hybrid = _hybrid_distance(keyed, sur)
@@ -440,9 +415,9 @@ def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:
         eps_term=eps_term,
         deletion_term=deletion,
         eps_claimed=eps_claimed,
-        max_replacement_error=tomo.max_error,
+        max_replacement_error=max_error,
         deleted_calls=deleted,
-        tomography_queries=tomo.queries,
+        tomography_queries=tomo_queries,
         composition_floor=floor,
         exact_probabilities=True,
         challenge_kind=ch_kind,

@@ -103,7 +103,9 @@ def _shared_flags() -> argparse.ArgumentParser:
     g.add_argument("--tomo", dest="tomography_mode", choices=TOMOGRAPHY_MODES, default=None,
                    help="process tomography mode")
     g.add_argument("--param", dest="extra", action="append", metavar="K=V", default=None,
-                   help="extra check or attack parameter, repeatable")
+                   help="extra check or attack parameter, repeatable; attacks read keys "
+                   "(default min(2^lambda, 4)), calls (default 1 when lambda+s+c >= 3, else 0; "
+                   "a call needs 3 wires) and a (default 1, pri-vs-hri only)")
     g.add_argument("--sweep", metavar="PARAM=V1,V2,..", default=None,
                    help="rerun the experiment per value, emit an x,y companion csv")
     g.add_argument("--out", dest="out_path", metavar="OUT", default=None, help="report path")

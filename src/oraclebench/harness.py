@@ -36,7 +36,7 @@ from . import linalg as la
 from .adversary import AttackConfig, AttackReport
 from .oracles import HriOracleFamily, SwapOracleFamily
 from .seeds import SeedPath
-from .toys import toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
+from .toys import _CALL_WIRES, toy_hri_candidate, toy_pri_candidate, toy_pru_candidate
 
 # ------------------------------------------------------------------- results
 
@@ -581,7 +581,10 @@ class ExperimentConfig:
         # `a` stretches only the rotation attack's cutoff and is read by _run_attack;
         # listing it here makes every other key a fault
         stretch = {"a": 1.0} if kind == "pri-vs-hri" else {}
-        p = _take(self.extra, keys=min(2**lam, 4), calls=1 if lam + s + c >= 3 else 0, **stretch)
+        wires, need = lam + s + c, len(_CALL_WIRES)
+        p = _take(self.extra, keys=min(2**lam, 4), calls=1 if wires >= need else 0, **stretch)
+        if p["calls"] and wires < need:
+            raise ValueError(f"width {wires} cannot host an oracle call on {need} wires")
         ell = self.ell if self.ell is not None else adversary.default_copies(p["keys"])
         adversary.check_attack_size(lam, s, c, p["keys"], ell, self.backend or AttackConfig.backend)
         return lam, s, c, p["keys"], p["calls"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oraclebench import adversary as adv
-from oraclebench import blockenc, budget, cli, harness
+from oraclebench import blockenc, budget, cli, harness, tomography
 from oraclebench import oracles as orc
 from oraclebench.budget import Budget, SizingError
 from oraclebench.haar import haar_choi, haar_isometry_choi, sample_haar_unitary
@@ -15,6 +15,7 @@ from oraclebench.linalg import choi_vectors, random_unitary_from, schatten_norm
 from oraclebench.oracles import (
     Candidate,
     FixedGate,
+    HriCall,
     HriOracleFamily,
     OracleCall,
     OracleCircuit,
@@ -178,20 +179,43 @@ def test_exact_surrogate_reproduces_the_circuit():
     swap = SwapOracleFamily(SEED.child("swap", 5))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("sur"), c=2, swap_calls=2)
     blocks = blocks_of(cand, swap)
-    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=3)
-    assert tomo.estimates.keys() == blocks.keys()
+    sur, _, _ = adv.surrogate_blocks(blocks, d_cutoff=3)
+    assert sur.keys() == blocks.keys()
     circuits = [cand.circuits[k] for k in cand.keys]
     true = circuit_unitaries(circuits, blocks)
-    rebuilt = circuit_unitaries(circuits, adv.surrogate_blocks(blocks, tomo, 3))
+    rebuilt = circuit_unitaries(circuits, sur)
     assert np.max(np.abs(true - rebuilt)) <= 1e-10
 
 
-def test_missing_tomography_faults():
-    swap = SwapOracleFamily(SEED.child("swap", 6))
-    cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("miss"), c=2, swap_calls=1)
-    empty = adv.TomographySet({}, {}, 0)
-    with pytest.raises(KeyError):
-        adv.surrogate_blocks(blocks_of(cand, swap), empty, 3)
+@pytest.mark.parametrize("mode", adv.TOMOGRAPHY_MODES)
+def test_surrogate_learns_small_blocks_and_deletes_large_ones(mode):
+    # swap blocks n = 1, 2 and rotation blocks (1, 0), (1, 1), (2, 0): cutoff 1 learns three
+    swap = SwapOracleFamily(SEED.child("swap", 11))
+    hri = HriOracleFamily(SEED.child("hri", 11), stretch="n")
+    five = tuple(range(5))
+    steps = [OracleCall(2, five), HriCall(1, m=1, wires=(0, 1, 2)), OracleCall(1, (2, 3, 4)),
+             HriCall(2, m=0, wires=five), HriCall(1, m=0, wires=(4, 3, 2))]
+    blocks = orc.oracle_blocks([OracleCircuit(5, tuple(steps))], swap, hri)
+    seed = SEED.child("tomo", 11)
+    sur, error, queries = adv.surrogate_blocks(
+        blocks, d_cutoff=1, mode=mode, eps=0.5, eta=0.5, seed=seed
+    )
+    assert list(sur) == [1, 2, (1, 0), (1, 1), (2, 0)] and sur.keys() == blocks.keys()
+    for key in (2, (2, 0)):
+        assert np.array_equal(sur[key], np.eye(len(blocks[key])))
+    direct = {}
+    for key, path in [(1, seed.child("tomo-swap", 1)),
+                      ((1, 0), seed.child("tomo-rot", 1).child("m", 0)),
+                      ((1, 1), seed.child("tomo-rot", 1).child("m", 1))]:
+        gate = blocks[key]
+        if mode == "exact":
+            res = tomography.process_tomography_exact(lambda v: gate @ v, len(gate))
+        else:
+            res = tomography.process_tomography_sampled(lambda v: gate @ v, len(gate), 0.5, 0.5, path)
+        assert np.array_equal(sur[key], res.estimate), key
+        direct[key] = res
+    errors = [tomography.phase_aligned_distance(r.estimate, blocks[key], 2) for key, r in direct.items()]
+    assert error == max(errors) and queries == sum(res.queries for res in direct.values())
 
 
 def test_sampled_tomography_is_held_to_the_callers_budget(monkeypatch):
@@ -201,7 +225,7 @@ def test_sampled_tomography_is_held_to_the_callers_budget(monkeypatch):
     blocks = blocks_of(cand, swap)
     monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(max_dense_matrix_qubits=5))
     with pytest.raises(SizingError, match="sampled tomography correlation"):
-        adv.tomograph_called_blocks(blocks, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5)
+        adv.surrogate_blocks(blocks, d_cutoff=1, mode="sampled", eps=0.5, eta=0.5)
 
 
 def test_deletion_below_cutoff():
@@ -209,30 +233,35 @@ def test_deletion_below_cutoff():
     swap = SwapOracleFamily(SEED.child("swap", 7))
     cand = toy_pru_candidate(lam=1, n_keys=2, seed=SEED.child("del"), c=2, swap_calls=1)
     blocks = blocks_of(cand, swap)
-    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=0)
-    assert tomo.estimates == {} and tomo.queries == 0
-    sur = adv.surrogate_blocks(blocks, tomo, 0)
+    sur, error, queries = adv.surrogate_blocks(blocks, d_cutoff=0)
+    assert error == 0.0 and queries == 0
     assert np.array_equal(sur[1], np.eye(8))
     rho = ref.choi_density(adv.keyed_choi_vectors(cand, sur, ell=2)).mat
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
 
-def test_an_attack_deletes_every_call_above_the_cutoff():
-    # two keys at lam = 7, each calling an n = 3 swap block; p = 2 puts the cutoff at 2
+@pytest.mark.parametrize("mode", adv.TOMOGRAPHY_MODES)
+def test_an_attack_deletes_every_call_above_the_cutoff(mode):
+    # two keys at lam = 7, each calling an n = 3 swap block; p = 2 puts the cutoff at 2,
+    # so neither mode learns a block or draws a shot
     swap = SwapOracleFamily(SEED.child("swap", 10))
     rng = np.random.default_rng(10)
     gates = {k: [FixedGate(random_unitary_from(rng, 2**7), range(7)) for _ in range(2)] for k in (0, 1)}
     cand = Candidate(lam=7, circuits={
         k: OracleCircuit(7, (g[0], OracleCall(3, range(7)), g[1])) for k, g in gates.items()
     })
-    rep = adv.attack_pru(cand, swap, adv.AttackConfig(p=2, seed=SEED.child("cfg", 10)))
+    cfg = adv.AttackConfig(p=2, tomography_mode=mode, seed=SEED.child("cfg", 10))
+    rep = adv.attack_pru(cand, swap, cfg)
     assert rep.d_cutoff == 2 and rep.ell == 1
     assert rep.deleted_calls == len(cand.keys)
-    assert rep.tomography_queries == 0
+    assert rep.tomography_queries == 0 and rep.max_replacement_error == 0.0
     assert rep.hybrid_distance <= rep.hybrid_bound
     # the surrogate runs each circuit with its call deleted
     blocks = blocks_of(cand, swap)
-    sur = adv.surrogate_blocks(blocks, adv.tomograph_called_blocks(blocks, d_cutoff=2), 2)
+    sur, error, queries = adv.surrogate_blocks(
+        blocks, d_cutoff=2, mode=mode, eps=rep.eps_claimed, eta=rep.eps_claimed, seed=cfg.seed.child("tomo")
+    )
+    assert error == 0.0 and queries == 0
     bare = Candidate(lam=7, circuits={k: OracleCircuit(7, tuple(g)) for k, g in gates.items()})
     got = adv.keyed_choi_vectors(cand, sur, ell=1).vecs
     assert np.array_equal(got, adv.keyed_choi_vectors(bare, ell=1).vecs)
@@ -454,9 +483,8 @@ def test_factored_attack_matches_dense_reference(kind, c, backend):
     assert n <= 10
 
     blocks = blocks_of(cand, swap, hri)
-    tomo = adv.tomograph_called_blocks(blocks, d_cutoff=rep.d_cutoff)
     rho_keyed = ref.choi_density(adv.keyed_choi_vectors(cand, blocks, ell=ell))
-    sur_blocks = adv.surrogate_blocks(blocks, tomo, rep.d_cutoff)
+    sur_blocks, _, _ = adv.surrogate_blocks(blocks, d_cutoff=rep.d_cutoff)
     rho_sur = ref.choi_density(adv.keyed_choi_vectors(cand, sur_blocks, ell=ell))
     rho_ref = haar_isometry_choi(lam, s, ell) if s else haar_choi(lam, ell)
 

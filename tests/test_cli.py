@@ -167,6 +167,9 @@ def test_premise_and_sizing_faults_exit_2(capsys, monkeypatch):
         ],
         # 2^21 members of 4 x 4 each, twice the entries a factor may hold
         (["lemma", "family-lipschitz", "--param", "members=2097152"], "sizing: a trial's d x d matrices"),
+        # every toy call sits on three wires, more than lambda 1 holds
+        (["attack", "pru", "--lambda", "1", "--param", "calls=1"], "cannot host an oracle call"),
+        (["attack", "pru", "--param", "calls=1", "--sweep", "lambda=3,1"], "cannot host an oracle call"),
         (["attack", "pru", "--ell", "9"], "sizing:"),
         (["attack", "pru", "--sweep", "ell=1,9"], "sizing:"),
         (["attack", "pri", "--lambda", "3", "--backend", "poly"], "sizing: poly backend"),
