@@ -37,7 +37,7 @@ import numpy as np
 
 from .blockenc import compact_register
 from .haar import _check_perm_pairs, reference_overlap_matrix, sample_haar_unitary
-from .linalg import ATOL_TRACE, choi_vectors, schatten_norm
+from .linalg import ATOL_TRACE, check_register_maps, choi_vectors, schatten_norm
 from .oracles import Candidate, candidate_channel, oracle_blocks
 from .seeds import SeedPath, as_generator
 from .tomography import (
@@ -181,14 +181,14 @@ def _reference_weights(vecs: np.ndarray, coeffs: np.ndarray, lam: int, s: int, e
     return np.real(np.diag(h))
 
 
-def support_overlap(cand, swap=None, hri=None, *, ell: int) -> float:
-    """Exact weight the averaged reference puts on the keyed support.
+def support_overlap(cand, *, ell: int) -> float:
+    """Exact weight the averaged reference puts on the keyed support of a call-free candidate.
 
     Tr[Q rho2] with Q the projector onto the span of the keyed Choi
     vectors, summed over the orthonormal basis of that span that the attack
     takes of the surrogate state (`_surrogate_support`, rank cut included).
     """
-    keyed = keyed_choi_vectors(cand, oracle_blocks(cand.circuits.values(), swap, hri), ell=ell)
+    keyed = keyed_choi_vectors(cand, oracle_blocks(cand.circuits.values()), ell=ell)
     _, coeffs = _surrogate_support(keyed)
     return float(np.sum(_reference_weights(keyed.vecs, coeffs, cand.lam, cand.stretch_s, ell)))
 
@@ -326,7 +326,7 @@ def check_attack_size(lam: int, s: int, c: int, keys: int, ell: int, backend: st
         budget.DEFAULT_BUDGET.check_dense_matrix(qubits, "poly backend")
     budget.DEFAULT_BUDGET.check_factor(qubits, keys, "keyed state vectors", c * ell)
     _check_perm_pairs(ell)
-    budget.DEFAULT_BUDGET.check_factor((lam + s) * ell, math.factorial(ell), "register maps")
+    check_register_maps(2 ** (lam + s), ell)
 
 
 def _run_attack(kind, cand, swap, hri, cfg, challenge) -> AttackReport:

@@ -409,6 +409,12 @@ def _game_size(lam: int, trials: int) -> None:
     budget.DEFAULT_BUDGET.check_factor(2 * lam, 1, "game key states", lam)
 
 
+def _state_moment_size(d: int, ell: int, **_) -> None:
+    """Size the d^ell x d^ell moments, then the ell! register maps the exact one is built from."""
+    budget.DEFAULT_BUDGET.check_dense_matrix(la.register_qubits(d, ell), "state-moment-mc")
+    la.check_register_maps(d, ell)
+
+
 def _matrices_size(d: int, members: int = 1, **_) -> None:
     """Size the `members` d x d matrices a check draws in each trial as one factor."""
     qubits = la.register_qubits(d, 1)
@@ -425,7 +431,7 @@ _PREMISES = {
     "conjugation-lipschitz": _matrices_size,
     "family-lipschitz": _matrices_size,
     "haar-concentration": _matrices_size,
-    "state-moment-mc": lambda d, ell, **_: la.register_qubits(d, ell),
+    "state-moment-mc": _state_moment_size,
     "twirl-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
     "isometry-choi-rate": lambda ell, **_: haar._check_moment_ell(ell),
     "permutation-twirl-rate": _permutation_twirl_size,

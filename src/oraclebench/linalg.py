@@ -132,14 +132,13 @@ def _check_positive(m: np.ndarray) -> None:
                 raise ValueError(f"density matrix has an eigenvalue below {EIG_FLOOR}") from None
 
 
-def check_density(m: np.ndarray) -> np.ndarray:
+def check_density(m: np.ndarray) -> None:
     """Raise unless every matrix of a (..., d, d) stack is a density matrix within tolerance.
 
     Each must be Hermitian within ATOL_HERMITIAN, of trace 1 within ATOL_TRACE
-    and of eigenvalues at least EIG_FLOOR. Returns the stack with every
-    spectrum that dips below 0 clipped to 0, in a copy. Above
-    _EIG_VALIDATE_MAX_DIM dims every eigenvalue is still checked, by
-    `_check_positive`, but nothing is clipped.
+    and of eigenvalues at least EIG_FLOOR: up to _EIG_VALIDATE_MAX_DIM dims by
+    `hermitian_eigvalsh`, above by `_check_positive`. The stack is only read,
+    never modified or copied.
     """
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0) > ATOL_HERMITIAN:
         raise ValueError("density matrix is not Hermitian within 1e-9")
@@ -151,17 +150,8 @@ def check_density(m: np.ndarray) -> np.ndarray:
     if d > _EIG_VALIDATE_MAX_DIM:
         for mat in m.reshape(-1, d, d):
             _check_positive(mat)
-        return m
-    low = hermitian_eigvalsh(m)[..., 0].reshape(-1)
-    if np.min(low, initial=0.0) < EIG_FLOOR:
-        raise ValueError(f"density matrix has eigenvalue {np.min(low)} below {EIG_FLOOR}")
-    neg = low < 0.0
-    if np.any(neg):
-        m = m.copy()
-        flat = m.reshape(-1, d, d)
-        w, v = np.linalg.eigh(flat[neg])
-        flat[neg] = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return m
+    elif (low := np.min(hermitian_eigvalsh(m)[..., 0], initial=0.0)) < EIG_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {low} below {EIG_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +193,8 @@ class UnitaryMatrix:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian within 1e-9, unit trace within 1e-8, PSD with eigenvalues >= -1e-9, checked
-    at construction by `check_density`. Up to 1024 dims eigenvalues in [-1e-9, 0) are clipped
-    to 0; above, every eigenvalue is checked block by block, and none is clipped."""
+    at construction by `check_density`. `mat` is a read-only copy of the input, unmodified:
+    an eigenvalue in [-1e-9, 0) is kept."""
 
     mat: np.ndarray
 
@@ -212,7 +202,8 @@ class DensityMatrix:
         m = as_complex_array(self.mat, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "mat", _freeze(check_density(m)))
+        check_density(m)
+        object.__setattr__(self, "mat", _freeze(m))
 
     @property
     def dim(self) -> int:
@@ -264,21 +255,16 @@ def apply_on_wires(vec: np.ndarray, gate: np.ndarray, wires, n_qubits: int) -> n
 
 
 def schatten_norm(mat, p):
-    """Schatten p-norm of a matrix, a float, or of each matrix of a (..., m, n) stack, an array."""
+    """Schatten p-norm, p in (1, 2, inf), of a matrix, a float, or of each matrix of a
+    (..., m, n) stack, an array."""
+    if p not in (1, 2, np.inf):
+        raise ValueError(f"schatten norm takes p in (1, 2, inf), got {p!r}")
     m = _as_mat(mat)
     if p == 2:
         out = np.linalg.norm(m, axis=(-2, -1))
     else:
         s = np.linalg.svd(m, compute_uv=False)
-        if p == 1:
-            out = np.sum(s, axis=-1)
-        elif p in (np.inf, "inf"):
-            out = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-        else:
-            p = float(p)
-            if p < 1:
-                raise ValueError("schatten norm needs p >= 1")
-            out = np.sum(s**p, axis=-1) ** (1.0 / p)
+        out = np.sum(s, axis=-1) if p == 1 else np.max(s, axis=-1, initial=0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -364,11 +350,16 @@ def register_qubits(d: int, ell: int) -> int:
     return low if low > budget.DEFAULT_BUDGET.max_dense_matrix_qubits else math.ceil(math.log2(d**ell))
 
 
+def check_register_maps(d: int, ell: int) -> None:
+    """Raise unless the ell! x d^ell table of `register_maps` fits the budget as a factor."""
+    budget.DEFAULT_BUDGET.check_factor(register_qubits(d, ell), math.factorial(ell), "register maps")
+
+
 def register_maps(d: int, ell: int) -> np.ndarray:
     """Index maps of the ell! permutations of ell registers of dim d, in all_perms order: row
     pi, the index grid transposed by pi, sends x to the index of |x_{pi^-1(1)} .. x_{pi^-1(ell)}>.
     Sized on every call and cached read-only, so the cache holds the maps, not the limit."""
-    budget.DEFAULT_BUDGET.check_factor(register_qubits(d, ell), math.factorial(ell), "register maps")
+    check_register_maps(d, ell)
     return _register_maps(d, ell)
 
 
@@ -401,10 +392,7 @@ def diamond_distance_unitary(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     gaps = np.diff(ang)
     wrap = 2 * np.pi - (ang[-1] - ang[0])
     gap = max(float(np.max(gaps)) if gaps.size else 0.0, float(wrap))
-    if gap <= np.pi:
-        nu = 0.0
-    else:
-        nu = -math.cos(gap / 2)
+    nu = 0.0 if gap <= np.pi else -math.cos(gap / 2)
     return 2.0 * math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
@@ -412,7 +400,7 @@ def gentle_residual(measure_op, rho):
     """Post-measurement state sqrt(M) rho sqrt(M) / Tr[M rho] and its trace distance to rho.
 
     Takes one pair of d x d matrices or two (..., d, d) stacks, pair by pair.
-    Every residual is validated and clipped as a DensityMatrix is.
+    Every residual is checked as a DensityMatrix is and returned as computed.
     """
     m = _as_mat(measure_op)
     r = _as_mat(rho)
@@ -423,7 +411,8 @@ def gentle_residual(measure_op, rho):
     if np.any(w[..., 0] < -1e-8) or np.any(w[..., -1] > 1 + 1e-8):
         raise ValueError("measurement operator must satisfy 0 <= M <= I")
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    res = check_density(as_complex_array(root @ r @ root / p[..., None, None], "density matrix"))
+    res = _finite(root @ r @ root / p[..., None, None], "density matrix")
+    check_density(res)
     return res, trace_distance(res, r)
 
 

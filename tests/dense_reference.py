@@ -708,16 +708,12 @@ def trace_distance_dense(a, b) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
 
 
-def check_density_dense(m: np.ndarray) -> np.ndarray:
-    """`linalg.check_density` on one matrix of at most 1024 dims, from one dense `eigvalsh`
-    of the whole matrix: raise below EIG_FLOOR, clip a spectrum that dips below 0."""
+def check_density_dense(m: np.ndarray) -> None:
+    """`linalg.check_density`'s eigenvalue test on one matrix of at most 1024 dims, from one
+    dense `eigvalsh` of the whole matrix: raise below EIG_FLOOR, otherwise only read m."""
     w = np.linalg.eigvalsh(m)
     if w[0] < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {w[0]} below {EIG_FLOOR}")
-    if w[0] >= 0.0:
-        return m
-    w, v = np.linalg.eigh(m)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def transpose_identity_residual_kron(a: np.ndarray) -> float:

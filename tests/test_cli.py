@@ -188,6 +188,9 @@ def test_premise_and_sizing_faults_exit_2(capsys, monkeypatch):
         # small factors and pair weights, but 6! index maps of the 2^18 output registers
         (["attack", "pri", "--lambda", "1", "--s", "2", "--ell", "6", "--param", "keys=1"],
          "sizing: register maps"),
+        # a 2^10-dim moment fits, but its exact value is built from 10! index maps
+        (["lemma", "state-moment-mc", "--param", "d=2", "--ell", "10"], "sizing: register maps"),
+        (["lemma", "state-moment-mc", "--param", "d=2", "--sweep", "ell=2,10"], "sizing: register maps"),
         # 2^9 key states of dim 2^18 in every draw
         (["prfsg-game", "--lambda", "9"], "sizing: game key states"),
         (["prfsg-game", "--trials", "5", "--sweep", "lambda=2,9"], "sizing: game key states"),

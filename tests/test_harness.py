@@ -1,6 +1,7 @@
 """Checks, experiment configs, reports, and their serialization."""
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import threading
@@ -8,8 +9,8 @@ import threading
 import pytest
 
 from dense_reference import asdict_report_dict, expi_unguarded, pooled_checks
-from oraclebench import cli, harness, subroutines
-from oraclebench.budget import SizingError
+from oraclebench import budget, cli, harness, subroutines
+from oraclebench.budget import Budget, SizingError
 from oraclebench.harness import (
     CHECKS,
     ExperimentConfig,
@@ -117,6 +118,31 @@ def test_call_closeness_premises_fault():
 def test_oversized_check_hits_the_budget():
     with pytest.raises(SizingError):
         lemma_check("choi-shrinkage", {"n": 9})
+
+
+def test_every_premise_covers_its_run(monkeypatch):
+    # under a small budget, every size a check's premises admit runs without a refusal
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", Budget(6))
+    grid = {
+        "d": (2, 3, 8, 9), "n": (1, 2, 3), "lam": (1, 2, 3), "ell": (1, 2, 4, 6, 7),
+        "members": (1, 2), "s": (0, 2), "c": (0, 2), "keys": (1, 4),
+        "trials": (2,), "samples": (50,),
+    }
+    admitted = 0
+    for cid, fn in CHECKS.items():
+        names = [k for k in fn.__kwdefaults__ if k in grid]
+        for values in itertools.product(*(grid[k] for k in names)):
+            params = dict(zip(names, values))
+            try:
+                harness._resolve_check(cid, params)
+            except (SizingError, ValueError):
+                continue
+            admitted += 1
+            try:
+                lemma_check(cid, params, SEED.child(cid))
+            except SizingError as err:
+                pytest.fail(f"{cid} {params}: admitted, then refused while running: {err}")
+    assert admitted > 0
 
 
 # ------------------------------------------------------------------- configs

@@ -1,6 +1,7 @@
 """Every name the library and the study scripts import is used, every
 library definition has a caller outside the unit tests, the size budget
-is read where it is checked, Hermitian spectra take one route, each
+is read where it is checked, Hermitian spectra take one route, a state
+check only checks, each
 setting and choice is declared in one place, and every check that reads a
 size has a premise."""
 import ast
@@ -111,10 +112,9 @@ def test_the_budget_is_read_where_it_is_checked():
     assert bound == []
 
 
-def test_hermitian_spectra_take_one_route():
-    # `np.linalg.eigvalsh` is called from `linalg.hermitian_eigvalsh` alone, so every
-    # Hermitian spectrum is solved block by block where its nonzero pattern allows
-    callers = []
+def _callers(attr: str) -> set[str]:
+    """The `module.function` scopes of the library that access the attribute `attr`."""
+    callers = set()
     for path in sorted((ROOT / "src" / "oraclebench").glob("*.py")):
         tree = ast.parse(path.read_text())
         scopes = {}
@@ -122,12 +122,36 @@ def test_hermitian_spectra_take_one_route():
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
                     scopes.setdefault(id(node), fn.name)
-        callers += [
+        callers.update(
             f"{path.stem}.{scopes.get(id(node), '<module>')}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
-        ]
-    assert set(callers) == {"linalg.hermitian_eigvalsh"}
+            if isinstance(node, ast.Attribute) and node.attr == attr
+        )
+    return callers
+
+
+def test_hermitian_spectra_take_one_route():
+    # `np.linalg.eigvalsh` is called from `linalg.hermitian_eigvalsh` alone, so every
+    # Hermitian spectrum is solved block by block where its nonzero pattern allows
+    assert _callers("eigvalsh") == {"linalg.hermitian_eigvalsh"}
+
+
+def test_a_state_check_only_checks():
+    # `np.linalg.cholesky` is called from `linalg._check_positive` alone, and no check
+    # in `linalg` returns a value, so none can hand back a rewritten array
+    assert _callers("cholesky") == {"linalg._check_positive"}
+    checks = [
+        fn
+        for fn in ast.parse((ROOT / "src" / "oraclebench" / "linalg.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name.lstrip("_").startswith("check_")
+    ]
+    assert "check_density" in [fn.name for fn in checks]
+    returning = [
+        fn.name
+        for fn in checks
+        if any(isinstance(node, ast.Return) and node.value is not None for node in ast.walk(fn))
+    ]
+    assert returning == []
 
 
 def test_each_setting_has_one_flag_and_one_config_key():

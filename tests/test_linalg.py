@@ -59,26 +59,27 @@ def test_unitary_validation():
     assert np.allclose(u.mat.conj().T @ u.mat, np.eye(4), atol=1e-9)
 
 
-def test_density_validation_and_clipping():
+def test_density_validation_keeps_the_input():
     with pytest.raises(ValueError):
         la.DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         la.DensityMatrix(np.eye(2))
-    # tiny negative eigenvalue is clipped, a large one is rejected
+    # a tiny negative eigenvalue is kept in a read-only copy, a large one is rejected
     m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
     dm = la.DensityMatrix(m)
-    assert np.linalg.eigvalsh(dm.mat)[0] >= 0.0
+    assert np.array_equal(dm.mat, m) and dm.mat is not m and not dm.mat.flags.writeable
     with pytest.raises(ValueError):
         la.DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
 
 
-def test_a_density_stack_is_checked_and_clipped_matrix_by_matrix():
+def test_a_density_stack_is_checked_matrix_by_matrix_and_left_as_it_was():
     rng = rng_of(5)
     stack = np.stack([rand_density(rng, 3), np.diag([1.0 + 5e-10, -5e-10, 0.0]), rand_density(rng, 3)])
-    got = la.check_density(stack)
-    for g, m in zip(got, stack):
-        assert np.array_equal(g, la.DensityMatrix(m).mat)
-    assert np.linalg.eigvalsh(stack[1])[0] < 0.0  # the input is left as it was
+    before = stack.copy()
+    assert la.check_density(stack) is None
+    assert np.array_equal(stack, before)
+    for m in stack:
+        assert np.array_equal(la.DensityMatrix(m).mat, m)
     # one faulty matrix faults the stack, whatever its place
     for bad in (np.diag([1.1, -0.1, 0.0]), np.eye(3), np.triu(np.ones((3, 3))) / 3):
         with pytest.raises(ValueError):
@@ -136,6 +137,9 @@ def test_schatten_trivial_values():
     assert np.isclose(la.schatten_norm(np.eye(4), 1), 4.0)
     assert np.isclose(la.schatten_norm(np.eye(4), 2), 2.0)
     assert np.isclose(la.schatten_norm(np.eye(4), np.inf), 1.0)
+    for p in (3, 0.5, "inf"):
+        with pytest.raises(ValueError, match=f"got {p!r}"):
+            la.schatten_norm(np.eye(4), p)
 
 
 @given(seed=st.integers(0, 10_000), d=st.sampled_from([2, 3, 5]))
@@ -304,15 +308,25 @@ def test_a_block_sparse_state_above_1024_dims_is_checked_block_by_block(monkeypa
     assert np.array_equal(la.DensityMatrix(good).mat, good)
 
 
-def test_block_spectra_clip_a_small_negative_eigenvalue_as_the_dense_check_does():
+def test_block_spectra_check_a_state_as_the_dense_check_does():
+    def refused(check, m) -> bool:
+        try:
+            check(m)
+        except ValueError:
+            return True
+        return False
+
     rng = rng_of(43)
-    bad = with_spectrum(rng, np.array([-5e-10, 0.3, 0.3, 0.4 + 5e-10]))
-    m = permuted_blocks(rng, [b / 16 for b in [rand_density(rng, 4) for _ in range(15)] + [bad]])
-    assert la._component_blocks(m) is not None and np.linalg.eigvalsh(m)[0] < 0.0
-    clipped = la.check_density(m)
-    assert np.array_equal(clipped, ref.check_density_dense(m)) and not np.array_equal(clipped, m)
+    good = [rand_density(rng, 4) for _ in range(15)]
+    for low, want in ((-5e-10, False), (-1e-6, True)):
+        last = with_spectrum(rng, np.array([low, 0.3, 0.3, 0.4 - low]))
+        m = permuted_blocks(rng, [b / 16 for b in good + [last]])
+        assert la._component_blocks(m) is not None and np.linalg.eigvalsh(m)[0] < 0.0
+        before = m.copy()
+        assert refused(la.check_density, m) == refused(ref.check_density_dense, m) == want
+        assert np.array_equal(m, before)  # a small negative eigenvalue is kept
     for dense in (rand_density(rng, 64), rand_density(rng, 5)):
-        assert np.array_equal(la.check_density(dense), ref.check_density_dense(dense))
+        assert la.check_density(dense) is None and ref.check_density_dense(dense) is None
 
 
 # ---------------------------------------------------------------- entangled pairs
